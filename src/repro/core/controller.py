@@ -596,25 +596,7 @@ class WillowController:
                 served_below[node.node_id] = sum(
                     served_below[child.node_id] for child in node.children
                 )
-        # IPC traffic: cross-host affinity edges load the switches on
-        # the path between the two hosts (future-work workload model).
-        ipc_traffic: Dict[int, float] = {}
-        if self.ipc_graph is not None:
-            for vm_a, vm_b, rate in self.ipc_graph.edges():
-                host_a = self._vm_by_id[vm_a].host_id
-                host_b = self._vm_by_id[vm_b].host_id
-                if host_a == host_b:
-                    continue
-                key = (host_a, host_b) if host_a < host_b else (host_b, host_a)
-                if key not in self._path_cache:
-                    self._path_cache[key] = self.fabric.path(
-                        self.tree.node(key[0]), self.tree.node(key[1])
-                    )
-                for switch, share in self._path_cache[key]:
-                    ipc_traffic[switch.switch_id] = (
-                        ipc_traffic.get(switch.switch_id, 0.0) + rate * share
-                    )
-
+        ipc_traffic = self._ipc_traffic()
         for switch in self.fabric.switches:
             base = served_below[switch.site.node_id] / switch.redundancy
             base += ipc_traffic.get(switch.switch_id, 0.0)
@@ -631,6 +613,29 @@ class WillowController:
                     power=power,
                 )
             )
+
+    def _ipc_traffic(self) -> Dict[int, float]:
+        """IPC traffic per switch id: cross-host affinity edges load the
+        switches on the path between the two hosts (future-work
+        workload model)."""
+        ipc_traffic: Dict[int, float] = {}
+        if self.ipc_graph is None:
+            return ipc_traffic
+        for vm_a, vm_b, rate in self.ipc_graph.edges():
+            host_a = self._vm_by_id[vm_a].host_id
+            host_b = self._vm_by_id[vm_b].host_id
+            if host_a == host_b:
+                continue
+            key = (host_a, host_b) if host_a < host_b else (host_b, host_a)
+            if key not in self._path_cache:
+                self._path_cache[key] = self.fabric.path(
+                    self.tree.node(key[0]), self.tree.node(key[1])
+                )
+            for switch, share in self._path_cache[key]:
+                ipc_traffic[switch.switch_id] = (
+                    ipc_traffic.get(switch.switch_id, 0.0) + rate * share
+                )
+        return ipc_traffic
 
     # ------------------------------------------------------------- helpers
     @property

@@ -1,18 +1,20 @@
-"""Struct-of-arrays view of a server fleet for the vectorized tick path.
+"""Struct-of-arrays view of a server fleet for the array tick.
 
 :class:`FleetState` mirrors a fixed, ordered list of
 :class:`~repro.core.state.ServerRuntime` objects into flat NumPy arrays:
 immutable per-server parameters (static/standby power, dynamic range,
 thermal constants, precomputed exponential decay factors) are captured
 once at construction, while mutable control state (sleep flags, pending
-migration costs, smoother lanes, budgets, temperatures) is re-gathered
-from the objects at the top of every tick.
+migration costs, smoother lanes, budgets, temperatures) is gathered
+from the objects wherever scalar code (consolidation, wake-ups,
+migrations) has changed them.
 
-The objects stay authoritative between ticks: planners, consolidation
-and user hooks keep mutating ``ServerRuntime`` exactly as in the scalar
-controller, and the arrays are an ephemeral compute workspace.  This
-keeps the vectorized controller a drop-in behavioural twin -- see
-docs/performance.md for the layout and the equivalence contract.
+:class:`FederationFleet` concatenates one or more site fleets into one
+block and rebinds each site's arrays to views of it; the array tick in
+:mod:`repro.core.vectorized` sweeps the block.  Between scalar sync
+points the arrays are the truth and the objects are refreshed by the
+tick's flush -- see docs/performance.md for the layout and the
+equivalence contract.
 """
 
 from __future__ import annotations
@@ -233,20 +235,20 @@ _BLOCK_FIELDS = (
 
 
 class FederationFleet:
-    """One struct-of-arrays block spanning every site of a federation.
+    """One struct-of-arrays block spanning one or more site fleets.
 
     Concatenates the member :class:`FleetState` arrays into shared
     buffers and *rebinds* each site's arrays (and its
     :class:`~repro.power.smoothing.VectorSmoother` lanes) to basic
     slices of the block.  Basic slicing shares memory, so per-site code
-    (gathers, the per-site vectorized tick, consolidation resync) keeps
-    working unchanged while federation-wide sweeps -- demand, Eq. 4
-    smoothing, Eq. 2/3 thermal, serving, and the rebalance snapshot's
-    segment reductions -- run once over the whole block.
+    (gathers, consolidation resync, the rebalance pre-screens) keeps
+    working unchanged while the array tick's sweeps -- demand, Eq. 4
+    smoothing, Eq. 2/3 thermal, serving -- run once over the whole
+    block.  A single-site block is how
+    :class:`~repro.core.vectorized.VectorizedWillowController` ticks.
 
     Sites may differ in ``alpha`` (per-lane array, bit-identical to the
-    per-site scalar broadcast) and in thermal mode (``window_caps``
-    falls back to per-site assembly when mixed).
+    per-site scalar broadcast) and in thermal mode.
     """
 
     def __init__(self, fleets: List[FleetState]):
@@ -260,7 +262,6 @@ class FederationFleet:
             slice(int(bounds[i]), int(bounds[i + 1]))
             for i in range(len(self.fleets))
         ]
-        self.site_offsets = bounds[:-1]
 
         for name in _BLOCK_FIELDS:
             block = np.concatenate(
@@ -284,45 +285,3 @@ class FederationFleet:
         for f, sl in zip(self.fleets, self.site_slices):
             f.smoother.values = self.smoother_values[sl]
             f.smoother.primed = self.smoother_primed[sl]
-
-        caps = [f.window_caps for f in self.fleets]
-        if all(c is not None for c in caps):
-            self.window_caps = np.concatenate(caps)
-            for f, sl in zip(self.fleets, self.site_slices):
-                f.window_caps = self.window_caps[sl]
-        else:
-            self.window_caps = None
-
-    # -------------------------------------------------------------- gather
-    def gather_sleep(self) -> None:
-        for fleet in self.fleets:
-            fleet.gather_sleep()
-
-    def gather_costs(self) -> None:
-        for fleet in self.fleets:
-            fleet.gather_costs()
-
-    # ---------------------------------------------------------------- caps
-    def hard_caps(self) -> np.ndarray:
-        """Federation-wide :meth:`FleetState.hard_caps`.
-
-        One block read when every site runs window-reset thermal caps;
-        otherwise assembled from the per-site views (still array ops
-        per site, just not a single fused one).
-        """
-        if self.window_caps is not None and all(
-            f.config.thermal_enabled for f in self.fleets
-        ):
-            return self.window_caps
-        return np.concatenate([f.hard_caps() for f in self.fleets])
-
-    # ------------------------------------------------------------ reduction
-    def site_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-site left-to-right fold of a block-shaped array (the
-        rebalance snapshot's segment reduction)."""
-        return np.array(
-            [
-                float(sum(values[sl].tolist()))
-                for sl in self.site_slices
-            ]
-        )

@@ -1,17 +1,29 @@
-"""Array-based Willow tick path (behavioural twin of the scalar loop).
+"""The array Willow tick: one implementation for one site or many.
 
-:class:`VectorizedWillowController` re-implements the per-tick hot path
-of :class:`~repro.core.controller.WillowController` over a
-:class:`~repro.core.fleet.FleetState` struct-of-arrays view: batched
-Poisson demand sampling, fleet-wide Eq. 4 smoothing, grouped Eq. 3
-thermal steps and a level-at-a-time proportional budget waterfill.
+:class:`_Segment` runs the per-tick hot path of
+:class:`~repro.core.controller.WillowController` -- batched demand
+sampling, Eq. 4 smoothing, the Sec. IV-D budget waterfall, serving, the
+Eq. 2/3 thermal step and the Sec. V-B5 switch power -- as array
+expressions over a :class:`~repro.core.fleet.FederationFleet` block
+that spans one or more sites.  Tree levels of different sites
+concatenate, so each control step is one fold / one ``allocate_level``
+call per level however many sites tick together.  It is the only array
+tick in the package:
 
-Everything stateful stays on the runtime objects -- planners,
+* :class:`VectorizedWillowController` ticks a one-site segment over its
+  own fleet and flushes it after every tick, so its runtime objects stay
+  authoritative between ticks exactly like the scalar controller's.
+* :class:`~repro.federation.vectorized.BatchedFederationCoordinator`
+  ticks multi-site segments and defers the flush to the points where
+  scalar code reads the objects.
+
+Everything decision-shaped stays on the runtime objects -- planners,
 consolidation, migration cost bookkeeping, metric hooks and the
-collector see exactly the scalar controller's interfaces.  Numerical
-results match the scalar path bit-for-bit until the first migration
-re-orders a per-host demand sum, and to ``rtol=1e-12`` after that (see
-docs/performance.md for the precise contract and
+collector see exactly the scalar controller's interfaces, and
+``Tracer`` frames carry the scalar controller's records in its order.
+Numerical results match the scalar path bit-for-bit until the first
+migration re-orders a per-host demand sum, and to ``rtol=1e-12`` after
+that (see docs/performance.md for the precise contract and
 tests/test_vectorized_equivalence.py for the enforcement).
 
 Not supported: ``config.device_classes`` (the per-device thermal state
@@ -21,17 +33,22 @@ is inherently object-shaped; use the scalar controller).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.controller import WillowController, _EPS
 from repro.core.deficits import power_imbalance
 from repro.core.events import ControlMessage, Drop, MigrationCause
-from repro.core.fleet import FleetState, build_fold_index, fold_segment_sums
+from repro.core.fleet import (
+    FederationFleet,
+    FleetState,
+    build_fold_index,
+    fold_segment_sums,
+)
 from repro.core.migration import PlannedMove
-from repro.core.state import SleepState
 from repro.metrics.collector import ServerSample, SwitchSample
+from repro.metrics.columnar import LazyList
 from repro.power.budget import LevelIndex, allocate_level
 from repro.thermal.model import temperature_step_arrays
 from repro.topology.tree import Node
@@ -47,7 +64,7 @@ _SERVE_MARGIN = 1e-6
 
 @dataclass
 class _LevelSpec:
-    """Precomputed structure of one internal tree level."""
+    """Precomputed structure of one internal tree level of one site."""
 
     nodes: List[Node]
     node_ids: np.ndarray
@@ -57,15 +74,904 @@ class _LevelSpec:
     child_id_list: List[int]  # child_ids as plain ints, for messages
     child_runtimes: list  # ServerRuntime | NodeRuntime, flat
     offsets: np.ndarray
-    pad_idx: np.ndarray
-    valid: np.ndarray
-    alloc_index: LevelIndex  # precomputed group structure for budgets
     site_switches: list  # per node: switches colocated at that site
 
 
+# ------------------------------------------------------------ lazy blocks
+def _server_block(now, ids, wall, temps, util, raw, budget, awake):
+    """Materialiser for one site's per-tick server samples."""
+
+    def build():
+        w = wall.tolist()
+        t = temps.tolist()
+        u = util.tolist()
+        r = raw.tolist()
+        b = budget.tolist()
+        a = awake.tolist()
+        return [
+            ServerSample(now, ids[j], w[j], t[j], u[j], r[j], b[j], not a[j])
+            for j in range(len(ids))
+        ]
+
+    return build
+
+
+def _switch_block(now, ids, levels, base, mig, power):
+    """Materialiser for one site's per-tick switch samples."""
+
+    def build():
+        b = base.tolist()
+        m = mig.tolist()
+        p = power.tolist()
+        return [
+            SwitchSample(now, ids[j], levels[j], b[j], m[j], p[j])
+            for j in range(len(ids))
+        ]
+
+    return build
+
+
+def _message_block(now, ids, upward):
+    """Materialiser for one site's per-tick control messages."""
+    return lambda: [ControlMessage(now, c, upward) for c in ids]
+
+
+class _SegLevel:
+    """One tree level, concatenated across every site of a segment."""
+
+    __slots__ = (
+        "parts",
+        "node_gidx",
+        "child_gidx",
+        "pad_idx",
+        "valid",
+        "alloc_index",
+        "reserve_sources",
+        "reserve_rows",
+        "reserve_pad",
+        "reserve_valid",
+        "capacity_mode",
+        "capacity_mask",
+    )
+
+    def __init__(self, parts: List[Tuple[object, _LevelSpec]], node_offsets):
+        # parts: [(controller, per-site _LevelSpec)] in segment order.
+        self.parts = parts
+        node_ids = []
+        child_ids = []
+        sizes = []
+        offsets = []
+        reserve_sources = []
+        mask_pieces = []
+        child_base = 0
+        for ctrl, spec in parts:
+            off = node_offsets[ctrl]
+            node_ids.append(off + spec.node_ids)
+            child_ids.append(off + spec.child_ids)
+            sizes.append(np.diff(np.append(spec.offsets, len(spec.child_ids))))
+            offsets.append(spec.offsets + child_base)
+            child_base += len(spec.child_ids)
+            for switches in spec.site_switches:
+                reserve_sources.append((ctrl, switches))
+            mask_pieces.append(
+                np.full(
+                    len(spec.child_ids),
+                    ctrl.config.allocation_mode == "capacity",
+                )
+            )
+        self.node_gidx = np.concatenate(node_ids)
+        self.child_gidx = np.concatenate(child_ids)
+        all_sizes = np.concatenate(sizes).astype(np.intp)
+        self.pad_idx, self.valid = build_fold_index(all_sizes)
+        self.alloc_index = LevelIndex(
+            np.concatenate(offsets).astype(np.intp), child_base
+        )
+        self.reserve_sources = reserve_sources
+        mask = np.concatenate(mask_pieces)
+        if mask.all() or not mask.any():
+            self.capacity_mode = bool(mask[0]) if len(mask) else False
+            self.capacity_mask = None
+        else:
+            self.capacity_mode = False
+            self.capacity_mask = mask
+
+
+class _Segment:
+    """A run of array-capable sites ticked as one block.
+
+    ``block`` is the :class:`~repro.core.fleet.FederationFleet` holding
+    the sites' lanes; ``entries`` lists ``(controller, site index,
+    block slice)`` in tick order.  ``vm_home`` maps each VM id to the
+    index of its home site, for the late-pair staleness rule of a
+    multi-site segment; it may stay empty until a VM first leaves home,
+    and is ``None`` when no VM can cross sites inside the segment.
+    """
+
+    def __init__(
+        self,
+        block: FederationFleet,
+        entries: List[Tuple["VectorizedWillowController", int, slice]],
+        vm_home: Optional[Dict[int, int]] = None,
+    ):
+        self.vm_home = vm_home
+        self.controllers = [ctrl for ctrl, _idx, _sl in entries]
+        self.global_idx = [idx for _ctrl, idx, _sl in entries]
+        self._seg_pos = {idx: pos for pos, idx in enumerate(self.global_idx)}
+
+        start = entries[0][2].start
+        stop = entries[-1][2].stop
+        sl = slice(start, stop)
+        sizes = [ctrl.fleet.n for ctrl in self.controllers]
+        self.n = stop - start
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        self.local_slices = [
+            slice(int(bounds[i]), int(bounds[i + 1]))
+            for i in range(len(sizes))
+        ]
+        self.row_site = np.repeat(np.arange(len(sizes)), sizes)
+        self.row_base = bounds[:-1]
+
+        # Block views over the shared arrays (basic slices, so per-site
+        # code keeps seeing the same memory).
+        for name in (
+            "static_power",
+            "standby_power",
+            "slope",
+            "t_ambient",
+            "t_limit",
+            "c1",
+            "c2",
+            "decay_tick",
+            "decay_window",
+            "awake",
+            "asleep",
+            "waking",
+            "mig_cost",
+            "budget",
+            "temperature",
+            "raw",
+            "served",
+        ):
+            setattr(self, name, getattr(block, name)[sl])
+        self.values = block.smoother_values[sl]
+        self.primed = block.smoother_primed[sl]
+        self.alpha = block.alpha[sl]
+
+        # Segment-level node buffers: each site's node-id space maps
+        # to [offset, offset + site._n_nodes).
+        self.node_offsets: Dict[object, int] = {}
+        total = 0
+        for ctrl in self.controllers:
+            self.node_offsets[ctrl] = total
+            total += ctrl._n_nodes
+        self._caps_buf = np.zeros(total)
+        self._budget_buf = np.zeros(total)
+        self._demand_buf = np.zeros(total)
+        self._served_buf = np.zeros(total)
+        self._vm_sums = np.zeros(self.n)
+        self.server_gidx = np.concatenate(
+            [
+                self.node_offsets[ctrl] + ctrl.fleet.node_ids
+                for ctrl in self.controllers
+            ]
+        )
+        self.root_entries = [
+            (
+                ctrl,
+                self.node_offsets[ctrl] + ctrl.tree.root.node_id,
+                ctrl.internals[ctrl.tree.root.node_id],
+            )
+            for ctrl in self.controllers
+        ]
+
+        # Tree levels grouped by height: one fold / one allocate_level
+        # call spans every site that has that level.
+        max_level = max(ctrl.tree.root.level for ctrl in self.controllers)
+        self.levels = [
+            _SegLevel(
+                [
+                    (ctrl, ctrl._levels_up[level - 1])
+                    for ctrl in self.controllers
+                    if level <= ctrl.tree.root.level
+                ],
+                self.node_offsets,
+            )
+            for level in range(1, max_level + 1)
+        ]
+
+        modes = {ctrl.config.thermal_mode for ctrl in self.controllers}
+        self.thermal_mode = modes.pop() if len(modes) == 1 else None
+        caps = [ctrl.fleet.window_caps for ctrl in self.controllers]
+        self._static_caps = (
+            np.concatenate(caps) if all(c is not None for c in caps) else None
+        )
+
+        # --- switch power as one shared array -------------------------
+        # The allocation reserves and the per-tick switch recording read
+        # and write this array; the per-site ``_last_switch_power``
+        # dicts are flushed from it only at scalar sync points.
+        self._sw_slices: List[slice] = []
+        self._sw_meta: List[Tuple[list, list]] = []
+        self._sw_pos: List[Dict[int, int]] = []
+        sw_site_gidx = []
+        sw_red = []
+        sw_static = []
+        sw_wpu = []
+        sw_power = []
+        base_off = 0
+        for ctrl in self.controllers:
+            switches = list(ctrl.fabric.switches)
+            self._sw_slices.append(
+                slice(base_off, base_off + len(switches))
+            )
+            self._sw_meta.append(
+                (
+                    [s.switch_id for s in switches],
+                    [s.level for s in switches],
+                )
+            )
+            self._sw_pos.append(
+                {s.switch_id: base_off + k for k, s in enumerate(switches)}
+            )
+            base_off += len(switches)
+            sw_site_gidx.append(
+                self.node_offsets[ctrl]
+                + np.array(
+                    [s.site.node_id for s in switches], dtype=np.intp
+                )
+            )
+            sw_red.append(np.array([float(s.redundancy) for s in switches]))
+            model = ctrl.config.switch_model
+            sw_static.append(np.full(len(switches), model.static_power))
+            sw_wpu.append(
+                np.full(len(switches), model.watts_per_unit_traffic)
+            )
+            sw_power.append(
+                np.fromiter(
+                    (
+                        ctrl._last_switch_power[s.switch_id]
+                        for s in switches
+                    ),
+                    float,
+                    len(switches),
+                )
+            )
+        self._sw_site_gidx = np.concatenate(sw_site_gidx)
+        self._sw_red = np.concatenate(sw_red)
+        self._sw_static = np.concatenate(sw_static)
+        self._sw_wpu = np.concatenate(sw_wpu)
+        self._switch_power = np.concatenate(sw_power)
+        self._switch_dict_stale = False
+        # Reserve fold: per level, each node's switch rows in the same
+        # left-to-right order the scalar ``sum()`` walks them.
+        sw_pos_of = dict(zip(self.controllers, self._sw_pos))
+        for level in self.levels:
+            rows: List[int] = []
+            rsizes: List[int] = []
+            for ctrl, switches in level.reserve_sources:
+                rsizes.append(len(switches))
+                pos = sw_pos_of[ctrl]
+                rows.extend(pos[s.switch_id] for s in switches)
+            level.reserve_rows = np.asarray(rows, dtype=np.intp)
+            level.reserve_pad, level.reserve_valid = build_fold_index(
+                np.asarray(rsizes, dtype=np.intp)
+            )
+
+        # --- deferred-scatter bookkeeping -----------------------------
+        k = len(self.controllers)
+        self._dirty_servers = [False] * k
+        self._dirty_vms = [False] * k
+        self._demands: List[Optional[np.ndarray]] = [None] * k
+        self._plan_vms = [
+            list(ctrl.placement.vms) for ctrl in self.controllers
+        ]
+        self._peak = np.fromiter(
+            (
+                s.thermal.peak
+                for ctrl in self.controllers
+                for s in ctrl.fleet.servers
+            ),
+            float,
+            self.n,
+        )
+        self._viol = np.fromiter(
+            (
+                s.thermal.violations
+                for ctrl in self.controllers
+                for s in ctrl.fleet.servers
+            ),
+            np.int64,
+            self.n,
+        )
+        # Per-site control-message id tuples, in the exact per-site
+        # emission order (levels ascending for demand reports, levels
+        # descending for budget grants).
+        self._up_ids = [
+            tuple(
+                c
+                for spec in ctrl._levels_up
+                for c in spec.child_id_list
+            )
+            for ctrl in self.controllers
+        ]
+        self._down_ids = [
+            tuple(
+                c
+                for spec in reversed(ctrl._levels_up)
+                for c in spec.child_id_list
+            )
+            for ctrl in self.controllers
+        ]
+        # Sample/message lists become lazily-materialised column stores.
+        for ctrl in self.controllers:
+            collector = ctrl.collector
+            if not isinstance(collector.server_samples, LazyList):
+                collector.server_samples = LazyList(
+                    collector.server_samples
+                )
+            if not isinstance(collector.switch_samples, LazyList):
+                collector.switch_samples = LazyList(
+                    collector.switch_samples
+                )
+            if not isinstance(collector.messages, LazyList):
+                collector.messages = LazyList(collector.messages)
+
+    def _late_pairs(self) -> list:
+        """Foreign VM objects whose *home* site sits later in this
+        segment than their host: site-major execution would serve them
+        against last tick's demand."""
+        home_of = self.vm_home
+        if not home_of:
+            return []
+        out = []
+        for pos, ctrl in enumerate(self.controllers):
+            if not ctrl._foreign_vms:
+                continue
+            for vm_id, vm in ctrl._foreign_vms.items():
+                h_pos = self._seg_pos.get(home_of.get(vm_id, -1))
+                if h_pos is not None and h_pos > pos:
+                    out.append(vm)
+        return out
+
+    # --------------------------------------------------------------- sync
+    def _flush_servers(self, i: int) -> None:
+        """Scatter site ``i``'s array state back onto its runtimes.
+
+        Position-independent: the block arrays always hold exactly the
+        values an eager tick would have written to the objects by the
+        same point, so scalar readers (planner, consolidation, gather)
+        see identical state.
+        """
+        if not self._dirty_servers[i]:
+            return
+        self._dirty_servers[i] = False
+        sl = self.local_slices[i]
+        raw = self.raw[sl].tolist()
+        smoothed = self.values[sl].tolist()
+        served = self.served[sl].tolist()
+        temps = self.temperature[sl].tolist()
+        peaks = self._peak[sl].tolist()
+        violations = self._viol[sl].tolist()
+        for j, server in enumerate(self.controllers[i].fleet.servers):
+            server.raw_demand = raw[j]
+            server.smoothed_demand = smoothed[j]
+            server.smoother._value = smoothed[j]
+            server.served_power = served[j]
+            thermal = server.thermal
+            thermal.temperature = temps[j]
+            thermal.peak = peaks[j]
+            thermal.violations = violations[j]
+
+    def _flush_vms(self, i: int) -> None:
+        """Write site ``i``'s home-VM demand objects from the last
+        sample.  Exported guests are skipped: they were refreshed
+        eagerly at sample time and may carry a deliberate stale value
+        (late-pair staleness) that must survive the flush."""
+        if not self._dirty_vms[i]:
+            return
+        self._dirty_vms[i] = False
+        demands = self._demands[i]
+        ctrl = self.controllers[i]
+        values = demands.tolist()
+        vms = self._plan_vms[i]
+        if ctrl._away_count:
+            away = ctrl._vm_away.tolist()
+            for r, vm in enumerate(vms):
+                if not away[r]:
+                    vm.current_demand = values[r]
+        else:
+            for vm, value in zip(vms, values):
+                vm.current_demand = value
+
+    def _flush_switch_dict(self) -> None:
+        if not self._switch_dict_stale:
+            return
+        self._switch_dict_stale = False
+        power = self._switch_power.tolist()
+        for i, ctrl in enumerate(self.controllers):
+            last = ctrl._last_switch_power
+            sl = self._sw_slices[i]
+            for switch_id, value in zip(
+                self._sw_meta[i][0], power[sl.start : sl.stop]
+            ):
+                last[switch_id] = value
+
+    def flush(self) -> None:
+        """Make every runtime object current."""
+        for i in range(len(self.controllers)):
+            self._flush_servers(i)
+            self._flush_vms(i)
+        self._flush_switch_dict()
+
+    # ----------------------------------------------------------------- tick
+    def tick(self, now: float) -> None:
+        ctrls = self.controllers
+
+        # 0. housekeeping: sparse scans instead of per-server loops.
+        # Sleep transitions come straight off the block's awake lanes;
+        # pending migration costs are scanned only while a site's cost
+        # watch is armed (every path that charges a cost arms it, and a
+        # scan that finds nothing left disarms it).
+        for i, ctrl in enumerate(ctrls):
+            if ctrl.tracer.enabled:
+                # Open the frame before the plant hook, as the scalar
+                # controller does.
+                ctrl.tracer.begin_tick(ctrl._tick_index, now)
+            ctrl._tick_migration_traffic = {}
+            fleet = ctrl.fleet
+            if ctrl._cost_watch:
+                costs_dirty = False
+                pending_left = False
+                for server in fleet.servers:
+                    if server._pending_costs:
+                        server.expire_costs()
+                        costs_dirty = True
+                        if server._pending_costs:
+                            pending_left = True
+                if costs_dirty:
+                    fleet.gather_costs()
+                ctrl._cost_watch = pending_left
+            sl = self.local_slices[i]
+            if not bool(self.awake[sl].all()):
+                servers = fleet.servers
+                for r in np.nonzero(~self.awake[sl])[0].tolist():
+                    servers[r].tick_wake()
+                fleet.gather_sleep()
+            ctrl._begin_tick(now)
+
+        # 1. sample every site's demand in site order.  The arrays stay
+        # authoritative; only exported guests (read as objects by their
+        # host sites) are refreshed eagerly, and late-pair guests get
+        # the stale value back (their home generator would not have run
+        # yet under site-major execution).  Sources other than the
+        # Poisson generator write the VM objects themselves and return
+        # no vector; their host sums are read off the objects.
+        late = self._late_pairs()
+        stale_vals = [vm.current_demand for vm in late]
+        demands: List[Optional[np.ndarray]] = []
+        for i, ctrl in enumerate(ctrls):
+            sample = ctrl._sample_vm_demands()
+            demands.append(sample)
+            self._demands[i] = sample
+            self._dirty_vms[i] = sample is not None
+            if sample is not None and ctrl._away_count:
+                vms = self._plan_vms[i]
+                rows = np.nonzero(ctrl._vm_away)[0]
+                for r, value in zip(
+                    rows.tolist(), sample[rows].tolist()
+                ):
+                    vms[r].current_demand = value
+        fresh_vals = [vm.current_demand for vm in late]
+        for vm, stale in zip(late, stale_vals):
+            vm.current_demand = stale
+
+        # 2. per-host sums, raw wall demand and Eq. 4 over the block.
+        vm_sums = self._vm_sums
+        for i, ctrl in enumerate(ctrls):
+            vm_sums[self.local_slices[i]] = ctrl._host_demand_sums(demands[i])
+        raw = np.where(
+            self.asleep,
+            self.standby_power,
+            np.where(
+                self.waking,
+                self.static_power,
+                self.static_power + vm_sums + self.mig_cost,
+            ),
+        )
+        # VectorSmoother.update with a per-lane alpha: the same IEEE-754
+        # expression per lane, sites with different alphas included.
+        # Waking servers keep reporting their wake forecast; everyone
+        # else (awake or asleep) absorbs this tick's observation.
+        smoothed_expr = self.alpha * raw + (1.0 - self.alpha) * self.values
+        fresh = np.where(self.primed, smoothed_expr, raw)
+        mask = ~self.waking
+        np.copyto(self.values, fresh, where=mask)
+        self.primed |= mask
+        smoothed = self.values
+        self.raw[...] = raw
+        for i in range(len(ctrls)):
+            self._dirty_servers[i] = True
+        self._aggregate_demands(now)
+
+        # 3. the budget waterfall, one allocate_level call per level
+        # across every site (the coordinator validates a shared eta1,
+        # and segment members share the base cadence rule).
+        if ctrls[0]._allocation_due():
+            self._allocate_budgets(now)
+            self.budget[...] = self._budget_buf[self.server_gidx]
+        for i, ctrl in enumerate(ctrls):
+            if ctrl.tracer.enabled:
+                sl = self.local_slices[i]
+                for sid, r, s, b in zip(
+                    ctrl._server_ids,
+                    raw[sl].tolist(),
+                    smoothed[sl].tolist(),
+                    self.budget[sl].tolist(),
+                ):
+                    ctrl.tracer.record_demand(sid, r, s, b)
+
+        # 4. per-site demand migrations (planner state is per site).
+        moved = [False] * len(ctrls)
+        for i, ctrl in enumerate(ctrls):
+            sl = self.local_slices[i]
+            deficient = self.awake[sl] & (raw[sl] > self.budget[sl] + _EPS)
+            if not bool(deficient.any()):
+                continue
+            # The planner walks runtime objects (raw demand, budgets,
+            # VM demands): refresh this site before handing over.
+            self._flush_servers(i)
+            self._flush_vms(i)
+            plan = ctrl._plan_demand_migrations(raw[sl], smoothed[sl])
+            if plan is not None:
+                ctrl._execute_moves(plan.moves, MigrationCause.DEMAND, now)
+                moved[i] = bool(plan.moves)
+                for vm, node in plan.dropped:
+                    ctrl.collector.record_unmatched(
+                        Drop(now, node.node_id, vm.vm_id, vm.current_demand)
+                    )
+
+        # 5. per-site consolidation on each site's own eta2 cadence.
+        for i, ctrl in enumerate(ctrls):
+            if (
+                ctrl._tick_index > 0
+                and ctrl._tick_index % ctrl.config.eta2 == 0
+            ):
+                # Consolidation reads and mutates the objects (it may
+                # flip sleep states and, on wake, reset a smoother
+                # lane), then gather() re-adopts them wholesale.
+                self._flush_servers(i)
+                self._flush_vms(i)
+                n_migrations = len(ctrl.collector.migrations)
+                ctrl._consolidate(now)
+                moved[i] = (
+                    moved[i]
+                    or len(ctrl.collector.migrations) > n_migrations
+                )
+                ctrl.fleet.gather()
+                self._dirty_servers[i] = False
+            if moved[i]:
+                # Migrations rehomed VMs and charged costs mid-tick;
+                # refresh the per-host sums and cost lanes before
+                # serving.
+                vm_sums[self.local_slices[i]] = ctrl._host_demand_sums(
+                    demands[i]
+                )
+                ctrl.fleet.gather_costs()
+
+        # 6. serve power within budget across the whole block; throttle
+        # any residual excess per VM in priority order.
+        available = np.maximum(
+            self.budget - self.static_power - self.mig_cost, 0.0
+        )
+        fast = self.awake & (available >= vm_sums + _SERVE_MARGIN)
+        served = np.where(fast, vm_sums, 0.0)
+        slow_rows = np.nonzero(self.awake & ~fast)[0]
+        if len(slow_rows):
+            available_list = available.tolist()
+            for r in slow_rows.tolist():
+                i = int(self.row_site[r])
+                ctrl = ctrls[i]
+                self._flush_vms(i)  # priority serving reads VM objects
+                served[r] = ctrl._serve_scalar(
+                    ctrl.fleet.servers[r - int(self.row_base[i])],
+                    available_list[r],
+                    now,
+                )
+        self.served[...] = served
+
+        # 7. thermal update (Eq. 2/3) over the block, then samples.
+        wall = np.where(
+            self.asleep,
+            self.standby_power,
+            np.where(
+                self.waking,
+                self.static_power,
+                self.static_power + served,
+            ),
+        )
+        if self.thermal_mode == "window_reset":
+            # Each tick re-derives the temperature from the zone ambient
+            # at this tick's power (paper Sec. V-B2).
+            temps = temperature_step_arrays(
+                self.t_ambient,
+                wall,
+                t_ambient=self.t_ambient,
+                c1=self.c1,
+                c2=self.c2,
+                decay=self.decay_window,
+            )
+            violations = temps > self.t_limit + 1e-6
+        elif self.thermal_mode == "integrated":
+            temps = temperature_step_arrays(
+                self.temperature,
+                wall,
+                t_ambient=self.t_ambient,
+                c1=self.c1,
+                c2=self.c2,
+                decay=self.decay_tick,
+            )
+            violations = temps > self.t_limit + 1e-9
+        else:  # mixed thermal modes: per-site sub-sweeps
+            temps = np.empty(self.n)
+            violations = np.empty(self.n, dtype=bool)
+            for i, ctrl in enumerate(ctrls):
+                sl = self.local_slices[i]
+                fleet = ctrl.fleet
+                if ctrl.config.thermal_mode == "window_reset":
+                    temps[sl] = temperature_step_arrays(
+                        fleet.t_ambient,
+                        wall[sl],
+                        t_ambient=fleet.t_ambient,
+                        c1=fleet.c1,
+                        c2=fleet.c2,
+                        decay=fleet.decay_window,
+                    )
+                    violations[sl] = temps[sl] > fleet.t_limit + 1e-6
+                else:
+                    temps[sl] = temperature_step_arrays(
+                        fleet.temperature,
+                        wall[sl],
+                        t_ambient=fleet.t_ambient,
+                        c1=fleet.c1,
+                        c2=fleet.c2,
+                        decay=fleet.decay_tick,
+                    )
+                    violations[sl] = temps[sl] > fleet.t_limit + 1e-9
+        self.temperature[...] = temps
+        utilization = np.where(
+            self.awake, np.minimum(served / self.slope, 1.0), 0.0
+        )
+        np.maximum(self._peak, temps, out=self._peak)
+        self._viol += violations
+        # One queued column block per site; ServerSample objects only
+        # materialise if somebody reads the list.  budget/awake mutate
+        # across ticks, so those two columns are snapshotted.
+        budget_copy = self.budget.copy()
+        awake_copy = self.awake.copy()
+        for i, ctrl in enumerate(ctrls):
+            sl = self.local_slices[i]
+            ctrl.collector.server_samples.push_block(
+                _server_block(
+                    now,
+                    ctrl._server_ids,
+                    wall[sl],
+                    temps[sl],
+                    utilization[sl],
+                    raw[sl],
+                    budget_copy[sl],
+                    awake_copy[sl],
+                )
+            )
+            self._dirty_servers[i] = True
+
+        # 8. switch traffic and power.
+        self._record_switches(now)
+
+        # 9. level-0 imbalance (Eq. 9), then the per-site hooks.
+        for i, ctrl in enumerate(ctrls):
+            ctrl.collector.record_imbalance(
+                now,
+                power_imbalance(raw[self.local_slices[i]], ctrl.fleet.budget),
+            )
+        for i, ctrl in enumerate(ctrls):
+            if ctrl.on_tick:
+                # Hooks (checkpointers among them) read the objects.
+                self._flush_servers(i)
+                self._flush_vms(i)
+                self._flush_switch_dict()
+                for hook in ctrl.on_tick:
+                    hook(ctrl, ctrl._tick_index, now)
+                self._dirty_servers[i] = True
+            ctrl._tick_index += 1
+
+        # The segment is done reading: late-pair guests now carry the
+        # demand their home generator sampled this tick, exactly the
+        # state site-major execution leaves behind.
+        for vm, value in zip(late, fresh_vals):
+            vm.current_demand = value
+
+    # ------------------------------------------------------- demand reports
+    def _aggregate_demands(self, now: float) -> None:
+        """Bottom-up Eq. 4 propagation, one fold per level across all
+        segment sites at once (groups are independent, so concatenating
+        sites preserves each per-node left-to-right fold)."""
+        below = self._demand_buf
+        below[self.server_gidx] = self.values
+        for level in self.levels:
+            totals = fold_segment_sums(
+                below[level.child_gidx], level.pad_idx, level.valid
+            )
+            total_list = totals.tolist()
+            k = 0
+            for ctrl, spec in level.parts:
+                for runtime in spec.runtimes:
+                    runtime.observe_demand(total_list[k])
+                    k += 1
+            below[level.node_gidx] = np.fromiter(
+                (
+                    r.smoothed_demand
+                    for _ctrl, spec in level.parts
+                    for r in spec.runtimes
+                ),
+                float,
+                len(level.node_gidx),
+            )
+        for i, ctrl in enumerate(self.controllers):
+            ctrl.collector.messages.push_block(
+                _message_block(now, self._up_ids[i], True)
+            )
+
+    # ------------------------------------------------------------ switches
+    def _record_switches(self, now: float) -> None:
+        """Base traffic = served power in the subtree (one fold per
+        level), plus cross-host IPC and this tick's migrations; one
+        linear power expression over the shared switch array, lazily
+        queued samples."""
+        below = self._served_buf
+        below[self.server_gidx] = self.served
+        for level in self.levels:
+            below[level.node_gidx] = fold_segment_sums(
+                below[level.child_gidx], level.pad_idx, level.valid
+            )
+        base = below[self._sw_site_gidx] / self._sw_red
+        migration = np.zeros(len(base))
+        for i, ctrl in enumerate(self.controllers):
+            pos = self._sw_pos[i]
+            for switch_id, extra in ctrl._ipc_traffic().items():
+                base[pos[switch_id]] += extra
+            for switch_id, extra in ctrl._tick_migration_traffic.items():
+                migration[pos[switch_id]] += extra
+        power = self._sw_static + self._sw_wpu * (base + migration)
+        self._switch_power = power
+        self._switch_dict_stale = True
+        for i, ctrl in enumerate(self.controllers):
+            sl = self._sw_slices[i]
+            ids, levels = self._sw_meta[i]
+            ctrl.collector.switch_samples.push_block(
+                _switch_block(
+                    now,
+                    ids,
+                    levels,
+                    base[sl],
+                    migration[sl],
+                    power[sl],
+                )
+            )
+
+    # --------------------------------------------------------- supply side
+    def _hard_caps(self) -> np.ndarray:
+        if self._static_caps is not None:
+            return self._static_caps
+        return np.concatenate(
+            [ctrl.fleet.hard_caps() for ctrl in self.controllers]
+        )
+
+    def _allocate_budgets(self, now: float) -> None:
+        """The Sec. IV-D waterfall, level-at-a-time across all sites."""
+        caps = self._caps_buf
+        caps[self.server_gidx] = self._hard_caps()
+        for level in self.levels:
+            caps[level.node_gidx] = fold_segment_sums(
+                caps[level.child_gidx], level.pad_idx, level.valid
+            )
+
+        budgets = self._budget_buf
+        for ctrl, root_gid, runtime in self.root_entries:
+            ctrl.root_budget = ctrl.supply.at(now)
+            runtime.set_budget(min(ctrl.root_budget, caps[root_gid]))
+            budgets[root_gid] = runtime.budget
+            if ctrl.tracer.enabled:
+                ctrl.tracer.record_root(
+                    ctrl.root_budget, caps[root_gid], runtime.budget
+                )
+
+        for level in reversed(self.levels):
+            # Reserve each node's colocated switch draw off the top.
+            reserves = fold_segment_sums(
+                self._switch_power[level.reserve_rows],
+                level.reserve_pad,
+                level.reserve_valid,
+            )
+            parent_budget = np.maximum(
+                budgets[level.node_gidx] - reserves, 0.0
+            )
+            child_caps = caps[level.child_gidx]
+            if level.capacity_mask is None:
+                weights = (
+                    child_caps
+                    if level.capacity_mode
+                    else self._demand_buf[level.child_gidx]
+                )
+            else:
+                weights = np.where(
+                    level.capacity_mask,
+                    child_caps,
+                    self._demand_buf[level.child_gidx],
+                )
+            allocations, _unused = allocate_level(
+                parent_budget, weights, child_caps, index=level.alloc_index
+            )
+            budgets[level.child_gidx] = allocations
+            allocation_list = allocations.tolist()
+            k = 0
+            for ctrl, spec in level.parts:
+                for runtime in spec.child_runtimes:
+                    runtime.set_budget(allocation_list[k])
+                    k += 1
+            self._trace_allocations(
+                level,
+                allocation_list,
+                weights,
+                child_caps,
+                parent_budget,
+                reserves,
+            )
+        for i, ctrl in enumerate(self.controllers):
+            ctrl.collector.messages.push_block(
+                _message_block(now, self._down_ids[i], False)
+            )
+
+    def _trace_allocations(
+        self, level, allocations, weights, caps, parent_budget, reserves
+    ) -> None:
+        """One division record per child of every traced site, in the
+        scalar controller's per-node order."""
+        if not any(ctrl.tracer.enabled for ctrl, _spec in level.parts):
+            return
+        seg = level.alloc_index.seg.tolist()
+        weight_list = np.asarray(weights).tolist()
+        cap_list = caps.tolist()
+        budget_list = parent_budget.tolist()
+        reserve_list = reserves.tolist()
+        k = 0
+        g0 = 0
+        for ctrl, spec in level.parts:
+            n_children = len(spec.child_nodes)
+            tracer = ctrl.tracer
+            if tracer.enabled:
+                limit = ctrl.config.circuit_limit
+                for j, child in enumerate(spec.child_nodes):
+                    g = seg[k + j]
+                    tracer.record_allocation(
+                        child.node_id,
+                        spec.nodes[g - g0].node_id,
+                        child.level,
+                        allocations[k + j],
+                        weight_list[k + j],
+                        cap_list[k + j],
+                        budget_list[g],
+                        reserve_list[g],
+                        leaf=child.is_leaf,
+                        circuit_limit=limit if child.is_leaf else None,
+                    )
+            k += n_children
+            g0 += len(spec.nodes)
+
+
 class VectorizedWillowController(WillowController):
-    """Drop-in replacement for :class:`WillowController` with an
-    array-based tick.  Same constructor, same metrics, same hooks."""
+    """Drop-in replacement for :class:`WillowController` whose tick is
+    a one-site :class:`_Segment`.  Same constructor, same metrics, same
+    hooks."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -76,11 +982,10 @@ class VectorizedWillowController(WillowController):
             )
         ordered = [self.servers[leaf.node_id] for leaf in self.tree.servers()]
         self.fleet = FleetState(ordered, self.config)
-        # One full gather seeds the arrays; after this the tick loop
-        # only re-reads what other actors mutate (sleep states and
-        # migration costs) -- budgets, temperatures and smoother lanes
-        # are written by this controller alone and scattered back to
-        # the objects whenever they change.
+        # One full gather seeds the arrays; after this the tick only
+        # re-reads what other actors mutate (sleep states and migration
+        # costs) -- budgets, temperatures and smoother lanes are written
+        # by the tick alone and scattered back to the objects.
         self.fleet.gather()
         self._server_ids = [s.node.node_id for s in self.fleet.servers]
         #: row in the VM demand vector for each vm_id (plan order)
@@ -100,10 +1005,6 @@ class VectorizedWillowController(WillowController):
         self._foreign_vms: Dict[int, object] = {}
         self._foreign_rows: Dict[int, int] = {}
         self._n_nodes = max(node.node_id for node in self.tree) + 1
-        self._caps_buffer = np.zeros(self._n_nodes)
-        self._budget_buffer = np.zeros(self._n_nodes)
-        self._served_buffer = np.zeros(self._n_nodes)
-        self._demand_buffer = np.zeros(self._n_nodes)
         self._levels_up = self._build_level_specs()
 
         # Ancestor chains as an index matrix into a per-internal-node
@@ -127,16 +1028,14 @@ class VectorizedWillowController(WillowController):
             self._anc_matrix[i, : len(chain)] = chain
         self._int_flags = np.zeros(sentinel + 1, dtype=bool)
 
-        self._switch_list = list(self.fabric.switches)
-        self._switch_site_ids = np.array(
-            [sw.site.node_id for sw in self._switch_list], dtype=np.intp
-        )
-        self._switch_redundancy = np.array(
-            [float(sw.redundancy) for sw in self._switch_list]
-        )
-        self._switch_pos = {
-            sw.switch_id: i for i, sw in enumerate(self._switch_list)
-        }
+        #: Sticky migration-cost watch: armed by every path that charges
+        #: a cost on this site (local moves, cross-site hosting hooks),
+        #: disarmed by a tick whose scan finds no cost pending.
+        self._cost_watch = True
+        #: The one-site segment :meth:`_tick` runs, built on first use.
+        #: A batched coordinator ticks this site in its own segment and
+        #: never calls :meth:`_tick`.
+        self._segment: Optional[_Segment] = None
 
     # ---------------------------------------------------------- structure
     def _build_level_specs(self) -> List[_LevelSpec]:
@@ -154,8 +1053,6 @@ class VectorizedWillowController(WillowController):
                         child_runtimes.append(self.servers[child.node_id])
                     else:
                         child_runtimes.append(self.internals[child.node_id])
-            sizes = np.asarray(sizes, dtype=np.intp)
-            pad_idx, valid = build_fold_index(sizes)
             offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(
                 np.intp
             )
@@ -173,9 +1070,6 @@ class VectorizedWillowController(WillowController):
                     child_id_list=[c.node_id for c in child_nodes],
                     child_runtimes=child_runtimes,
                     offsets=offsets,
-                    pad_idx=pad_idx,
-                    valid=valid,
-                    alloc_index=LevelIndex(offsets, len(child_nodes)),
                     site_switches=[
                         list(self.fabric.at_site(n)) for n in nodes
                     ],
@@ -185,202 +1079,15 @@ class VectorizedWillowController(WillowController):
 
     # ----------------------------------------------------------------- tick
     def _tick(self) -> None:
-        now = self.env.now
-        config = self.config
-        fleet = self.fleet
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.begin_tick(self._tick_index, now)
-        self._tick_migration_traffic = {}
-
-        # 0. housekeeping on the objects, then mirror into arrays.
-        # The attribute guards skip the (empty) method calls for the
-        # common case of an awake server with no pending costs.
-        costs_dirty = False
-        sleep_dirty = False
-        for server in fleet.servers:
-            if server._pending_costs:
-                server.expire_costs()
-                costs_dirty = True
-            if server.sleep_state is not SleepState.AWAKE:
-                server.tick_wake()
-                sleep_dirty = True
-        if sleep_dirty:
-            fleet.gather_sleep()
-        if costs_dirty:
-            fleet.gather_costs()
-
-        # 0b. plant-fault hook (no-op in the ideal plant).  Subclasses
-        # that mutate sleep states here must call fleet.gather_sleep()
-        # themselves.
-        self._begin_tick(now)
-
-        # 1+2. sample demand, aggregate per host, smooth (Eq. 4).
-        vm_demands = self._sample_vm_demands()
-        vm_sums = self._host_demand_sums(vm_demands)
-        raw = np.where(
-            fleet.asleep,
-            fleet.standby_power,
-            np.where(
-                fleet.waking,
-                fleet.static_power,
-                fleet.static_power + vm_sums + fleet.mig_cost,
-            ),
-        )
-        # Waking servers keep reporting their wake forecast; everyone
-        # else (awake or asleep) absorbs this tick's observation.
-        smoothed = fleet.smoother.update(raw, mask=~fleet.waking)
-        fleet.raw[...] = raw
-        raw_list = raw.tolist()
-        smoothed_list = smoothed.tolist()
-        for i, server in enumerate(fleet.servers):
-            server.raw_demand = raw_list[i]
-            server.smoothed_demand = smoothed_list[i]
-            server.smoother._value = smoothed_list[i]
-        self._aggregate_demands(now)
-
-        # 3. supply-side adaptation every Delta_S (or sooner when a
-        # fault-aware subclass forces one).
-        if self._allocation_due():
-            self._allocate_budgets(now)
-            budget = fleet.budget
-            for i, server in enumerate(fleet.servers):
-                budget[i] = server.budget
-
-        if tracer.enabled:
-            standing = fleet.budget.tolist()
-            for i, sid in enumerate(self._server_ids):
-                tracer.record_demand(
-                    sid, raw_list[i], smoothed_list[i], standing[i]
-                )
-
-        # 4. demand-side migrations, with the planner's per-server
-        # screening (deficient set, unidirectional rule, target
-        # capacities) computed on the arrays.
-        moved = False
-        plan = self._plan_demand_migrations(raw, smoothed)
-        if plan is not None:
-            self._execute_moves(plan.moves, MigrationCause.DEMAND, now)
-            moved = bool(plan.moves)
-            for vm, node in plan.dropped:
-                self.collector.record_unmatched(
-                    Drop(now, node.node_id, vm.vm_id, vm.current_demand)
-                )
-
-        # 5. consolidation every Delta_A.
-        if self._tick_index > 0 and self._tick_index % config.eta2 == 0:
-            n_migrations = len(self.collector.migrations)
-            self._consolidate(now)
-            moved = moved or len(self.collector.migrations) > n_migrations
-            # Consolidation may flip sleep states and, on wake, reset a
-            # server's smoother to the drop-absorbing forecast; re-read
-            # everything the objects own before serving below.
-            fleet.gather()
-        if moved:
-            # Migrations rehomed VMs and charged costs mid-tick; refresh
-            # the per-host demand sums and cost array before serving.
-            if vm_demands is None:
-                vm_demands = np.fromiter(
-                    (vm.current_demand for vm in self.placement.vms),
-                    float,
-                    len(self.placement.vms),
-                )
-            vm_sums = self._host_demand_sums(vm_demands)
-            fleet.gather_costs()
-
-        # 6. serve power within budget; throttle any residual excess.
-        available = np.maximum(
-            fleet.budget - fleet.static_power - fleet.mig_cost, 0.0
-        )
-        fast = fleet.awake & (available >= vm_sums + _SERVE_MARGIN)
-        served = np.where(fast, vm_sums, 0.0)
-        slow_rows = np.nonzero(fleet.awake & ~fast)[0]
-        if len(slow_rows):
-            available_list = available.tolist()
-            for i in slow_rows.tolist():
-                served[i] = self._serve_scalar(
-                    fleet.servers[i], available_list[i], now
-                )
-        fleet.served[...] = served
-        served_list = served.tolist()
-        for i, server in enumerate(fleet.servers):
-            server.served_power = served_list[i]
-
-        # 7. thermal update and per-server samples.
-        wall = np.where(
-            fleet.asleep,
-            fleet.standby_power,
-            np.where(
-                fleet.waking, fleet.static_power, fleet.static_power + served
-            ),
-        )
-        if config.thermal_mode == "window_reset":
-            # Each tick re-derives the temperature from the zone ambient
-            # at this tick's power (paper Sec. V-B2).
-            temps = temperature_step_arrays(
-                fleet.t_ambient,
-                wall,
-                t_ambient=fleet.t_ambient,
-                c1=fleet.c1,
-                c2=fleet.c2,
-                decay=fleet.decay_window,
+        """One array tick as a one-site segment, flushed so the runtime
+        objects are current between ticks."""
+        if self._segment is None:
+            self._segment = _Segment(
+                FederationFleet([self.fleet]),
+                [(self, 0, slice(0, self.fleet.n))],
             )
-            violations = temps > fleet.t_limit + 1e-6
-        else:
-            temps = temperature_step_arrays(
-                fleet.temperature,
-                wall,
-                t_ambient=fleet.t_ambient,
-                c1=fleet.c1,
-                c2=fleet.c2,
-                decay=fleet.decay_tick,
-            )
-            violations = temps > fleet.t_limit + 1e-9
-        fleet.temperature[...] = temps
-        utilization = np.where(
-            fleet.awake, np.minimum(served / fleet.slope, 1.0), 0.0
-        )
-        wall_list = wall.tolist()
-        temp_list = temps.tolist()
-        util_list = utilization.tolist()
-        viol_list = violations.tolist()
-        budget_list = fleet.budget.tolist()
-        awake_list = fleet.awake.tolist()
-        samples = self.collector.server_samples
-        server_ids = self._server_ids
-        for i, server in enumerate(fleet.servers):
-            integrator = server.thermal
-            t = temp_list[i]
-            integrator.temperature = t
-            if t > integrator.peak:
-                integrator.peak = t
-            if viol_list[i]:
-                integrator.violations += 1
-            samples.append(
-                ServerSample(
-                    now,
-                    server_ids[i],
-                    wall_list[i],
-                    t,
-                    util_list[i],
-                    raw_list[i],
-                    budget_list[i],
-                    not awake_list[i],
-                )
-            )
-
-        # 8. switch traffic and power.
-        self._record_switches(now)
-
-        # 9. level-0 imbalance (Eq. 9).
-        self.collector.record_imbalance(
-            now, power_imbalance(raw, fleet.budget)
-        )
-
-        for hook in self.on_tick:
-            hook(self, self._tick_index, now)
-
-        self._tick_index += 1
+        self._segment.tick(self.env.now)
+        self._segment.flush()
 
     # ---------------------------------------------------------- migrations
     def _plan_demand_migrations(self, raw, smoothed):
@@ -436,44 +1143,25 @@ class VectorizedWillowController(WillowController):
             self._anc_matrix
         ].any(axis=1)
 
-    # ------------------------------------------------------- demand reports
-    def _aggregate_demands(self, now: float) -> None:
-        """Bottom-up smoothed-demand propagation, one level at a time."""
-        fleet = self.fleet
-        below = self._demand_buffer
-        below[fleet.node_ids] = fleet.smoother.values
-        messages = self.collector.messages
-        for spec in self._levels_up:
-            totals = fold_segment_sums(
-                below[spec.child_ids], spec.pad_idx, spec.valid
-            )
-            for runtime, total in zip(spec.runtimes, totals.tolist()):
-                runtime.observe_demand(total)
-            messages.extend(
-                [ControlMessage(now, c, True) for c in spec.child_id_list]
-            )
-            below[spec.node_ids] = np.fromiter(
-                (r.smoothed_demand for r in spec.runtimes),
-                float,
-                len(spec.runtimes),
-            )
-
     # -------------------------------------------------------------- demand
-    def _sample_vm_demands(
-        self, write_objects: bool = True
-    ) -> Optional[np.ndarray]:
-        """One tick of demand; the flat per-VM vector when available."""
+    def _sample_vm_demands(self) -> Optional[np.ndarray]:
+        """One tick of demand.  A Poisson generator returns the flat
+        per-VM vector and leaves the VM objects to the segment's flush;
+        any other source writes the objects itself and returns ``None``."""
         source = self.demand_source
         if isinstance(source, DemandGenerator):
-            return source.sample_tick_array(write_objects=write_objects)
+            return source.sample_tick_array(write_objects=False)
         source.sample_tick()
         return None
 
     def _host_demand_sums(self, vm_demands: Optional[np.ndarray]) -> np.ndarray:
         """Per-host VM demand sums, honouring cross-site hosting.
 
-        The batched sum runs over the home placement (plan order, which
-        matches each ``server.vms`` insertion order); VMs a federation
+        Without a demand vector the sums are read off the servers' VM
+        dicts, exactly as the scalar controller does -- so live arrivals
+        and departures need no row bookkeeping.  With one, the batched
+        sum runs over the home placement (plan order, which matches
+        each ``server.vms`` insertion order); VMs a federation
         coordinator moved away are zeroed out of the weights, and
         foreign guests are added afterwards in arrival order -- the
         same order the scalar controller's per-server dict sum sees.
@@ -496,7 +1184,10 @@ class VectorizedWillowController(WillowController):
         return sums
 
     # ------------------------------------------------- federation hosting
+    # A coordinator charges WAN migration costs on both endpoints right
+    # after these hooks, so each one arms the cost watch.
     def vm_departed(self, vm) -> None:
+        self._cost_watch = True
         row = self._vm_row.get(vm.vm_id)
         if row is not None:
             if not self._vm_away[row]:
@@ -507,6 +1198,7 @@ class VectorizedWillowController(WillowController):
             self._foreign_rows.pop(vm.vm_id, None)
 
     def vm_arrived(self, vm, dst_node_id: int) -> None:
+        self._cost_watch = True
         row = self._vm_row.get(vm.vm_id)
         if row is not None:  # a home VM returning from another site
             if self._vm_away[row]:
@@ -542,8 +1234,12 @@ class VectorizedWillowController(WillowController):
         self._away_count = int(batched["away_count"])
         self._foreign_vms = dict(batched["foreign_vms"])
         self._foreign_rows = dict(batched["foreign_rows"])
-        # Re-seed every fleet array from the freshly restored objects.
+        # Re-seed every fleet array from the freshly restored objects;
+        # the next tick builds a fresh segment over them (the restored
+        # VM objects, thermal peaks and switch powers are new).
         self.fleet.gather()
+        self._cost_watch = True
+        self._segment = None
 
     # ------------------------------------------------------------- serving
     def _serve_scalar(self, server, available: float, now: float) -> float:
@@ -566,99 +1262,14 @@ class VectorizedWillowController(WillowController):
             served += grant
         return served
 
-    # ------------------------------------------------------- supply side
-    def _allocate_budgets(self, now: float) -> None:
-        """Level-at-a-time proportional division (grouped waterfill)."""
-        fleet = self.fleet
-        caps = self._caps_buffer
-        caps[fleet.node_ids] = fleet.hard_caps()
-        for spec in self._levels_up:
-            caps[spec.node_ids] = fold_segment_sums(
-                caps[spec.child_ids], spec.pad_idx, spec.valid
-            )
-
-        self.root_budget = self.supply.at(now)
-        root_id = self.tree.root.node_id
-        self.internals[root_id].set_budget(
-            min(self.root_budget, caps[root_id])
-        )
-        if self.tracer.enabled:
-            self.tracer.record_root(
-                self.root_budget,
-                caps[root_id],
-                self.internals[root_id].budget,
-            )
-
-        budgets = self._budget_buffer
-        budgets[root_id] = self.internals[root_id].budget
-        messages = self.collector.messages
-        for spec in reversed(self._levels_up):
-            # Reserve each node's colocated switch draw off the top.
-            reserves = np.fromiter(
-                (
-                    sum(
-                        self._last_switch_power[s.switch_id]
-                        for s in switches
-                    )
-                    for switches in spec.site_switches
-                ),
-                float,
-                len(spec.nodes),
-            )
-            parent_budget = np.maximum(
-                budgets[spec.node_ids] - reserves, 0.0
-            )
-            child_caps = caps[spec.child_ids]
-            if self.config.allocation_mode == "capacity":
-                weights = child_caps
-            else:
-                # _aggregate_demands filled the buffer with every
-                # node's current smoothed demand earlier this tick.
-                weights = self._demand_buffer[spec.child_ids]
-            allocations, _unused = allocate_level(
-                parent_budget, weights, child_caps, index=spec.alloc_index
-            )
-            budgets[spec.child_ids] = allocations
-            allocation_list = allocations.tolist()
-            for runtime, allocation in zip(
-                spec.child_runtimes, allocation_list
-            ):
-                runtime.set_budget(allocation)
-            messages.extend(
-                [ControlMessage(now, c, False) for c in spec.child_id_list]
-            )
-            if self.tracer.enabled:
-                seg = spec.alloc_index.seg
-                weight_list = np.asarray(weights).tolist()
-                cap_list = child_caps.tolist()
-                pb_list = parent_budget.tolist()
-                reserve_list = reserves.tolist()
-                node_id_list = [n.node_id for n in spec.nodes]
-                for k, child in enumerate(spec.child_nodes):
-                    g = int(seg[k])
-                    self.tracer.record_allocation(
-                        child.node_id,
-                        node_id_list[g],
-                        child.level,
-                        allocation_list[k],
-                        weight_list[k],
-                        cap_list[k],
-                        pb_list[g],
-                        reserve_list[g],
-                        leaf=child.is_leaf,
-                        circuit_limit=(
-                            self.config.circuit_limit
-                            if child.is_leaf
-                            else None
-                        ),
-                    )
-
     # ------------------------------------------------------ migrations
     def _execute_moves(
         self, moves: Iterable[PlannedMove], cause: MigrationCause, now: float
     ) -> None:
         moves = list(moves)
         super()._execute_moves(moves, cause, now)
+        if moves:
+            self._cost_watch = True
         for move in moves:
             vm_id = move.vm.vm_id
             dst_row = self.fleet.index[move.dst.node_id]
@@ -667,60 +1278,3 @@ class VectorizedWillowController(WillowController):
                 self._vm_host_rows[row] = dst_row
             else:  # an intra-site move of a foreign (federated) guest
                 self._foreign_rows[vm_id] = dst_row
-
-    # ------------------------------------------------------------ switches
-    def _record_switches(self, now: float) -> None:
-        """Scalar :meth:`WillowController._record_switches` with the
-        subtree served-power sums computed level-at-a-time."""
-        model = self.config.switch_model
-        fleet = self.fleet
-        served_below = self._served_buffer
-        served_below[fleet.node_ids] = fleet.served
-        for spec in self._levels_up:
-            served_below[spec.node_ids] = fold_segment_sums(
-                served_below[spec.child_ids], spec.pad_idx, spec.valid
-            )
-
-        ipc_traffic: Dict[int, float] = {}
-        if self.ipc_graph is not None:
-            for vm_a, vm_b, rate in self.ipc_graph.edges():
-                host_a = self._vm_by_id[vm_a].host_id
-                host_b = self._vm_by_id[vm_b].host_id
-                if host_a == host_b:
-                    continue
-                key = (host_a, host_b) if host_a < host_b else (host_b, host_a)
-                if key not in self._path_cache:
-                    self._path_cache[key] = self.fabric.path(
-                        self.tree.node(key[0]), self.tree.node(key[1])
-                    )
-                for switch, share in self._path_cache[key]:
-                    ipc_traffic[switch.switch_id] = (
-                        ipc_traffic.get(switch.switch_id, 0.0) + rate * share
-                    )
-
-        base = served_below[self._switch_site_ids] / self._switch_redundancy
-        migration_traffic = np.zeros(len(self._switch_list))
-        for switch_id, extra in ipc_traffic.items():
-            base[self._switch_pos[switch_id]] += extra
-        for switch_id, traffic in self._tick_migration_traffic.items():
-            migration_traffic[self._switch_pos[switch_id]] += traffic
-        power = model.static_power + model.watts_per_unit_traffic * (
-            base + migration_traffic
-        )
-        base_list = base.tolist()
-        migration_list = migration_traffic.tolist()
-        power_list = power.tolist()
-        samples = self.collector.switch_samples
-        last_power = self._last_switch_power
-        for i, switch in enumerate(self._switch_list):
-            last_power[switch.switch_id] = power_list[i]
-            samples.append(
-                SwitchSample(
-                    now,
-                    switch.switch_id,
-                    switch.level,
-                    base_list[i],
-                    migration_list[i],
-                    power_list[i],
-                )
-            )

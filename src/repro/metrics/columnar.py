@@ -108,6 +108,12 @@ class LazyList(list):
     # Defining __eq__ resets __hash__ to None, which keeps LazyList
     # unhashable exactly like ``list``.
 
+    def __reduce__(self):
+        # Pickle and copy the materialised elements: the default list
+        # protocol rebuilds without __init__ (no queue) and would copy
+        # the queued blocks ahead of the elements.
+        return (type(self), (list(self),))
+
     def __repr__(self):
         self._drain()
         return list.__repr__(self)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import WillowConfig, WillowController
+from repro.core.vectorized import VectorizedWillowController
 from repro.power import constant_supply
 from repro.sim import RandomStreams
 from repro.topology import build_paper_simulation
@@ -98,7 +99,7 @@ class TestBuilders:
 
 
 class TestControllerIntegration:
-    def _run(self, ipc_graph_factory=None, seed=9):
+    def _run(self, ipc_graph_factory=None, seed=9, controller_cls=WillowController):
         tree = build_paper_simulation()
         config = WillowConfig(consolidation_enabled=False)
         streams = RandomStreams(seed)
@@ -109,7 +110,7 @@ class TestControllerIntegration:
         )
         scale_for_target_utilization(placement, config.server_model.slope, 0.4)
         graph = ipc_graph_factory(placement.vms) if ipc_graph_factory else None
-        controller = WillowController(
+        controller = controller_cls(
             tree,
             config,
             constant_supply(18 * 450.0),
@@ -133,6 +134,25 @@ class TestControllerIntegration:
         base_ring = sum(s.base_traffic for s in ring.switch_samples)
         assert base_ring > base_without
         assert base_with >= base_without  # never reduces traffic
+
+    def test_ring_ipc_traffic_matches_on_vectorized_controller(self):
+        ring = lambda vms: ring_affinity(vms, rate=10.0)
+        _, scalar = self._run(ring)
+        _, vector = self._run(ring, controller_cls=VectorizedWillowController)
+        key = lambda m: (m.time, m.vm_id, m.src_id, m.dst_id, m.cause)
+        assert [key(m) for m in vector.migrations] == [
+            key(m) for m in scalar.migrations
+        ]
+        assert [(s.time, s.switch_id) for s in vector.switch_samples] == [
+            (s.time, s.switch_id) for s in scalar.switch_samples
+        ]
+        for attr in ("base_traffic", "migration_traffic", "power"):
+            np.testing.assert_allclose(
+                [getattr(s, attr) for s in vector.switch_samples],
+                [getattr(s, attr) for s in scalar.switch_samples],
+                rtol=1e-12,
+                atol=0,
+            )
 
     def test_colocated_clusters_add_no_network_traffic_until_split(self):
         controller, collector = self._run(

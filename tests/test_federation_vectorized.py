@@ -5,12 +5,15 @@
 unmatched deficits, control messages, sleep states) and floats within
 ``rtol=1e-12`` of the scalar :class:`FederationCoordinator`, for N >= 2
 sites under every policy, with batteries and a plant-fault site in the
-mix.  A single-site neutral federation is additionally bit-exact with
-the per-site vectorized controller (nothing reorders a sum across
-sites).  Also covered here: the :mod:`repro.binpack.prescreen` kernels
-against their scalar reference loops, and the
-:class:`~repro.core.fleet.FederationFleet` view-aliasing invariants the
-fused tick relies on.
+mix.  The scalar coordinator over ``SiteSpec(vectorized=True)`` sites
+keeps the same contract: there each site ticks its own one-site array
+segment, and cross-site WAN costs must reach that segment's cost watch
+through the hosting hooks.  A single-site neutral federation is
+additionally bit-exact with the per-site vectorized controller (nothing
+reorders a sum across sites).  Also covered here: the
+:mod:`repro.binpack.prescreen` kernels against their scalar reference
+loops, and the :class:`~repro.core.fleet.FederationFleet` view-aliasing
+invariants the fused tick relies on.
 """
 
 import numpy as np
@@ -44,7 +47,9 @@ TICKS = 96
 UTIL = 0.55
 
 
-def make_specs(n_sites=3, fault_site=True, battery_site=True):
+def make_specs(
+    n_sites=3, fault_site=True, battery_site=True, vectorized_sites=False
+):
     """Fresh specs per call: batteries, supply buffers and fault
     schedules are stateful, so scalar and batched runs must not share
     them."""
@@ -54,6 +59,7 @@ def make_specs(n_sites=3, fault_site=True, battery_site=True):
             name=f"site{i}",
             seed=i + 1,
             target_utilization=UTIL,
+            vectorized=vectorized_sites,
             supply=renewable_supply(
                 5200.0,
                 base_fraction=0.3,
@@ -78,16 +84,34 @@ def make_specs(n_sites=3, fault_site=True, battery_site=True):
     return specs
 
 
-def federation_pair(policy, **spec_kw):
+def federation_pair(policy, path="batched", **spec_kw):
+    """The all-scalar reference and one array path over the same specs.
+
+    ``path="batched"`` is ``build_federation(vectorized=True)``;
+    ``path="site-vectorized"`` keeps the scalar coordinator but builds
+    every site it can on the vectorized controller.
+    """
     scalar = run_federation(
         make_specs(**spec_kw), n_ticks=TICKS, policy=policy
     )
-    batched = run_federation(
-        make_specs(**spec_kw), n_ticks=TICKS, policy=policy, vectorized=True
-    )
     assert type(scalar) is FederationCoordinator
-    assert isinstance(batched, BatchedFederationCoordinator)
-    return scalar, batched
+    if path == "batched":
+        other = run_federation(
+            make_specs(**spec_kw), n_ticks=TICKS, policy=policy, vectorized=True
+        )
+        assert isinstance(other, BatchedFederationCoordinator)
+    else:
+        other = run_federation(
+            make_specs(vectorized_sites=True, **spec_kw),
+            n_ticks=TICKS,
+            policy=policy,
+        )
+        assert type(other) is FederationCoordinator
+        assert any(
+            isinstance(s.controller, VectorizedWillowController)
+            for s in other.sites
+        )
+    return scalar, other
 
 
 def _server_series(collector, attr):
@@ -172,12 +196,20 @@ def assert_federations_equal(scalar, batched):
 # --------------------------------------------------------------- contract
 class TestBatchedFederationEquivalence:
     """N=3 sites (battery site, plant-fault site, plain site) under
-    every shipped policy: same decisions, same floats."""
+    every shipped policy: same decisions, same floats, on the batched
+    coordinator and on the scalar coordinator over vectorized sites."""
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_policy_equivalent(self, policy):
         scalar, batched = federation_pair(policy)
         assert_federations_equal(scalar, batched)
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_policy_equivalent_site_vectorized(self, policy):
+        scalar, site_vectorized = federation_pair(
+            policy, path="site-vectorized"
+        )
+        assert_federations_equal(scalar, site_vectorized)
 
     def test_shifting_actually_happens(self):
         """The contract must be exercised with real cross-site moves."""
@@ -288,14 +320,6 @@ class TestFederationFleetAliasing:
         obs = np.full(fleets[0].n, 123.0)
         fleets[0].smoother.update(obs, mask=np.ones(fleets[0].n, dtype=bool))
         assert np.all(block.smoother_values[: fleets[0].n] == 123.0)
-
-    def test_site_sums_fold_left_to_right(self, fed):
-        block, fleets = fed
-        values = np.arange(block.n, dtype=float) * 0.1
-        sums = block.site_sums(values)
-        assert len(sums) == 2
-        for k, sl in enumerate(block.site_slices):
-            assert sums[k] == sum(values[sl].tolist())
 
 
 # ------------------------------------------------------- prescreen kernels

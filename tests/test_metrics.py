@@ -1,8 +1,12 @@
 """Tests for metric collection, stability and convergence helpers."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core import run_willow
 from repro.core.events import ControlMessage, Drop, Migration, MigrationCause
 from repro.metrics import (
     MetricsCollector,
@@ -103,6 +107,17 @@ class TestCollector:
         collector.record_server(sample(0.0, 1, power=100.0))
         collector.record_server(sample(0.0, 2, power=50.0))
         assert collector.total_energy() == 150.0
+
+    def test_array_tick_collector_pickles_and_copies(self):
+        """The array tick queues its samples as lazy column blocks; a
+        pickled or copied collector must carry every sample, in order."""
+        _, collector = run_willow(n_ticks=5, seed=1, vectorized=True)
+        for clone in (
+            pickle.loads(pickle.dumps(collector)),
+            copy.deepcopy(collector),
+        ):
+            for name in ("server_samples", "switch_samples", "messages"):
+                assert getattr(clone, name) == getattr(collector, name), name
 
 
 class TestStability:

@@ -274,6 +274,47 @@ def test_vectorized_sim_rejects_faults_as_noop():
     assert result.reason == "faults_unsupported"
 
 
+@pytest.mark.parametrize(
+    "events",
+    [
+        # A hot arrival overloads its host: the next tick migrates.
+        [{"type": "vm_arrival", "host": "server-2", "demand": 300.0}],
+        # A departure shrinks the placement; a demand spike elsewhere
+        # forces the migrating tick.
+        [
+            {"type": "vm_departure", "vm_id": 3},
+            {"type": "demand_sample", "vm_id": 10, "demand": 300.0},
+        ],
+    ],
+    ids=["vm_arrival", "vm_departure"],
+)
+def test_vectorized_sim_migrates_after_churn_like_scalar(events):
+    """Live churn changes the placement's length and order; the
+    vectorized sim's next migrating tick must still decide exactly as
+    the scalar sim does."""
+    collectors = []
+    for controller in ("scalar", "vectorized"):
+        sim = _sim(controller=controller)
+        sim.step()
+        for event in events:
+            assert sim.apply(event).applied
+        for _ in range(4):
+            sim.step()
+        collectors.append(sim.collector)
+    scalar, vector = collectors
+    assert scalar.migrations, "the churn must force a migrating tick"
+    key = lambda m: (m.time, m.vm_id, m.src_id, m.dst_id, m.cause, m.demand)
+    assert [key(m) for m in vector.migrations] == [
+        key(m) for m in scalar.migrations
+    ]
+    drop = lambda d: (d.time, d.node_id, d.vm_id, d.power)
+    assert [drop(d) for d in vector.drops] == [drop(d) for d in scalar.drops]
+    raw = lambda s: (s.time, s.server_id, s.demand)
+    assert [raw(s) for s in vector.server_samples] == [
+        raw(s) for s in scalar.server_samples
+    ]
+
+
 def test_internal_errors_degrade_to_counted_noop():
     sim = _sim()
     # A validated-shape event with a hostile payload must never raise
