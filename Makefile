@@ -106,7 +106,11 @@ resume-smoke:
 	newest=$$(ls $$audit.ckpt/checkpoint-*.wck | tail -1); \
 	printf 'CORRUPT' | dd of=$$newest bs=1 seek=400 conv=notrunc 2>/dev/null; \
 	timeout 120 $(PYTHON) -m repro.cli serve $$audit \
-		--recover --no-listen --ticks 6 --tick-seconds 0.02; \
+		--recover --no-listen --ticks 6 --tick-seconds 0.02 \
+		> $$dir/recover.out; \
+	cat $$dir/recover.out; \
+	grep -qF "skipped corrupt checkpoint $$newest: " $$dir/recover.out \
+		|| { echo "recovery did not name $$newest"; exit 1; }; \
 	timeout 120 $(PYTHON) -m repro.cli replay $$audit; \
 	timeout 120 $(PYTHON) -m repro.cli checkpoint $$dir/batch.ckpt \
 		--ticks 30 --seed 7 | grep "decision digest" > $$dir/a; \

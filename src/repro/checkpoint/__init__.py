@@ -9,7 +9,7 @@ Layers:
   the payload is ever unpickled.
 * :mod:`repro.checkpoint.store` — a directory of numbered checkpoints
   with a newest-first ``latest_valid()`` recovery scan that skips
-  corrupt files instead of failing.
+  corrupt or unsupported files instead of failing, and names each.
 * :mod:`repro.checkpoint.hooks` — :class:`Checkpointer`, an ``on_tick``
   hook snapshotting a controller or federation coordinator on the
   consolidation cadence (``eta2`` ticks).
@@ -33,7 +33,7 @@ from repro.checkpoint.format import (
     write_checkpoint,
 )
 from repro.checkpoint.hooks import Checkpointer
-from repro.checkpoint.store import CheckpointStore
+from repro.checkpoint.store import CheckpointStore, describe_skip
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -41,6 +41,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "Checkpointer",
+    "describe_skip",
     "read_checkpoint",
     "read_header",
     "write_checkpoint",

@@ -6,6 +6,12 @@ A checkpoint file is::
     {json header}\n
     <payload bytes>
 
+The magic line marks the file family and never changes; the header's
+``version`` names the payload layout.  A file of another version is
+refused with :class:`CheckpointError` (not reported as corrupt) before
+its payload is read.  Version 2 stores the metrics tables as columns
+(:meth:`~repro.metrics.collector.MetricsCollector.snapshot_tables`).
+
 The header records the payload's exact byte length and sha256 so a torn
 or bit-flipped file is detected *before* the payload is unpickled; the
 pickle is never touched unless the hash verifies.  Files are written to
@@ -33,7 +39,7 @@ __all__ = [
     "read_header",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 MAGIC = b"willow-checkpoint 1\n"
 
 

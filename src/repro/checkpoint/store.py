@@ -3,10 +3,12 @@
 A :class:`CheckpointStore` owns one directory of
 ``checkpoint-<tick>.wck`` files.  Writers call :meth:`save` on the
 consolidation cadence; recovery calls :meth:`latest_valid`, which walks
-the directory newest-first, *verifies* each candidate (magic, header,
-payload length, sha256) and silently falls back past corrupt or torn
-files — a half-written or bit-rotted newest checkpoint degrades the
-restart point by one cadence instead of poisoning the resume.
+the directory newest-first, *verifies* each candidate (magic, version,
+header, payload length, sha256) and falls back past corrupt, torn or
+unsupported files — a half-written or bit-rotted newest checkpoint
+degrades the restart point by one cadence instead of poisoning the
+resume.  Every file passed over is recorded with its reason, also when
+none is valid, so callers can name it (:func:`describe_skip`).
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.checkpoint.errors import CheckpointError
+from repro.checkpoint.errors import CheckpointCorruptError, CheckpointError
 from repro.checkpoint.format import read_checkpoint, write_checkpoint
 
-__all__ = ["CheckpointStore"]
+__all__ = ["CheckpointStore", "describe_skip"]
 
 _FILE_RE = re.compile(r"^checkpoint-(\d{10})\.wck$")
 
@@ -48,6 +50,9 @@ class CheckpointStore:
         self.directory = Path(directory)
         self.fsync = fsync
         self.keep = keep
+        #: ``(path, error)`` for every file the last :meth:`latest_valid`
+        #: scan passed over, newest first.
+        self.skipped: List[Tuple[Path, CheckpointError]] = []
 
     def path_for(self, tick: int) -> Path:
         return self.directory / f"checkpoint-{int(tick):010d}.wck"
@@ -94,13 +99,14 @@ class CheckpointStore:
     ) -> Optional[Dict[str, Any]]:
         """Newest verified checkpoint (``tick <= max_tick`` if given).
 
-        Corrupt or torn candidates are skipped, newest-first; the
-        returned document gains a ``"skipped"`` key listing
-        ``(path, reason)`` for every file passed over, so callers can
-        surface the fallback instead of diverging silently.  Returns
-        ``None`` when no valid checkpoint exists.
+        Corrupt, torn and unsupported-version candidates are skipped,
+        newest-first.  :attr:`skipped` lists ``(path, error)`` for every
+        file passed over, and a returned document carries the same list
+        under ``"skipped"``, so callers can surface the fallback instead
+        of diverging silently.  Returns ``None`` when no valid
+        checkpoint exists; :attr:`skipped` then says why.
         """
-        skipped: List[Tuple[Path, str]] = []
+        self.skipped = skipped = []
         for tick in reversed(self.ticks()):
             if max_tick is not None and tick > max_tick:
                 continue
@@ -108,13 +114,28 @@ class CheckpointStore:
             try:
                 document = read_checkpoint(path)
             except CheckpointError as error:
-                skipped.append((path, str(error)))
+                skipped.append((path, error))
                 continue
             if document["tick"] != tick:
-                skipped.append(
-                    (path, f"filename tick {tick} != header tick {document['tick']}")
+                error = CheckpointCorruptError(
+                    f"filename tick {tick} != header tick {document['tick']}"
                 )
+                skipped.append((path, error))
                 continue
             document["skipped"] = skipped
             return document
         return None
+
+
+def describe_skip(path, error: CheckpointError) -> str:
+    """One line naming a checkpoint the recovery scan passed over.
+
+    Only integrity failures are called corrupt; a file of another
+    format version is intact, just unreadable by this build.
+    """
+    what = (
+        "corrupt checkpoint"
+        if isinstance(error, CheckpointCorruptError)
+        else "checkpoint"
+    )
+    return f"skipped {what} {path}: {error}"

@@ -1370,9 +1370,9 @@ def build_resume_parser() -> argparse.ArgumentParser:
         prog="python -m repro.cli resume",
         description=(
             "Resume a checkpointed batch run from its latest valid "
-            "checkpoint (corrupt files are skipped) and run it to "
-            "completion; the decision digest matches an uninterrupted "
-            "run bit-exactly."
+            "checkpoint (corrupt or other-version files are skipped and "
+            "named) and run it to completion; the decision digest "
+            "matches an uninterrupted run bit-exactly."
         ),
     )
     parser.add_argument(
@@ -1400,6 +1400,7 @@ def resume_main(argv: List[str]) -> int:
         CheckpointCorruptError,
         CheckpointError,
         CheckpointStore,
+        describe_skip,
     )
     from repro.metrics import summarize_run
     from repro.service.simulation import decision_digest
@@ -1426,14 +1427,15 @@ def resume_main(argv: List[str]) -> int:
     except CheckpointError as error:
         print(f"resume: {error}", file=sys.stderr)
         return 2
+    out = sys.stdout if document is not None else sys.stderr
+    for path, error in store.skipped:
+        print(f"resume: {describe_skip(path, error)}", file=out)
     if document is None:
         print(
             f"resume: no valid checkpoint found in {args.dir}",
             file=sys.stderr,
         )
         return 2
-    for path, reason in document.get("skipped", ()):
-        print(f"resume: skipped corrupt checkpoint {path}: {reason}")
     meta = document["meta"]
     required = ("ticks", "seed", "vectorized", "utilization",
                 "supply_factor", "vms_per_server")

@@ -669,6 +669,8 @@ class WillowController:
         structure is rebuilt, run state is overlaid, and the resumed run
         reproduces the uninterrupted run bit-exactly.  VM objects are
         stored directly (one pickle payload preserves identity/sharing);
+        the metrics tables are stored as columns
+        (:meth:`~repro.metrics.collector.MetricsCollector.snapshot_tables`);
         caches (`_path_cache`) and within-tick transients
         (`_tick_migration_traffic`) are deliberately excluded.
 
@@ -711,13 +713,6 @@ class WillowController:
                 "smoothed_demand": n.smoothed_demand,
                 "smoother_value": n.smoother._value,
             }
-        import dataclasses as _dc
-
-        collector = {
-            field.name: list(getattr(self.collector, field.name))
-            for field in _dc.fields(self.collector)
-            if isinstance(getattr(self.collector, field.name), list)
-        }
         return {
             "controller": type(self).__name__,
             "tick": self._tick_index,
@@ -733,7 +728,7 @@ class WillowController:
             "server_vms": {sid: dict(s.vms) for sid, s in self.servers.items()},
             "servers": servers,
             "internals": internals,
-            "collector": collector,
+            "collector": self.collector.snapshot_tables(),
         }
 
     def restore_state(self, state: Dict) -> None:
@@ -803,21 +798,7 @@ class WillowController:
             runtime.budget_reduced = data["budget_reduced"]
             runtime.smoothed_demand = data["smoothed_demand"]
             runtime.smoother._value = data["smoother_value"]
-        import dataclasses as _dc
-
-        collector_fields = {
-            field.name
-            for field in _dc.fields(self.collector)
-            if isinstance(getattr(self.collector, field.name), list)
-        }
-        if set(state["collector"]) - collector_fields:
-            raise CheckpointError(
-                "snapshot has collector tables this build does not know: "
-                f"{sorted(set(state['collector']) - collector_fields)}"
-            )
-        for name in collector_fields:
-            rows = getattr(self.collector, name)
-            rows[:] = state["collector"].get(name, [])
+        self.collector.restore_tables(state["collector"])
 
 
 def run_willow(

@@ -3,12 +3,18 @@
 The collector is deliberately dumb: controllers append samples and
 events; analysis happens in :mod:`repro.metrics.summary` and the
 experiment modules.  All series convert to NumPy arrays on demand.
+
+Checkpoints store the record tables as columns
+(:meth:`MetricsCollector.snapshot_tables` /
+:meth:`MetricsCollector.restore_tables`); see docs/checkpointing.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import typing
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, itemgetter
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +27,12 @@ from repro.core.events import (
 )
 from repro.trace.tracer import NULL_TRACER, Tracer
 
-__all__ = ["ServerSample", "SwitchSample", "MetricsCollector"]
+__all__ = ["ServerSample", "SwitchSample", "MetricsCollector", "TUPLE_COLUMNS"]
+
+#: Column names of the record tables whose rows are plain tuples rather
+#: than dataclasses.  Imbalance rows stay tuples because the decision
+#: digest hashes their repr.
+TUPLE_COLUMNS = {"imbalance": ("time", "imbalance_watts")}
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,3 +228,77 @@ class MetricsCollector:
         for (link, _time), count in counts.items():
             worst[link] = max(worst.get(link, 0), count)
         return worst
+
+    # -- checkpoint codec -----------------------------------------------------
+    def snapshot_tables(self) -> Dict[str, Dict[str, Any]]:
+        """Every record table as columns, for a checkpoint payload.
+
+        Each table becomes ``{"record": row type, "fields": field names,
+        "columns": one plain list per field}``.  Pickling a few long
+        lists of floats, ints and enums costs a small fraction of
+        pickling one object per row.  The lists are not converted to
+        arrays, so every value keeps its Python type and
+        :meth:`restore_tables` rebuilds rows equal to the originals.
+        """
+        tables: Dict[str, Dict[str, Any]] = {}
+        for name, (record, names) in _record_schema(type(self)).items():
+            rows = getattr(self, name)
+            getters = (
+                map(itemgetter, range(len(names)))
+                if record is tuple
+                else map(attrgetter, names)
+            )
+            tables[name] = {
+                "record": record,
+                "fields": names,
+                "columns": [list(map(get, rows)) for get in getters],
+            }
+        return tables
+
+    def restore_tables(self, tables: Mapping[str, Mapping[str, Any]]) -> None:
+        """Rebuild :meth:`snapshot_tables` output into this collector.
+
+        Rows go through their constructors into the existing list
+        objects, so a vectorized controller's ``LazyList`` tables keep
+        their identity.  Raises
+        :class:`~repro.checkpoint.errors.CheckpointError` when the stored
+        tables, row types or field names differ from this build's.
+        """
+        from repro.checkpoint.errors import CheckpointError
+
+        schema = _record_schema(type(self))
+        if set(tables) != set(schema):
+            raise CheckpointError(
+                f"snapshot has collector tables {sorted(tables)}, "
+                f"this build has {sorted(schema)}"
+            )
+        for name, (record, names) in schema.items():
+            table = tables[name]
+            stored = tuple(table["fields"])
+            if table["record"] is not record or stored != names:
+                raise CheckpointError(
+                    f"snapshot table {name} holds "
+                    f"{table['record'].__name__}{stored}, this build's "
+                    f"rows are {record.__name__}{names}"
+                )
+            columns = table["columns"]
+            getattr(self, name)[:] = (
+                zip(*columns) if record is tuple else map(record, *columns)
+            )
+
+
+def _record_schema(cls: type) -> Dict[str, Tuple[type, Tuple[str, ...]]]:
+    """Row type and field names of every record table (list field)."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for table in fields(cls):
+        if typing.get_origin(hints[table.name]) is not list:
+            continue
+        (record,) = typing.get_args(hints[table.name])
+        schema[table.name] = (
+            record,
+            TUPLE_COLUMNS[table.name]
+            if record is tuple
+            else tuple(column.name for column in fields(record)),
+        )
+    return schema

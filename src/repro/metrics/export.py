@@ -24,16 +24,13 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List
 
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import TUPLE_COLUMNS, MetricsCollector
 
 __all__ = ["export_csv", "export_json", "load_json", "record_tables"]
 
 #: Collector field -> exported table name, where they differ (the
 #: original export shipped the sample series under shorter names).
 _TABLE_NAMES = {"server_samples": "servers", "switch_samples": "switches"}
-
-#: Column names for series stored as plain tuples instead of dataclasses.
-_TUPLE_COLUMNS = {"imbalance": ("time", "imbalance_watts")}
 
 
 def record_tables(collector: MetricsCollector) -> Dict[str, list]:
@@ -62,8 +59,8 @@ def _normalise(record: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _table_rows(name: str, records: list) -> List[Dict[str, Any]]:
-    if name in _TUPLE_COLUMNS:
-        columns = _TUPLE_COLUMNS[name]
+    if name in TUPLE_COLUMNS:
+        columns = TUPLE_COLUMNS[name]
         return [dict(zip(columns, record)) for record in records]
     return [_normalise(dataclasses.asdict(r)) for r in records]
 

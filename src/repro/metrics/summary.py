@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List
+from operator import attrgetter
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -67,16 +69,14 @@ def summarize_run(collector: MetricsCollector) -> RunSummary:
         raise ValueError("no server samples recorded")
     times = collector.times()
     n_ticks = len(times)
-    server_ids = collector.server_ids()
-    mean_fleet_power = float(
-        sum(collector.mean_server(i, "power") for i in server_ids)
-    )
+    mean_power = mean_by_server(collector, "power")
+    mean_fleet_power = float(sum(mean_power.values()))
     peak_temperature = float(
         max(s.temperature for s in collector.server_samples)
     )
     local_fraction = collector.local_fraction()
     return RunSummary(
-        n_servers=len(server_ids),
+        n_servers=len(mean_power),
         n_ticks=n_ticks,
         mean_fleet_power=mean_fleet_power,
         peak_temperature=peak_temperature,
@@ -97,13 +97,26 @@ def summarize_run(collector: MetricsCollector) -> RunSummary:
     )
 
 
+def _grouped(
+    rows: Iterable, key: str, attribute: str
+) -> Dict[int, np.ndarray]:
+    """``attribute`` of ``rows`` per ``key`` id in one pass, sorted by
+    id, each series in row order (the order the per-id scans of
+    :class:`MetricsCollector` see)."""
+    groups: Dict[int, list] = defaultdict(list)
+    key_of, value_of = attrgetter(key), attrgetter(attribute)
+    for row in rows:
+        groups[key_of(row)].append(value_of(row))
+    return {i: np.array(groups[i]) for i in sorted(groups)}
+
+
 def mean_by_server(
     collector: MetricsCollector, attribute: str
 ) -> Dict[int, float]:
     """Run-average of one server attribute, keyed by server id."""
     return {
-        server_id: collector.mean_server(server_id, attribute)
-        for server_id in collector.server_ids()
+        server_id: float(series.mean())
+        for server_id, series in series_by_server(collector, attribute).items()
     }
 
 
@@ -111,10 +124,7 @@ def series_by_server(
     collector: MetricsCollector, attribute: str
 ) -> Dict[int, np.ndarray]:
     """Full time series of one attribute per server."""
-    return {
-        server_id: collector.server_series(server_id, attribute)
-        for server_id in collector.server_ids()
-    }
+    return _grouped(collector.server_samples, "server_id", attribute)
 
 
 def mean_by_switch_level(
@@ -122,8 +132,12 @@ def mean_by_switch_level(
 ) -> Dict[int, float]:
     """Run-average of one switch attribute over switches at ``level``."""
     return {
-        switch_id: collector.mean_switch(switch_id, attribute)
-        for switch_id in collector.switch_ids(level=level)
+        switch_id: float(series.mean())
+        for switch_id, series in _grouped(
+            (s for s in collector.switch_samples if s.level == level),
+            "switch_id",
+            attribute,
+        ).items()
     }
 
 

@@ -10,8 +10,8 @@ hash-verified, written atomically).  After a hard kill,
    fresh :class:`~repro.service.simulation.LiveSimulation` from its
    meta record;
 2. scan the checkpoint directory newest-first and restore the latest
-   checkpoint whose payload hash verifies -- torn or corrupt files are
-   skipped, never trusted;
+   checkpoint whose payload hash verifies -- torn, corrupt or
+   other-version files are skipped and named, never trusted;
 3. replay the audit tail: every logged event with tick >= the
    checkpoint's tick, applied at its original tick boundary.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.checkpoint import CheckpointStore
+from repro.checkpoint import CheckpointError, CheckpointStore, describe_skip
 from repro.service.audit import read_audit
 from repro.service.simulation import LiveSimulation, ServiceSpec
 
@@ -47,7 +47,10 @@ class RecoveryResult:
     replayed_applied: int
     replayed_ignored: int
     apply_mismatches: int  #: events that resolved differently than logged
-    skipped_checkpoints: List[Tuple[str, str]] = field(default_factory=list)
+    #: ``(path, error)`` for every checkpoint passed over, newest first.
+    skipped_checkpoints: List[Tuple[str, CheckpointError]] = field(
+        default_factory=list
+    )
     truncated_lines: int = 0
 
     def format(self) -> str:
@@ -61,8 +64,8 @@ class RecoveryResult:
             lines.append(
                 "no usable checkpoint; replaying the full audit log"
             )
-        for path, reason in self.skipped_checkpoints:
-            lines.append(f"skipped corrupt checkpoint {path}: {reason}")
+        for path, error in self.skipped_checkpoints:
+            lines.append(describe_skip(path, error))
         lines.append(
             f"replayed {self.replayed_ticks} tick(s) from the audit tail: "
             f"{self.replayed_applied} event(s) applied, "
@@ -105,14 +108,12 @@ def recover_simulation(
 
     restored_tick = 0
     checkpoint_path: Optional[str] = None
-    skipped: List[Tuple[str, str]] = []
+    skipped: List[Tuple[str, CheckpointError]] = []
     if checkpoint_dir is not None:
         store = CheckpointStore(checkpoint_dir)
         doc = store.latest_valid()
+        skipped = [(str(path), error) for path, error in store.skipped]
         if doc is not None:
-            skipped = [
-                (str(path), reason) for path, reason in doc.get("skipped", [])
-            ]
             sim.restore_state(doc["state"])
             restored_tick = doc["tick"]
             checkpoint_path = str(doc["path"])

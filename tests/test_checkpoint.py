@@ -11,7 +11,12 @@ over random configurations and snapshot ticks.
 """
 
 import copy
+import dataclasses
+import hashlib
+import io
+import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -22,10 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointCorruptError,
     CheckpointError,
     CheckpointStore,
     Checkpointer,
+    describe_skip,
     read_checkpoint,
     read_header,
     write_checkpoint,
@@ -191,6 +198,12 @@ def test_store_latest_valid_none_when_all_corrupt(tmp_path):
     store.save(kind="t", tick=7, state={})
     store.path_for(7).write_bytes(b"garbage")
     assert store.latest_valid() is None
+    # The skip list survives a scan that finds nothing.
+    [(path, error)] = store.skipped
+    assert path == store.path_for(7)
+    assert describe_skip(path, error).startswith(
+        f"skipped corrupt checkpoint {path}: not a willow checkpoint"
+    )
     assert CheckpointStore(tmp_path / "absent").latest_valid() is None
 
 
@@ -199,6 +212,71 @@ def test_store_latest_valid_skips_renamed_tick_mismatch(tmp_path):
     store.save(kind="t", tick=5, state={})
     store.path_for(5).rename(store.path_for(9))
     assert store.latest_valid() is None  # header tick 5 != filename 9
+
+
+#: Set when a payload is unpickled; a version-1 file must never get there.
+_UNPICKLED = []
+
+
+def _tripwire():
+    _UNPICKLED.append(True)
+
+
+class _Tripwire:
+    def __reduce__(self):
+        return (_tripwire, ())
+
+
+def _write_version_1(path, tick):
+    """A file as the version-1 writer laid it out: same magic line,
+    ``"version": 1`` in the header, a payload whose hash verifies."""
+    payload = pickle.dumps(_Tripwire())
+    header = {
+        "version": 1, "kind": "controller", "tick": tick,
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(), "meta": {},
+    }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(
+        b"willow-checkpoint 1\n"
+        + json.dumps(header, sort_keys=True).encode()
+        + b"\n"
+        + payload
+    )
+
+
+VERSION_1_REASON = (
+    "unsupported checkpoint version 1 "
+    f"(this build reads version {CHECKPOINT_VERSION})"
+)
+
+
+def test_version_1_checkpoint_refused_unread(tmp_path):
+    assert CHECKPOINT_VERSION == 2
+    path = tmp_path / "old.wck"
+    _write_version_1(path, tick=7)
+    with pytest.raises(CheckpointError) as info:
+        read_checkpoint(path)
+    assert str(info.value) == VERSION_1_REASON
+    assert not isinstance(info.value, CheckpointCorruptError)
+    assert not _UNPICKLED
+
+
+def test_store_latest_valid_skips_version_1(tmp_path):
+    store = CheckpointStore(tmp_path / "ckpt")
+    store.save(kind="t", tick=7, state={"tick": 7})
+    _write_version_1(store.path_for(14), tick=14)
+    document = store.latest_valid()
+    assert document["tick"] == 7
+    [(path, error)] = document["skipped"]
+    assert path == store.path_for(14)
+    assert describe_skip(path, error) == (
+        f"skipped checkpoint {path}: {VERSION_1_REASON}"
+    )
+    store.path_for(7).unlink()
+    assert store.latest_valid() is None
+    assert [path for path, _ in store.skipped] == [store.path_for(14)]
+    assert not _UNPICKLED
 
 
 def test_store_prunes_to_keep(tmp_path):
@@ -345,6 +423,129 @@ def test_federation_checkpointer_hook(tmp_path):
     coordinator.run(15)
     assert checkpointer.saved == [7, 14]
     assert store.load(14)["state"]["tick"] == 14
+
+
+# ---------------------------------------------------- collector tables
+def _table_rich_controller(kind):
+    """A run under a tight supply that fills every record table:
+    migrations, drops, unmatched deficits, messages, and plant events
+    for the fault-tolerant controller."""
+    if kind != "fault_tolerant":
+        return build_controller(
+            3, vectorized=kind == "vectorized", utilization=0.8,
+            supply_factor=0.6,
+        )
+    from repro.plant_faults import (
+        FaultTolerantWillowController,
+        random_plant_schedule,
+    )
+
+    tree = build_paper_simulation()
+    config = WillowConfig()
+    schedule = random_plant_schedule(
+        tree, seed=7, horizon_ticks=30, n_crashes=2, n_sensor_faults=2,
+        n_cooling_events=1, n_circuit_trips=1,
+    )
+    placement = random_placement(
+        [s.node_id for s in tree.servers()],
+        SIMULATION_APPS,
+        RandomStreams(7)["placement"],
+    )
+    scale_for_target_utilization(placement, config.server_model.slope, 0.8)
+    supply = constant_supply(0.6 * 18 * config.circuit_limit)
+    return FaultTolerantWillowController(
+        tree, config, supply, placement, plant_faults=schedule, seed=7
+    )
+
+
+def _list_fields(collector):
+    return [
+        field.name
+        for field in dataclasses.fields(collector)
+        if isinstance(getattr(collector, field.name), list)
+    ]
+
+
+def _row_types(rows):
+    """Type of every row and of every value in it."""
+    types = []
+    for row in rows:
+        values = row
+        if not isinstance(row, tuple):
+            values = [getattr(row, f.name) for f in dataclasses.fields(row)]
+        types.append((type(row), tuple(type(value) for value in values)))
+    return types
+
+
+TABLE_KINDS = ["scalar", "vectorized", "fault_tolerant"]
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_collector_tables_round_trip_through_checkpoint(tmp_path, kind):
+    controller = _table_rich_controller(kind)
+    collector = controller.run(30)
+    assert collector.migrations and collector.drops
+    assert collector.unmatched_deficits and collector.messages
+    assert bool(collector.plant_events) == (kind == "fault_tolerant")
+    path = tmp_path / "tables.wck"
+    write_checkpoint(
+        path, kind="controller", tick=30, state=controller.snapshot_state()
+    )
+    twin = _table_rich_controller(kind)
+    lists = {
+        name: getattr(twin.collector, name) for name in _list_fields(collector)
+    }
+    twin.restore_state(read_checkpoint(path)["state"])
+    for name, rows in lists.items():
+        assert getattr(twin.collector, name) is rows, name  # identity kept
+        original = getattr(collector, name)
+        assert rows == original, name
+        assert _row_types(rows) == _row_types(original), name
+    assert decision_digest(twin.collector) == decision_digest(collector)
+
+
+class _RecordCounter(pickle.Pickler):
+    """Counts the collector record objects a pickle serializes."""
+
+    def __init__(self, record_types):
+        super().__init__(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL)
+        self.record_types = record_types
+        self.count = 0
+
+    def reducer_override(self, obj):
+        if isinstance(obj, self.record_types):
+            self.count += 1
+        return NotImplemented
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_snapshot_pickles_tables_as_columns(kind):
+    controller = _table_rich_controller(kind)
+    collector = controller.run(30)
+    record_types = tuple(
+        {
+            type(row)
+            for name in _list_fields(collector)
+            for row in getattr(collector, name)
+        }
+        - {tuple}
+    )
+    assert {t.__name__ for t in record_types} >= {
+        "ServerSample", "SwitchSample", "Migration", "Drop", "ControlMessage",
+    }
+    pickler = _RecordCounter(record_types)
+    pickler.dump(controller.snapshot_state())
+    assert pickler.count == 0
+
+
+def test_restore_refuses_changed_record_fields():
+    controller = build_controller()
+    controller.run(5)
+    state = controller.snapshot_state()
+    state["collector"]["drops"]["fields"] = ("time", "node_id", "vm", "power")
+    with pytest.raises(CheckpointError, match="snapshot table drops") as info:
+        build_controller().restore_state(state)
+    assert "\n" not in str(info.value)
 
 
 # ------------------------------------------------------------------- gates
@@ -557,6 +758,36 @@ def test_recover_simulation_skips_corrupt_newest(tmp_path):
     assert decision_digest(sim.finish()) == _run_reference(24)
 
 
+def test_recover_simulation_names_skips_when_none_valid(tmp_path):
+    from repro.service.recover import recover_simulation
+
+    audit_path, ckpt_dir = _write_crashed_run(tmp_path)
+    corrupt, old = sorted(ckpt_dir.glob("checkpoint-*.wck"))[::-1]
+    data = bytearray(corrupt.read_bytes())
+    data[-10] ^= 0xFF
+    corrupt.write_bytes(bytes(data))
+    _write_version_1(old, tick=7)
+    recovery = recover_simulation(audit_path, ckpt_dir)
+    assert recovery.restored_tick == 0
+    assert recovery.checkpoint_path is None
+    assert [path for path, _ in recovery.skipped_checkpoints] == [
+        str(corrupt), str(old),
+    ]
+    lines = recovery.format().splitlines()
+    assert lines[0] == "no usable checkpoint; replaying the full audit log"
+    assert lines[1].startswith(
+        f"skipped corrupt checkpoint {corrupt}: checkpoint hash mismatch"
+    )
+    assert lines[2] == f"skipped checkpoint {old}: {VERSION_1_REASON}"
+    assert not _UNPICKLED
+    sim = recovery.sim
+    for tick in range(sim.tick, 24):
+        for event in _events_for(tick):
+            sim.apply(event)
+        sim.step()
+    assert decision_digest(sim.finish()) == _run_reference(24)
+
+
 def test_recover_simulation_without_checkpoints_full_replay(tmp_path):
     from repro.service.recover import recover_simulation
 
@@ -700,7 +931,24 @@ def test_cli_resume_all_corrupt_exit_2(tmp_path, capsys):
     for path in ckpt.glob("checkpoint-*.wck"):
         path.write_bytes(b"garbage")
     assert main(["resume", str(ckpt)]) == 2
-    assert "no valid checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no valid checkpoint" in err
+    for path in ckpt.glob("checkpoint-*.wck"):
+        assert f"resume: skipped corrupt checkpoint {path}: not a" in err
+
+
+def test_cli_resume_version_1_exit_2(tmp_path, capsys):
+    ckpt = tmp_path / "run.ckpt"
+    _write_version_1(ckpt / "checkpoint-0000000007.wck", tick=7)
+    assert main(["resume", str(ckpt), "--at", "7"]) == 2
+    assert capsys.readouterr().err == f"resume: {VERSION_1_REASON}\n"
+    assert main(["resume", str(ckpt)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"resume: skipped checkpoint {ckpt / 'checkpoint-0000000007.wck'}: "
+        f"{VERSION_1_REASON}",
+        f"resume: no valid checkpoint found in {ckpt}",
+    ]
+    assert not _UNPICKLED
 
 
 def test_cli_resume_corrupt_at_exit_2(tmp_path, capsys):

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core import run_willow
-from repro.metrics import MetricsCollector, summarize_run
+from repro.metrics import (
+    MetricsCollector,
+    mean_by_server,
+    series_by_server,
+    summarize_run,
+)
+from repro.metrics.summary import mean_by_switch_level
 
 
 def test_summarize_real_run():
@@ -20,6 +26,33 @@ def test_summarize_real_run():
     assert (
         summary.demand_migrations + summary.consolidation_migrations
         == collector.migration_count()
+    )
+
+
+def test_per_server_summaries_equal_per_server_scans():
+    # One grouping pass must average the same values in the same order
+    # as the per-id scans, so the results agree bit for bit.
+    _, collector = run_willow(target_utilization=0.7, n_ticks=30, seed=5)
+    server_ids = collector.server_ids()
+    for attribute in ("power", "temperature", "asleep"):
+        means = mean_by_server(collector, attribute)
+        assert list(means) == server_ids
+        assert means == {
+            i: collector.mean_server(i, attribute) for i in server_ids
+        }
+        series = series_by_server(collector, attribute)
+        assert list(series) == server_ids
+        for i, values in series.items():
+            reference = collector.server_series(i, attribute)
+            assert values.dtype == reference.dtype
+            assert values.tolist() == reference.tolist()
+    for level in sorted({s.level for s in collector.switch_samples}):
+        assert mean_by_switch_level(collector, level, "power") == {
+            i: collector.mean_switch(i, "power")
+            for i in collector.switch_ids(level=level)
+        }
+    assert summarize_run(collector).mean_fleet_power == sum(
+        collector.mean_server(i, "power") for i in server_ids
     )
 
 
