@@ -67,10 +67,12 @@ bench-smoke:
 bench-guard:
 	$(PYTHON) -m pytest benchmarks/test_bench_hotpath.py benchmarks/test_bench_trace.py -q
 
-## Batched-federation guard: equivalence tests + the federation section
-## of the perf regression guard (quick-sized fresh measurement).
+## Federation-coordinator guard: fused-site equivalence and resume
+## tests + the federation section of the perf regression guard
+## (quick-sized fresh measurement).
 federation-bench-smoke:
 	$(PYTHON) -m pytest tests/test_federation_vectorized.py -q
+	$(PYTHON) -m pytest tests/test_checkpoint.py -q -k federation
 	$(PYTHON) -m pytest benchmarks/test_bench_federation.py -q
 
 ## Willow-as-a-service smoke: a short live run (TCP gateway + wall-clock

@@ -1,11 +1,11 @@
-"""Regression guard for the batched federation hot path.
+"""Regression guard for the fused federation hot path (array sites).
 
 Mirrors ``test_bench_hotpath.py``: a fresh quick measurement is
 compared against the recorded ``federation`` section of
 ``BENCH_tick.json`` at the repo root (written by ``python -m repro.cli
 bench``).  Tolerances are generous -- CI runners and laptops differ by
-integer factors -- so only a genuine regression fails: the batched
-coordinator falling behind the per-site scalar loop, the steady-state
+integer factors -- so only a genuine regression fails: fused array
+sites falling behind scalar site controllers, the steady-state
 speedup collapsing below the pinned floor, or an order-of-magnitude
 slowdown against the recording.  Skips when no baseline (or an old
 baseline without a ``federation`` section) has been recorded.

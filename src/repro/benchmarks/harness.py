@@ -33,11 +33,11 @@ runs:
     immune to wall-clock noise on shared CI runners.
 
 ``bench_federation``
-    Multi-site scaling: the per-site scalar coordinator loop vs. the
-    batched federation (one shared :class:`~repro.core.fleet.
-    FederationFleet` block, fused array tick across all sites) at
+    Multi-site scaling: scalar site controllers vs. fused array sites
+    (``vectorized=True``: one shared :class:`~repro.core.fleet.
+    FederationFleet` block, one array tick across all sites) at
     512-2048 servers, plus a churny solar row (honest Amdahl: planner
-    and FFDLR stay scalar) and batched-only frontier rows at 10k
+    and FFDLR stay scalar) and fused-only frontier rows at 10k
     (realtime check against ``delta_d``) and 100k servers
     (feasibility).  Build and first-tick costs (demand-stream init +
     the 256-tick Poisson prefetch) are reported separately from the
@@ -477,12 +477,12 @@ def _time_federation(
 
 
 def bench_federation(quick: bool = False) -> dict:
-    """Scalar vs. batched federation scaling plus batched-only frontier.
+    """Scalar vs. fused federation scaling plus fused-only frontier.
 
     Returns ``{"scaling": [...], "frontier": [...]}``.  Scaling rows
-    compare the per-site scalar coordinator loop against the batched
-    coordinator at identical seeds/workloads; frontier rows push the
-    batched path to 10k servers (realtime check: tick wall vs. the
+    compare scalar site controllers against fused array sites
+    (``vectorized=True``) at identical seeds/workloads; frontier rows
+    push the fused path to 10k servers (realtime check: tick wall vs. the
     ``delta_d`` budget) and 100k servers (feasibility).
     """
     from repro.core.config import WillowConfig
@@ -1013,7 +1013,7 @@ def format_report(paths: Dict[str, Path]) -> str:
             )
     federation = tick.get("federation", {})
     if federation.get("scaling"):
-        lines.append("federation (scalar coordinator loop vs batched fleet):")
+        lines.append("federation (scalar sites vs fused array sites):")
         for row in federation["scaling"]:
             lines.append(
                 f"  {row['workload']:<12s} {row['n_sites']}x"
@@ -1023,7 +1023,7 @@ def format_report(paths: Dict[str, Path]) -> str:
                 f"  speedup {row['speedup']:5.2f}x"
             )
     if federation.get("frontier"):
-        lines.append("federation frontier (batched only):")
+        lines.append("federation frontier (fused only):")
         for row in federation["frontier"]:
             verdict = "realtime" if row["realtime_ok"] else "not realtime"
             lines.append(

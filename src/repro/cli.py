@@ -675,8 +675,9 @@ def build_federation_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--vectorized", action="store_true",
-        help="batch all sites into one shared fleet block "
-             "(same results, faster; see docs/performance.md)",
+        help="run every site on the array controller; they tick fused "
+             "in one shared fleet block (same results, faster; see "
+             "docs/performance.md)",
     )
     _add_trace_argument(parser)
     return parser

@@ -13,9 +13,10 @@ tick in the package:
 * :class:`VectorizedWillowController` ticks a one-site segment over its
   own fleet and flushes it after every tick, so its runtime objects stay
   authoritative between ticks exactly like the scalar controller's.
-* :class:`~repro.federation.vectorized.BatchedFederationCoordinator`
-  ticks multi-site segments and defers the flush to the points where
-  scalar code reads the objects.
+* :class:`~repro.federation.coordinator.FederationCoordinator` ticks
+  consecutive vectorized sites as one multi-site segment and defers the
+  flush to the points where scalar code reads the objects (the
+  rebalance, hooks, snapshots, the end of a run).
 
 Everything decision-shaped stays on the runtime objects -- planners,
 consolidation, migration cost bookkeeping, metric hooks and the
@@ -1033,8 +1034,8 @@ class VectorizedWillowController(WillowController):
         #: disarmed by a tick whose scan finds no cost pending.
         self._cost_watch = True
         #: The one-site segment :meth:`_tick` runs, built on first use.
-        #: A batched coordinator ticks this site in its own segment and
-        #: never calls :meth:`_tick`.
+        #: A federation coordinator ticks this site in one of its own
+        #: segments instead and never calls :meth:`_tick`.
         self._segment: Optional[_Segment] = None
 
     # ---------------------------------------------------------- structure
@@ -1236,8 +1237,12 @@ class VectorizedWillowController(WillowController):
         self._foreign_rows = dict(batched["foreign_rows"])
         # Re-seed every fleet array from the freshly restored objects;
         # the next tick builds a fresh segment over them (the restored
-        # VM objects, thermal peaks and switch powers are new).
-        self.fleet.gather()
+        # VM objects, thermal peaks and switch powers are new).  Raw
+        # demand is written by the tick, not gathered, but a federation
+        # rebalance reads it off the lanes before the next tick.
+        fleet = self.fleet
+        fleet.gather()
+        fleet.raw[...] = [s.raw_demand for s in fleet.servers]
         self._cost_watch = True
         self._segment = None
 

@@ -15,7 +15,6 @@ from repro.federation.coordinator import (
     build_federation,
     run_federation,
 )
-from repro.federation.vectorized import BatchedFederationCoordinator
 from repro.federation.forecasts import (
     AR1Forecast,
     FORECAST_MODELS,
@@ -55,7 +54,6 @@ __all__ = [
     "build_site",
     "FederationConfig",
     "FederationCoordinator",
-    "BatchedFederationCoordinator",
     "CrossSiteMigration",
     "build_federation",
     "run_federation",

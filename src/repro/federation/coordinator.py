@@ -25,12 +25,25 @@ in the paper's idiom:
   ``wan_cost_power`` watts for ``wan_cost_ticks`` ticks to *both* end
   servers -- just scaled up, because state now crosses a WAN.
 
+* **Fused array sites.**  Consecutive sites on the vectorized
+  controller tick as one array segment
+  (:class:`~repro.core.vectorized._Segment`) over one shared
+  :class:`~repro.core.fleet.FederationFleet` block: tree levels of
+  different sites concatenate into one fold / one ``allocate_level``
+  call per level, and the per-server and per-VM objects are written
+  from the arrays only where scalar code reads them (the planners,
+  priority serving, site hooks, the rebalance, snapshots, the end of
+  :meth:`FederationCoordinator.run`).  Rebalance candidates on those
+  sites are pre-screened on the arrays
+  (:mod:`repro.federation.vectorized`).
+
 Equivalence contract (enforced by ``tests/test_federation.py``): a
 federation of one site under the ``neutral`` policy reproduces the
 scalar :class:`~repro.core.controller.WillowController` bit-exactly --
 same decisions, same float trajectories.  The same contract the
 distributed and fault-tolerant layers honor, and what keeps this
-subsystem testable.
+subsystem testable.  Fused sites decide exactly as the scalar
+controllers would (``tests/test_federation_vectorized.py``).
 """
 
 from __future__ import annotations
@@ -40,6 +53,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.binpack.ffdlr import ffdlr_pack
 from repro.binpack.items import Bin, Item
+from repro.core.fleet import FederationFleet
+from repro.core.vectorized import VectorizedWillowController, _Segment
 from repro.federation.forecasts import ForecastModel, resolve_forecast_model
 from repro.federation.policies import (
     POLICIES,
@@ -54,7 +69,13 @@ from repro.federation.predictive import (
     SiteForecast,
 )
 from repro.federation.site import Site, SiteSpec, build_site
+from repro.federation.vectorized import (
+    destination_bins,
+    preshed_candidates,
+    shed_candidates,
+)
 from repro.trace.tracer import Tracer, active_tracer
+from repro.workload.generator import DemandGenerator
 
 __all__ = [
     "FederationConfig",
@@ -171,7 +192,12 @@ class CrossSiteMigration:
 
 
 class FederationCoordinator:
-    """Runs N sites tick-locked with supply-aware load shifting."""
+    """Runs N sites tick-locked with supply-aware load shifting.
+
+    Sites on :class:`~repro.core.vectorized.VectorizedWillowController`
+    tick fused in array segments (see the module docstring); every
+    other site ticks its own controller at its position.
+    """
 
     def __init__(
         self,
@@ -233,7 +259,9 @@ class FederationCoordinator:
         #: Observer hooks run *between* ticks --
         #: ``hook(coordinator, completed_ticks)`` fires after every
         #: site's tick and clock advance, so a checkpoint taken here
-        #: needs no fixup (see :mod:`repro.checkpoint`).
+        #: needs no fixup (see :mod:`repro.checkpoint`).  Fused sites'
+        #: runtime objects may lag their arrays here: a hook that reads
+        #: them calls :meth:`flush` first (:meth:`snapshot_state` does).
         self.on_tick: List[Callable] = []
 
         self.tracer = tracer if tracer is not None else active_tracer()
@@ -244,6 +272,76 @@ class FederationCoordinator:
                 if isinstance(self.federation.policy, str)
                 else getattr(self._policy, "__name__", "custom"),
             )
+        self._partition()
+
+    def _partition(self) -> None:
+        """Split the sites into the parts a tick runs, in site order.
+
+        Consecutive untraced vectorized sites over a Poisson
+        :class:`~repro.workload.generator.DemandGenerator` share one
+        segment over one :class:`~repro.core.fleet.FederationFleet`.
+        A traced array site ticks as a one-site segment, so its frames
+        keep site-major order.  Every other site (scalar, plant-fault,
+        another demand source) ticks its own controller.  Runs at
+        construction and again at the end of :meth:`restore_state`,
+        whose restored objects the segments must mirror afresh.
+        """
+        plan: List[object] = []
+        run: List[int] = []
+        for idx, site in enumerate(self.sites):
+            controller = site.controller
+            fusable = isinstance(
+                controller, VectorizedWillowController
+            ) and isinstance(controller.demand_source, DemandGenerator)
+            if fusable and not controller.tracer.enabled:
+                run.append(idx)
+                continue
+            if run:
+                plan.append(run)
+                run = []
+            plan.append([idx] if fusable else site)
+        if run:
+            plan.append(run)
+
+        fused = [i for part in plan if isinstance(part, list) for i in part]
+        self.fed_fleet: Optional[FederationFleet] = None
+        if fused:
+            self.fed_fleet = FederationFleet(
+                [self.sites[i].controller.fleet for i in fused]
+            )
+            block_slice = dict(zip(fused, self.fed_fleet.site_slices))
+        #: vm_id -> index of the VM's *home* site, for the segments'
+        #: late-pair staleness rule; filled by :meth:`_index_vm_homes`.
+        self._vm_home: Dict[int, int] = {}
+        self._plan: List[Union[_Segment, Site]] = []
+        self.segments: List[_Segment] = []
+        #: site name -> (its segment, position inside it).
+        self._segment_of: Dict[str, Tuple[_Segment, int]] = {}
+        for part in plan:
+            if not isinstance(part, list):
+                self._plan.append(part)
+                continue
+            segment = _Segment(
+                self.fed_fleet,
+                [(self.sites[i].controller, i, block_slice[i]) for i in part],
+                self._vm_home,
+            )
+            self.segments.append(segment)
+            self._plan.append(segment)
+            for pos, i in enumerate(part):
+                self._segment_of[self.sites[i].name] = (segment, pos)
+
+    def _index_vm_homes(self) -> None:
+        """Fill the VM-home map from the placements (each site's home
+        VMs) on the first cross-site move: until then no segment has
+        late pairs, and an empty map lets every segment tick skip the
+        late-pair scan."""
+        if self.segments and not self._vm_home:
+            self._vm_home.update(
+                (vm.vm_id, i)
+                for i, site in enumerate(self.sites)
+                for vm in site.controller.placement.vms
+            )
 
     # ------------------------------------------------------------------ run
     def run(self, n_ticks: int) -> "FederationCoordinator":
@@ -253,10 +351,16 @@ class FederationCoordinator:
             raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
         for _ in range(n_ticks):
             self._tick()
+        self.flush()
         for site in self.sites:
             site.controller.tracer.flush()
         self.tracer.flush()
         return self
+
+    def flush(self) -> None:
+        """Write every fused site's runtime objects from its arrays."""
+        for segment in self.segments:
+            segment.flush()
 
     def _tick(self) -> None:
         tick = self._tick_index
@@ -267,8 +371,12 @@ class FederationCoordinator:
         # skipped: smoothed demand carries no information yet.
         if tick > 0 and tick % self.eta1 == 0:
             self._rebalance(tick, now)
-        for site in self.sites:
-            site.controller._tick()
+        for part in self._plan:
+            if isinstance(part, _Segment):
+                # The sites' own clock, which their scalar ticks read.
+                part.tick(part.controllers[0].env.now)
+            else:
+                part.controller._tick()
         for site in self.sites:
             site.controller.env.advance(site.config.delta_d)
         self._tick_index += 1
@@ -296,8 +404,6 @@ class FederationCoordinator:
         lives in fleet arrays, so per-server setpoint actuation has no
         object path to write through.
         """
-        from repro.core.vectorized import VectorizedWillowController
-
         cooling = self.federation.cooling
         for site in self.sites:
             if isinstance(site.controller, VectorizedWillowController):
@@ -550,14 +656,13 @@ class FederationCoordinator:
                 remaining_directive -= vm.current_demand
         return out
 
-    def _destination_bins(self, site: Site) -> List[Bin]:
+    def _destination_bins(self, site: Site, wan_power: float) -> List[Bin]:
         """Eligible receivers at the destination site, as FFDLR bins.
 
         Same screening as the intra-site matcher: awake, not deficient,
         not squeezed by the unidirectional rule; capacity is the
         surplus minus ``P_min`` and the WAN cost the move will charge.
         """
-        wan_power, _ = self._wan_cost(site)
         config = site.config
         controller = site.controller
         planner = controller.migration_planner
@@ -577,17 +682,41 @@ class FederationCoordinator:
                 bins.append(Bin(key=node_id, capacity=capacity))
         return bins
 
+    def _screens(self, site: Site) -> Tuple[Callable, Callable, Callable]:
+        """The rebalance candidate searches for ``site``: ``(shed,
+        preshed, bins)``, called as ``shed(site, watts)``,
+        ``preshed(site, watts)`` and ``bins(site, wan_power)``.
+
+        Vectorized controllers get the array versions in
+        :mod:`repro.federation.vectorized`, which read the fleet lanes
+        and then the VM objects of the servers they pick, so a fused
+        site's VM demands are written first.  Every other controller
+        gets the object walks above, which are also the array
+        versions' reference.
+        """
+        if isinstance(site.controller, VectorizedWillowController):
+            entry = self._segment_of.get(site.name)
+            if entry is not None:
+                entry[0]._flush_vms(entry[1])
+            return shed_candidates, preshed_candidates, destination_bins
+        return (
+            self._shed_candidates,
+            self._preshed_candidates,
+            self._destination_bins,
+        )
+
     def _execute_transfer(self, transfer: Transfer, now: float) -> None:
         src_site = self._by_name[transfer.src]
         dst_site = self._by_name[transfer.dst]
-        items = (
-            self._preshed_candidates(src_site, transfer.watts)
-            if transfer.preemptive
-            else self._shed_candidates(src_site, transfer.watts)
+        shed, preshed, _ = self._screens(src_site)
+        items = (preshed if transfer.preemptive else shed)(
+            src_site, transfer.watts
         )
         if not items:
             return
-        bins = self._destination_bins(dst_site)
+        bins = self._screens(dst_site)[2](
+            dst_site, self._wan_cost(dst_site)[0]
+        )
         if not bins:
             return
         src_of = {
@@ -622,6 +751,7 @@ class FederationCoordinator:
         src_deficit: float,
         dst_surplus: float,
     ) -> None:
+        self._index_vm_homes()
         src = src_site.controller.servers[src_node]
         dst = dst_site.controller.servers[dst_node]
         wan_power, wan_ticks = self._wan_cost(dst_site)
@@ -685,8 +815,11 @@ class FederationCoordinator:
         state, in one structure: pickling it as a single payload
         preserves VM object identity across sites, so a VM hosted away
         from home is restored as *one* object referenced by both its
-        home placement and the hosting server's runtime.
+        home placement and the hosting server's runtime.  Fused sites
+        are flushed first, so every controller snapshots current
+        objects.
         """
+        self.flush()
         state = {
             "controller": type(self).__name__,
             "tick": self._tick_index,
@@ -732,6 +865,8 @@ class FederationCoordinator:
         The coordinator must have been rebuilt from the same site specs
         (same names, same order, same ``n_ticks`` horizon — battery
         buffering is precomputed over the run horizon at build time).
+        The fused segments are rebuilt over the restored objects, and
+        so is the VM-home map once any VM has crossed sites.
         """
         from repro.checkpoint.errors import CheckpointError
 
@@ -751,8 +886,16 @@ class FederationCoordinator:
         self.cross_migrations[:] = state["cross_migrations"]
         self.transfer_log[:] = state["transfer_log"]
         extra = state.get("planner")
-        if extra is None:
-            return
+        if extra is not None:
+            self._restore_planner(extra)
+        self._partition()
+        if self.cross_migrations:
+            self._index_vm_homes()
+
+    def _restore_planner(self, extra: Dict) -> None:
+        """Overlay a snapshot's predictive-planner and cooling state."""
+        from repro.checkpoint.errors import CheckpointError
+
         if extra["planner"] is not None:
             if self._planner is None:
                 raise CheckpointError(
@@ -808,13 +951,11 @@ def build_federation(
     (VM ids renumbered to be federation-unique; the first site keeps
     offset 0, preserving the single-site equivalence contract).
 
-    ``vectorized=True`` builds every eligible site on the array-based
-    controller and returns a
-    :class:`~repro.federation.vectorized.BatchedFederationCoordinator`
-    whose per-tick hot path sweeps one shared
-    :class:`~repro.core.fleet.FederationFleet` block across all sites
-    at once (fault-schedule sites keep their scalar controller and
-    tick scalar inside the batch).
+    ``vectorized=True`` sets :attr:`SiteSpec.vectorized` on every
+    spec, so each site that can run the array controller does, and
+    consecutive such sites tick fused (see
+    :class:`FederationCoordinator`).  Plant-fault and device-class
+    sites keep their scalar controller either way.
     """
     if n_ticks < 1:
         raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
@@ -840,12 +981,6 @@ def build_federation(
         cooling=cooling,
         forecast=forecast,
     )
-    if vectorized:
-        from repro.federation.vectorized import BatchedFederationCoordinator
-
-        return BatchedFederationCoordinator(
-            sites, federation=config, tracer=tracer
-        )
     return FederationCoordinator(sites, federation=config, tracer=tracer)
 
 

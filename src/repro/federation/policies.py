@@ -71,8 +71,8 @@ def policy(name: str, *, forecast_aware: bool = False) -> Callable:
 
     Learned policies (:class:`repro.gym.agents.LearnedPolicy`) register
     through exactly the same decorator machinery, so they run under the
-    normal coordinator, the batched fleet and the experiments harness
-    without special cases.
+    coordinator (fused array sites included) and the experiments
+    harness without special cases.
     """
     def decorate(fn: Callable) -> Callable:
         fn.policy_name = name

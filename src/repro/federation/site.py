@@ -69,12 +69,11 @@ class SiteSpec:
         Per-server ambient map for hot/cold zones inside the site.
     vectorized:
         Run the site on the array-based
-        :class:`~repro.core.vectorized.VectorizedWillowController`.
-        Silently ignored for sites the vectorized tick cannot model
-        faithfully (a non-empty plant-fault schedule needs the
-        ``_server_cap``/``_advance_plant`` hooks, and device-class
-        thermal state is object-shaped): those keep their scalar
-        controller, exactly as the batched federation expects.
+        :class:`~repro.core.vectorized.VectorizedWillowController`;
+        the coordinator ticks consecutive such sites fused in one
+        segment.  Plant-fault and device-class sites keep their scalar
+        controller (see the unsupported-combinations table in
+        ``docs/federation.md``).
     """
 
     name: str

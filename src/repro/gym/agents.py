@@ -19,8 +19,8 @@ function as a first-class federation policy -- callable with either the
 plain ``(statuses, margin=...)`` signature or the planner's
 forecast-aware keyword set -- and can register into
 :data:`~repro.federation.policies.POLICIES`, after which the CLI, the
-batched fleet coordinator, and the experiments harness can all run it
-by name.
+federation coordinator (scalar or fused array sites) and the
+experiments harness can all run it by name.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ class GymConfig:
     target_utilization: float = 0.35
     #: Forecast model spec (see ``repro.federation.forecasts``).
     forecast: Union[str, ForecastModel, None] = "oracle"
-    #: Run member sites on the batched array controller.
+    #: Run member sites on the array controller (they tick fused).
     vectorized: bool = False
     weights: RewardWeights = field(default_factory=RewardWeights)
 
@@ -434,9 +434,8 @@ class WillowFedEnv:
         same :class:`GymConfig`.  Like the coordinator's snapshot, the
         structure holds *live* references -- serialize it (one pickle
         payload, as :mod:`repro.checkpoint` does) before restoring into
-        a second env that will run concurrently.  Raises
-        :class:`~repro.checkpoint.errors.CheckpointError` on the
-        batched coordinator, which does not support object snapshots.
+        a second env that will run concurrently.  Works the same under
+        ``GymConfig(vectorized=True)``, whose sites tick fused.
         """
         if self.coordinator is None:
             raise RuntimeError("nothing to snapshot; call reset() first")

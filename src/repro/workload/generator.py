@@ -315,7 +315,7 @@ class DemandGenerator:
         Updates each ``vm.current_demand`` in place, exactly like
         :meth:`sample_tick`, but returns the flat demand vector (indexed
         like ``plan.vms``) for array-based consumers.  Callers that keep
-        the truth in arrays (the batched federation tick) pass
+        the truth in arrays (the array segment tick) pass
         ``write_objects=False`` to skip the per-VM scatter and flush the
         objects themselves only when scalar code needs them.
         """

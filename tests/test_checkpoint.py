@@ -5,9 +5,10 @@ contracts (vectorized, control-plane): restore a snapshot onto a
 freshly built twin, run the remaining ticks, and require the decision
 digest -- sha256 over every decision-bearing collector table -- to be
 bit-identical to the uninterrupted run.  That is checked for all four
-resumable layers (scalar, vectorized, fault-tolerant, federated), for
-the live service (snapshot + audit-tail replay), and property-based
-over random configurations and snapshot ticks.
+resumable layers (scalar, vectorized, fault-tolerant, federated, fused
+array sites included), for the live service (snapshot + audit-tail
+replay), and property-based over random configurations and snapshot
+ticks.
 """
 
 import copy
@@ -76,6 +77,14 @@ def build_controller(
     supply = constant_supply(supply_factor * n_servers * config.circuit_limit)
     cls = VectorizedWillowController if vectorized else WillowController
     return cls(tree, config, supply, placement, seed=seed)
+
+
+def site_digests(coordinator):
+    """Per-site decision digests of a federation."""
+    return [
+        decision_digest(site.controller.collector)
+        for site in coordinator.sites
+    ]
 
 
 def resume_digest(build, snapshot_tick, total_ticks):
@@ -390,15 +399,9 @@ def test_federation_resume_bit_exact():
         ]
         return build_federation(specs, n_ticks=n_ticks, policy="proportional")
 
-    def digests(coordinator):
-        return [
-            decision_digest(site.controller.collector)
-            for site in coordinator.sites
-        ]
-
     reference = build()
     reference.run(n_ticks)
-    expected = digests(reference)
+    expected = site_digests(reference)
     assert reference.cross_migrations  # load actually shifted cross-site
 
     first = build()
@@ -407,22 +410,42 @@ def test_federation_resume_bit_exact():
     twin = build()
     twin.restore_state(state)
     twin.run(n_ticks - 10)
-    assert digests(twin) == expected
+    assert site_digests(twin) == expected
     assert len(twin.cross_migrations) == len(reference.cross_migrations)
 
 
-def test_federation_checkpointer_hook(tmp_path):
+def _federation_checkpointer_run(tmp_path, vectorized):
+    """Checkpoint a 2-site federation through its ``on_tick`` hook,
+    then resume the last checkpoint to the straight run's digests."""
     from repro.federation import SiteSpec, build_federation
 
+    def build():
+        return build_federation(
+            [SiteSpec(name="a", seed=1), SiteSpec(name="b", seed=2)],
+            n_ticks=15,
+            vectorized=vectorized,
+        )
+
     store = CheckpointStore(tmp_path / "fed")
-    coordinator = build_federation(
-        [SiteSpec(name="a", seed=1), SiteSpec(name="b", seed=2)],
-        n_ticks=15,
-    )
+    coordinator = build()
+    assert bool(coordinator.segments) == vectorized
     checkpointer = Checkpointer(store).attach(coordinator)
     coordinator.run(15)
     assert checkpointer.saved == [7, 14]
     assert store.load(14)["state"]["tick"] == 14
+    twin = build()
+    twin.restore_state(store.load(14)["state"])
+    twin.run(1)
+    assert site_digests(twin) == site_digests(coordinator)
+
+
+def test_federation_checkpointer_hook(tmp_path):
+    _federation_checkpointer_run(tmp_path, vectorized=False)
+
+
+def test_federation_checkpointer_hook_fused(tmp_path):
+    """The fused array sites run the coordinator's hooks too."""
+    _federation_checkpointer_run(tmp_path, vectorized=True)
 
 
 # ---------------------------------------------------- collector tables
@@ -567,19 +590,6 @@ def test_distributed_controller_refuses_checkpointing():
         controller.snapshot_state()
 
 
-def test_batched_federation_refuses_checkpointing():
-    from repro.federation import SiteSpec, build_federation
-
-    coordinator = build_federation(
-        [SiteSpec(name="a", seed=1, vectorized=True),
-         SiteSpec(name="b", seed=2, vectorized=True)],
-        n_ticks=8,
-        vectorized=True,
-    )
-    with pytest.raises(CheckpointError, match="vectorized=False"):
-        coordinator.snapshot_state()
-
-
 def test_device_classes_gate():
     from repro.devices import STANDARD_DEVICES
 
@@ -626,6 +636,61 @@ def test_resume_bit_exact_for_any_configuration(case):
     reference.run(total)
     expected = decision_digest(reference.collector)
     assert resume_digest(build, snapshot_tick, total) == expected
+
+
+fused_resume_cases = st.tuples(
+    st.integers(0, 10_000),  # seed
+    st.floats(0.35, 0.5),  # utilization
+    st.integers(1, 35),  # snapshot tick
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=fused_resume_cases)
+def test_fused_federation_resume_bit_exact_for_any_configuration(case):
+    """Three fused array sites on anti-correlated solar, so VMs cross
+    sites in both directions (and guests of a later site are served a
+    tick stale): resuming a snapshot at any tick reproduces every
+    site's decisions and the cross-site moves."""
+    from repro.federation import SiteSpec, build_federation
+    from repro.power import renewable_supply
+
+    seed, utilization, snapshot_tick = case
+    total = 36
+
+    def build():
+        specs = [
+            SiteSpec(
+                name=f"site{i}",
+                supply=renewable_supply(
+                    5200.0,
+                    base_fraction=0.3,
+                    day_length=24.0,
+                    cloud_noise=0.0,
+                    phase=i / 3,
+                ),
+                seed=seed + i,
+                target_utilization=utilization,
+            )
+            for i in range(3)
+        ]
+        return build_federation(
+            specs, n_ticks=total, policy="proportional", vectorized=True
+        )
+
+    reference = build()
+    assert [seg.global_idx for seg in reference.segments] == [[0, 1, 2]]
+    reference.run(total)
+    assert reference.cross_migrations
+
+    first = build()
+    first.run(snapshot_tick)
+    state = copy.deepcopy(first.snapshot_state())
+    twin = build()
+    twin.restore_state(state)
+    twin.run(total - snapshot_tick)
+    assert site_digests(twin) == site_digests(reference)
+    assert len(twin.cross_migrations) == len(reference.cross_migrations)
 
 
 # ----------------------------------------------------------- live service

@@ -1,20 +1,22 @@
-"""Batched vs. scalar federation equivalence (the formal contract).
+"""Fused vs. scalar federation equivalence (the formal contract).
 
 ``build_federation(vectorized=True)`` promises: identical *decisions*
 (cross-site transfers and migrations, per-site migrations, drops,
 unmatched deficits, control messages, sleep states) and floats within
-``rtol=1e-12`` of the scalar :class:`FederationCoordinator`, for N >= 2
-sites under every policy, with batteries and a plant-fault site in the
-mix.  The scalar coordinator over ``SiteSpec(vectorized=True)`` sites
-keeps the same contract: there each site ticks its own one-site array
-segment, and cross-site WAN costs must reach that segment's cost watch
+``rtol=1e-12`` of the same federation over scalar site controllers,
+for N >= 2 sites under every policy, with batteries and a plant-fault
+site in the mix.  Consecutive vectorized sites tick fused in one array
+segment, and cross-site WAN costs must reach the segment's cost watch
 through the hosting hooks.  A single-site neutral federation is
 additionally bit-exact with the per-site vectorized controller (nothing
 reorders a sum across sites).  Also covered here: the
 :mod:`repro.binpack.prescreen` kernels against their scalar reference
-loops, and the :class:`~repro.core.fleet.FederationFleet` view-aliasing
+loops, the array rebalance pre-screens against the coordinator's object
+walks, and the :class:`~repro.core.fleet.FederationFleet` view-aliasing
 invariants the fused tick relies on.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -26,32 +28,34 @@ from repro.binpack.prescreen import (
     shed_vm_order,
 )
 from repro.core.controller import run_willow
-from repro.core.fleet import FederationFleet
-from repro.core.vectorized import VectorizedWillowController
+from repro.core.vectorized import VectorizedWillowController, _Segment
 from repro.federation import (
-    BatchedFederationCoordinator,
     FederationCoordinator,
     POLICIES,
     SiteSpec,
     build_federation,
     run_federation,
 )
-from repro.federation.vectorized import _Segment
+from repro.federation.vectorized import (
+    destination_bins,
+    preshed_candidates,
+    shed_candidates,
+)
 from repro.plant_faults import random_plant_schedule
 from repro.plant_faults.controller import FaultTolerantWillowController
 from repro.power import Battery, renewable_supply
+from repro.service.simulation import decision_digest
 from repro.topology import build_paper_simulation
+from repro.workload import BurstyDemandGenerator
 
 RTOL = 1e-12
 TICKS = 96
 UTIL = 0.55
 
 
-def make_specs(
-    n_sites=3, fault_site=True, battery_site=True, vectorized_sites=False
-):
+def make_specs(n_sites=3, fault_site=True, battery_site=True):
     """Fresh specs per call: batteries, supply buffers and fault
-    schedules are stateful, so scalar and batched runs must not share
+    schedules are stateful, so scalar and fused runs must not share
     them."""
     specs = []
     for i in range(n_sites):
@@ -59,7 +63,6 @@ def make_specs(
             name=f"site{i}",
             seed=i + 1,
             target_utilization=UTIL,
-            vectorized=vectorized_sites,
             supply=renewable_supply(
                 5200.0,
                 base_fraction=0.3,
@@ -84,34 +87,24 @@ def make_specs(
     return specs
 
 
-def federation_pair(policy, path="batched", **spec_kw):
-    """The all-scalar reference and one array path over the same specs.
-
-    ``path="batched"`` is ``build_federation(vectorized=True)``;
-    ``path="site-vectorized"`` keeps the scalar coordinator but builds
-    every site it can on the vectorized controller.
-    """
+def federation_pair(policy, **spec_kw):
+    """The same specs on scalar site controllers and on fused array
+    sites (``build_federation(vectorized=True)``)."""
     scalar = run_federation(
         make_specs(**spec_kw), n_ticks=TICKS, policy=policy
     )
-    assert type(scalar) is FederationCoordinator
-    if path == "batched":
-        other = run_federation(
-            make_specs(**spec_kw), n_ticks=TICKS, policy=policy, vectorized=True
-        )
-        assert isinstance(other, BatchedFederationCoordinator)
-    else:
-        other = run_federation(
-            make_specs(vectorized_sites=True, **spec_kw),
-            n_ticks=TICKS,
-            policy=policy,
-        )
-        assert type(other) is FederationCoordinator
-        assert any(
-            isinstance(s.controller, VectorizedWillowController)
-            for s in other.sites
-        )
-    return scalar, other
+    assert not scalar.segments
+    fused = run_federation(
+        make_specs(**spec_kw), n_ticks=TICKS, policy=policy, vectorized=True
+    )
+    assert type(fused) is FederationCoordinator
+    assert fused.segments
+    assert all(
+        isinstance(s.controller, VectorizedWillowController)
+        for s in fused.sites
+        if s.spec.plant_faults is None
+    )
+    return scalar, fused
 
 
 def _server_series(collector, attr):
@@ -196,20 +189,13 @@ def assert_federations_equal(scalar, batched):
 # --------------------------------------------------------------- contract
 class TestBatchedFederationEquivalence:
     """N=3 sites (battery site, plant-fault site, plain site) under
-    every shipped policy: same decisions, same floats, on the batched
-    coordinator and on the scalar coordinator over vectorized sites."""
+    every shipped policy: same decisions, same floats, on scalar site
+    controllers and on fused array sites."""
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_policy_equivalent(self, policy):
         scalar, batched = federation_pair(policy)
         assert_federations_equal(scalar, batched)
-
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_policy_equivalent_site_vectorized(self, policy):
-        scalar, site_vectorized = federation_pair(
-            policy, path="site-vectorized"
-        )
-        assert_federations_equal(scalar, site_vectorized)
 
     def test_shifting_actually_happens(self):
         """The contract must be exercised with real cross-site moves."""
@@ -273,6 +259,65 @@ class TestSegmentPartitioning:
         ]
         assert plan_kinds == ["segment", "site", "segment"]
 
+    def test_other_demand_source_ticks_its_own_controller(self):
+        """A vectorized site over another demand source ticks its own
+        controller between two segments, and the federation decides as
+        it does on scalar site controllers over the same sources."""
+
+        def build(vectorized):
+            built = build_federation(
+                make_specs(n_sites=3, fault_site=False),
+                n_ticks=TICKS,
+                policy="proportional",
+                vectorized=vectorized,
+            )
+            middle = built.sites[1].controller
+            middle.demand_source = BurstyDemandGenerator(
+                middle.placement, middle.streams
+            )
+            # Partition again, now that the middle site's source changed.
+            return FederationCoordinator(
+                built.sites, federation=built.federation
+            ).run(TICKS)
+
+        fused = build(vectorized=True)
+        assert [seg.global_idx for seg in fused.segments] == [[0], [2]]
+        assert fused._plan[1] is fused.sites[1]
+        assert isinstance(
+            fused.sites[1].controller, VectorizedWillowController
+        )
+        scalar = build(vectorized=False)
+        assert scalar.cross_migrations
+        assert_federations_equal(scalar, fused)
+
+    def test_resume_around_a_scalar_island(self):
+        """Segments on both sides of a plant-fault site: a snapshot
+        taken after cross-site moves resumes to the straight run's
+        per-site decisions."""
+
+        def build():
+            return build_federation(
+                make_specs(n_sites=3),
+                n_ticks=TICKS,
+                policy="proportional",
+                vectorized=True,
+            )
+
+        def digests(coordinator):
+            return [
+                decision_digest(site.collector) for site in coordinator.sites
+            ]
+
+        reference = build().run(TICKS)
+        first = build().run(40)
+        assert first.cross_migrations
+        twin = build()
+        twin.restore_state(copy.deepcopy(first.snapshot_state()))
+        assert [seg.global_idx for seg in twin.segments] == [[0], [2]]
+        twin.run(TICKS - 40)
+        assert digests(twin) == digests(reference)
+        assert len(twin.cross_migrations) == len(reference.cross_migrations)
+
     def test_all_array_sites_one_segment(self):
         coordinator = build_federation(
             make_specs(n_sites=3, fault_site=False),
@@ -284,6 +329,60 @@ class TestSegmentPartitioning:
         assert coordinator.fed_fleet.n == sum(
             s.controller.fleet.n for s in coordinator.sites
         )
+
+
+class TestArrayPrescreens:
+    """At every rebalance of a fused federation, the array pre-screens
+    return exactly what the coordinator's object walks return on the
+    flushed site: the same VMs in the same order, the same floats."""
+
+    @staticmethod
+    def _items(items):
+        return [
+            (node, deficit, item.key, item.size, id(item.payload))
+            for node, deficit, item in items
+        ]
+
+    @pytest.mark.parametrize("policy", sorted(set(POLICIES) - {"neutral"}))
+    def test_array_screens_match_object_walks(self, policy):
+        coordinator = build_federation(
+            make_specs(n_sites=3, fault_site=False),
+            n_ticks=TICKS,
+            policy=policy,
+            horizon=3 if policy == "predictive" else 0,
+            vectorized=True,
+        )
+        assert [seg.global_idx for seg in coordinator.segments] == [[0, 1, 2]]
+        execute = coordinator._execute_transfer
+        compared = []
+
+        def compare_then_execute(transfer, now):
+            coordinator.flush()
+            src = coordinator.site(transfer.src)
+            dst = coordinator.site(transfer.dst)
+            watts = transfer.watts
+            for array, walk in (
+                (shed_candidates, coordinator._shed_candidates),
+                (preshed_candidates, coordinator._preshed_candidates),
+            ):
+                got = self._items(array(src, watts))
+                assert got == self._items(walk(src, watts))
+                compared.append(len(got))
+            wan_power = coordinator._wan_cost(dst)[0]
+            got_bins = [
+                (b.key, b.capacity) for b in destination_bins(dst, wan_power)
+            ]
+            assert got_bins == [
+                (b.key, b.capacity)
+                for b in coordinator._destination_bins(dst, wan_power)
+            ]
+            compared.append(len(got_bins))
+            execute(transfer, now)
+
+        coordinator._execute_transfer = compare_then_execute
+        coordinator.run(TICKS)
+        assert coordinator.cross_migrations
+        assert sum(1 for n in compared if n) > 10
 
 
 class TestFederationFleetAliasing:

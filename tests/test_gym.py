@@ -248,8 +248,8 @@ class TestRoundTrip:
 
 
 class TestCheckpoint:
-    def test_snapshot_restore_mid_episode_digest_parity(self):
-        config = GymConfig(windows=10)
+    @staticmethod
+    def _mid_episode_parity(config):
         agent = CEMAgent()
 
         def finish(env, info):
@@ -275,12 +275,15 @@ class TestCheckpoint:
         twin = WillowFedEnv(config)
         twin.restore_state(snapshot)
         assert finish(twin, twin._info()) == finish(env, info)
+        return env
 
-    def test_snapshot_rejected_on_batched_coordinator(self):
-        env = WillowFedEnv(GymConfig(windows=4, vectorized=True))
-        env.reset(seed=0)
-        with pytest.raises(CheckpointError):
-            env.snapshot_state()
+    def test_snapshot_restore_mid_episode_digest_parity(self):
+        self._mid_episode_parity(GymConfig(windows=10))
+
+    def test_snapshot_restore_mid_episode_digest_parity_vectorized(self):
+        """The array path checkpoints too: its sites tick fused."""
+        env = self._mid_episode_parity(GymConfig(windows=10, vectorized=True))
+        assert env.coordinator.segments
 
     def test_restore_rejects_foreign_snapshot(self):
         env = WillowFedEnv(GymConfig(windows=4))

@@ -401,14 +401,14 @@ def test_cli_trace_rejects_missing_file(tmp_path, capsys):
     assert "trace:" in capsys.readouterr().err
 
 
-# ------------------------------------------------------- batched federation
-def _traced_federation(batched):
+# ------------------------------------------------------ federated array sites
+def _traced_federation(site_tracing=True):
     """A 2-site solar federation over vectorized site controllers,
-    traced at both the coordinator and site levels.
+    traced at the coordinator level and, with ``site_tracing``, at the
+    site level too.
 
-    ``batched=False`` drives the same vectorized controllers through
-    the scalar site-major :class:`FederationCoordinator` -- the frame
-    reference the batched coordinator must reproduce exactly.
+    Traced array sites tick as one-site segments in site-major order;
+    without site tracing both sites tick fused in one segment.
     """
     from dataclasses import replace
 
@@ -422,58 +422,33 @@ def _traced_federation(batched):
         specs,
         n_ticks=TICKS,
         policy="proportional",
-        vectorized=batched,
         tracer=Tracer(fed_writer),
-        site_tracer=Tracer(site_writer),
+        site_tracer=Tracer(site_writer) if site_tracing else None,
     )
     coordinator.run(TICKS)
     return coordinator, fed_writer.frames, site_writer.frames
 
 
-def test_batched_federation_frames_match_scalar_coordinator():
-    """With site tracing on, the batched coordinator's frames -- both
-    the coordinator-level grant/migration frames and every site's
-    per-tick budget frames -- must be byte-identical to the scalar
-    site-major coordinator over the same vectorized controllers."""
-    _, fed_scalar, site_scalar = _traced_federation(batched=False)
-    _, fed_batched, site_batched = _traced_federation(batched=True)
-    assert fed_scalar == fed_batched
-    assert site_scalar == site_batched
-
-
 def test_batched_federation_fused_tick_coordinator_frames_match():
     """Coordinator-level tracing alone leaves the fused array tick
     active; its rebalance decisions (grants, cross-site migrations)
-    must still trace identically to the scalar coordinator."""
-    from dataclasses import replace
-
-    from repro.experiments.fig_federation import build_specs
-    from repro.federation import build_federation
-
-    frames = []
-    for batched in (False, True):
-        specs = [
-            replace(s, vectorized=True) for s in build_specs(2, seed=SEED)
-        ]
-        writer = MemoryTraceWriter()
-        coordinator = build_federation(
-            specs,
-            n_ticks=TICKS,
-            policy="proportional",
-            vectorized=batched,
-            tracer=Tracer(writer),
-        )
-        coordinator.run(TICKS)
-        frames.append(writer.frames)
-    assert frames[0] == frames[1]
+    must trace identically to the unfused tick that site tracing
+    forces (every site a one-site segment, in site-major order)."""
+    fused, fused_frames, _ = _traced_federation(site_tracing=False)
+    unfused, unfused_frames, site_frames = _traced_federation()
+    assert [seg.global_idx for seg in fused.segments] == [[0, 1]]
+    assert [seg.global_idx for seg in unfused.segments] == [[0], [1]]
+    assert site_frames
+    assert fused.cross_migrations
+    assert fused_frames == unfused_frames
 
 
 def test_federated_site_frames_are_faithful_to_budgets():
     """Budget-path faithfulness, federated: every leaf allocation
-    record in a batched site's tick frame must carry the budget that
-    site's controller actually set (cross-checked against the
+    record in a traced array site's tick frame must carry the budget
+    that site's controller actually set (cross-checked against the
     collector's per-tick server samples)."""
-    coordinator, _, site_frames = _traced_federation(batched=True)
+    coordinator, _, site_frames = _traced_federation()
     tick_frames = [f for f in site_frames if f.get("type") == "tick"]
     n_sites = len(coordinator.sites)
     assert tick_frames, "site tracer recorded no tick frames"
