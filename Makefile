@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-guard federation-bench-smoke trace-smoke examples-smoke federation-smoke mpc-smoke gym-smoke service-smoke resume-smoke experiments clean-cache
+.PHONY: test bench bench-smoke bench-guard federation-bench-smoke perfbench-check trace-smoke examples-smoke federation-smoke mpc-smoke gym-smoke service-smoke resume-smoke experiments clean-cache
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -74,6 +74,20 @@ federation-bench-smoke:
 	$(PYTHON) -m pytest tests/test_federation_vectorized.py -q
 	$(PYTHON) -m pytest tests/test_checkpoint.py -q -k federation
 	$(PYTHON) -m pytest benchmarks/test_bench_federation.py -q
+
+## The benchmark's own checks (perfbench/): each workload once, traced,
+## with a short window -- correctness checks, decision digests and the
+## per-layer call-count guard.  run.py exits 0 for a single workload
+## whatever the result, so the verdict is read off its last JSON line.
+perfbench-check:
+	@set -e; for w in fleet-steady solar-churn live-ingest; do \
+		out=$$(timeout 900 $(PYTHON) perfbench/run.py --workload $$w \
+			--seed 7 --seconds 2 --trace 1); \
+		echo "$$out" | tail -n 1 | $(PYTHON) -c \
+			"import json, sys; sys.exit(not json.loads(sys.stdin.read())['correct'])" \
+			|| { echo "$$out"; echo "perfbench $$w: checks failed"; exit 1; }; \
+		echo "perfbench $$w: checks OK"; \
+	done
 
 ## Willow-as-a-service smoke: a short live run (TCP gateway + wall-clock
 ## ticks + self-generated load) whose audit log is then replayed offline

@@ -15,19 +15,14 @@ consolidation.
   and worst-fit comparators.
 * :mod:`repro.binpack.exact` -- exhaustive optima for small instances
   (test oracle for the FFDLR bound).
-* :mod:`repro.binpack.prescreen` -- array pre-screening (masks,
-  argsort orderings, cumsum take-prefixes) for the federation's
-  shed/repack candidate search.
+* :mod:`repro.binpack.prescreen` -- array pre-screening (masks and
+  argsort orderings) for the federation's shed/repack candidate
+  search.
 """
 
 from repro.binpack.items import Bin, Item, PackResult
 from repro.binpack.ffdlr import ffdlr_pack, ffd_bin_count
-from repro.binpack.prescreen import (
-    deficient_order,
-    destination_order,
-    shed_takes,
-    shed_vm_order,
-)
+from repro.binpack.prescreen import deficient_order, destination_order
 from repro.binpack.baselines import (
     best_fit_decreasing,
     first_fit,
@@ -49,7 +44,5 @@ __all__ = [
     "first_fit",
     "first_fit_decreasing",
     "optimal_bin_count",
-    "shed_takes",
-    "shed_vm_order",
     "worst_fit",
 ]

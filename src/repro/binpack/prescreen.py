@@ -6,33 +6,22 @@ largest-first rule, capped at the directive) and *which servers at the
 destination can absorb them* (the FFDLR bins).  Both answers start with
 full-fleet scans that are pure screening -- no state changes -- so they
 vectorize: masks and ``argsort``/``lexsort`` orderings over the
-:class:`~repro.core.fleet.FleetState` arrays, and a ``cumsum`` prefix
-rule for the per-server largest-first take.  Only the chosen moves are
-then realised through the scalar FFDLR packer.
+:class:`~repro.core.fleet.FleetState` arrays.  Each donor's own
+largest-first takes stay a sequential fold over its few VM objects
+(:func:`repro.federation.vectorized.shed_candidates`), and only the
+chosen moves are realised through the scalar FFDLR packer.
 
 Bit-exactness: orderings use the exact scalar sort keys (no float
-arithmetic), and the cumsum take-prefix is *verified* against the
-scalar controller's sequential fold -- the running ``remaining`` /
-``directive`` subtractions -- before it is trusted, because a prefix
-sum ``raw - (d1 + d2 + ...)`` can differ from the scalar's
-``((raw - d1) - d2) - ...`` in the last ulp.  Any disagreement (or an
-item the scalar loop would skip as bigger than the remaining
-directive, which breaks the prefix structure) falls back to the plain
-loop, so decisions are always identical to the scalar coordinator's.
+arithmetic), so they are the scalar coordinator's orderings.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = [
-    "deficient_order",
-    "destination_order",
-    "shed_vm_order",
-    "shed_takes",
-]
+__all__ = ["deficient_order", "destination_order"]
 
 
 def deficient_order(
@@ -79,103 +68,3 @@ def destination_order(
         return rows, capacity[rows]
     order = rows[np.argsort(node_ids[rows])]
     return order, capacity[order]
-
-
-def shed_vm_order(demands: np.ndarray, vm_ids: np.ndarray) -> np.ndarray:
-    """Largest-first iteration order with vm-id tie break.
-
-    Matches ``sorted(..., key=lambda v: (-v.current_demand, v.vm_id))``
-    exactly: ``lexsort`` is stable and compares the same keys, so equal
-    demands order by ascending vm id.
-    """
-    return np.lexsort((vm_ids, -demands))
-
-
-def shed_takes(
-    demands: np.ndarray,
-    raw: float,
-    goal: float,
-    directive: float,
-    eps: float,
-) -> Tuple[List[int], float]:
-    """Which of one server's VMs the largest-first rule takes.
-
-    ``demands`` must already be in shed order (see
-    :func:`shed_vm_order`).  Returns the taken positions (in order) and
-    the directive remaining after the per-take sequential subtractions.
-    Semantics are exactly the scalar loop::
-
-        remaining = raw
-        for d in demands:
-            if remaining <= goal + eps or directive <= eps: break
-            if d <= 0: continue
-            if d > directive + eps: continue   # would overshoot
-            take; remaining -= d; directive -= d
-
-    The cumsum prefix proposes the take set in O(1) passes; the scalar
-    fold then verifies every proposed decision (and the first rejected
-    one) before it is trusted, falling back to the plain loop whenever
-    an overshoot skip or an ulp-level disagreement shows up.
-    """
-    n = len(demands)
-    if n == 0:
-        return [], directive
-
-    csum = np.cumsum(demands)
-    before = csum - demands  # exclusive prefix: sum of takes so far
-    alive = (raw - before > goal + eps) & (directive - before > eps)
-    positive = demands > 0.0
-    candidate = alive & positive
-    oversize = candidate & (demands > (directive - before) + eps)
-    fast_ok = not bool(oversize.any())
-
-    if fast_ok:
-        takes = np.nonzero(candidate)[0]
-        # Zero-demand rows interleave nowhere (shed order puts them
-        # last), so a valid take set is a prefix of the positive rows.
-        # Verify each proposed decision -- and the first refusal --
-        # with the authoritative sequential fold.
-        remaining = raw
-        left = directive
-        confirmed: List[int] = []
-        ok = True
-        for k in takes.tolist():
-            d = float(demands[k])
-            if remaining <= goal + eps or left <= eps or d > left + eps:
-                ok = False
-                break
-            confirmed.append(k)
-            remaining -= d
-            left -= d
-        if ok:
-            # The fold must also refuse the first positive row *after*
-            # the proposed prefix for the take set to be exactly the
-            # scalar's.  (Alive is monotone, so proposed takes are a
-            # prefix of the positive rows.)
-            start = int(takes[-1]) + 1 if len(takes) else 0
-            refused = np.nonzero(positive[start:])[0]
-            if len(refused) and not (remaining <= goal + eps or left <= eps):
-                # The scalar loop would not *break* here: it either
-                # takes this row (prefix too short) or skips it as an
-                # overshoot and keeps scanning.  Both need the fold.
-                ok = False
-        if ok:
-            return confirmed, left
-
-    # Fallback: the plain scalar loop (overshoot skips or a last-ulp
-    # disagreement between prefix sums and the sequential fold).
-    remaining = raw
-    left = directive
-    out: List[int] = []
-    for k in range(n):
-        if remaining <= goal + eps or left <= eps:
-            break
-        d = float(demands[k])
-        if d <= 0.0:
-            continue
-        if d > left + eps:
-            continue
-        out.append(k)
-        remaining -= d
-        left -= d
-    return out, left

@@ -7,7 +7,8 @@ thermal constants, precomputed exponential decay factors) are captured
 once at construction, while mutable control state (sleep flags, pending
 migration costs, smoother lanes, budgets, temperatures) is gathered
 from the objects wherever scalar code (consolidation, wake-ups,
-migrations) has changed them.
+migrations) has changed them -- in full, or only for the rows it
+changed.
 
 :class:`FederationFleet` concatenates one or more site fleets into one
 block and rebinds each site's arrays to views of it; the array tick in
@@ -173,22 +174,34 @@ class FleetState:
             temperature[i] = s.thermal.temperature
 
     def gather_sleep(self) -> None:
-        """Refresh only the sleep-state masks (cheap mid-tick resync)."""
-        awake = self.awake
-        waking = self.waking
-        for i, s in enumerate(self.servers):
-            state = s.sleep_state
-            awake[i] = state is SleepState.AWAKE
-            waking[i] = state is SleepState.WAKING
-        np.logical_not(awake | waking, out=self.asleep)
+        """Refresh every sleep-state mask."""
+        self.gather_sleep_rows(range(self.n))
 
     def gather_costs(self) -> None:
-        """Refresh pending migration-cost demand (changes on migrations)."""
-        mig_cost = self.mig_cost
-        for i, s in enumerate(self.servers):
-            mig_cost[i] = (
-                s.migration_cost_demand if s._pending_costs else 0.0
-            )
+        """Refresh every pending migration-cost lane."""
+        self.gather_cost_rows(range(self.n))
+
+    def gather_sleep_rows(self, rows) -> None:
+        """Refresh the sleep-state masks of ``rows`` (row indices)."""
+        servers = self.servers
+        states = [servers[r].sleep_state for r in rows]
+        awake = [state is SleepState.AWAKE for state in states]
+        waking = [state is SleepState.WAKING for state in states]
+        self.awake[rows] = awake
+        self.waking[rows] = waking
+        self.asleep[rows] = [
+            not (a or w) for a, w in zip(awake, waking)
+        ]
+
+    def gather_cost_rows(self, rows) -> None:
+        """Refresh the pending migration-cost lanes of ``rows``."""
+        servers = self.servers
+        self.mig_cost[rows] = [
+            servers[r].migration_cost_demand
+            if servers[r]._pending_costs
+            else 0.0
+            for r in rows
+        ]
 
     # ---------------------------------------------------------------- caps
     def hard_caps(self) -> np.ndarray:

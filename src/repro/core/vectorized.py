@@ -14,9 +14,11 @@ tick in the package:
   own fleet and flushes it after every tick, so its runtime objects stay
   authoritative between ticks exactly like the scalar controller's.
 * :class:`~repro.federation.coordinator.FederationCoordinator` ticks
-  consecutive vectorized sites as one multi-site segment and defers the
-  flush to the points where scalar code reads the objects (the
-  rebalance, hooks, snapshots, the end of a run).
+  consecutive vectorized sites as one multi-site segment and writes the
+  objects only where scalar code reads them: the rows the planner and
+  priority serving read, and every object where a reader may walk them
+  all (consolidation, hooks, the rebalance, snapshots, the end of a
+  run).
 
 Everything decision-shaped stays on the runtime objects -- planners,
 consolidation, migration cost bookkeeping, metric hooks and the
@@ -435,25 +437,32 @@ class _Segment:
         return out
 
     # --------------------------------------------------------------- sync
+    # Site ``i``'s objects lag its lanes while ``_dirty_servers[i]`` /
+    # ``_dirty_vms[i]`` is set.  Readers that may walk every object get
+    # the whole-site flushes; the planner and priority serving read a
+    # known set of rows and get exactly those (the ``_rows`` flushes).
+    # All are position-independent: the lanes always hold exactly what
+    # an eager tick would have written to the objects by the same
+    # point, so every scalar reader sees identical state.
     def _flush_servers(self, i: int) -> None:
-        """Scatter site ``i``'s array state back onto its runtimes.
-
-        Position-independent: the block arrays always hold exactly the
-        values an eager tick would have written to the objects by the
-        same point, so scalar readers (planner, consolidation, gather)
-        see identical state.
-        """
+        """Write all of site ``i``'s server lanes onto its runtimes."""
         if not self._dirty_servers[i]:
             return
         self._dirty_servers[i] = False
-        sl = self.local_slices[i]
-        raw = self.raw[sl].tolist()
-        smoothed = self.values[sl].tolist()
-        served = self.served[sl].tolist()
-        temps = self.temperature[sl].tolist()
-        peaks = self._peak[sl].tolist()
-        violations = self._viol[sl].tolist()
-        for j, server in enumerate(self.controllers[i].fleet.servers):
+        self._write_servers(
+            self.controllers[i].fleet.servers, self.local_slices[i]
+        )
+
+    def _write_servers(self, servers, lanes) -> None:
+        """Write the lane values at ``lanes`` (a segment slice or row
+        array) onto ``servers``, which lists the same rows in order."""
+        raw = self.raw[lanes].tolist()
+        smoothed = self.values[lanes].tolist()
+        served = self.served[lanes].tolist()
+        temps = self.temperature[lanes].tolist()
+        peaks = self._peak[lanes].tolist()
+        violations = self._viol[lanes].tolist()
+        for j, server in enumerate(servers):
             server.raw_demand = raw[j]
             server.smoothed_demand = smoothed[j]
             server.smoother._value = smoothed[j]
@@ -484,6 +493,38 @@ class _Segment:
             for vm, value in zip(vms, values):
                 vm.current_demand = value
 
+    def _flush_server_rows(self, i: int, rows: np.ndarray) -> None:
+        """Write the server lanes of site ``i``'s local ``rows`` only;
+        the site stays dirty, since its other rows still lag."""
+        if not self._dirty_servers[i]:
+            return
+        servers = self.controllers[i].fleet.servers
+        self._write_servers(
+            [servers[r] for r in rows.tolist()],
+            rows + int(self.row_base[i]),
+        )
+
+    def _flush_vm_rows(self, i: int, rows: np.ndarray) -> None:
+        """Write the home VMs hosted on site ``i``'s local ``rows``
+        from the last sample.  Guests on these rows are current
+        already: their home site refreshed them at sample time."""
+        if not self._dirty_vms[i]:
+            return
+        ctrl = self.controllers[i]
+        servers = ctrl.fleet.servers
+        plan_row = ctrl._vm_row
+        # A home VM in one of this site's VM dicts is at home; guests
+        # have no plan row.
+        picks = [
+            plan_row[vm_id]
+            for r in rows.tolist()
+            for vm_id in servers[r].vms
+            if vm_id in plan_row
+        ]
+        vms = self._plan_vms[i]
+        for k, value in zip(picks, self._demands[i][picks].tolist()):
+            vms[k].current_demand = value
+
     def _flush_switch_dict(self) -> None:
         if not self._switch_dict_stale:
             return
@@ -508,11 +549,10 @@ class _Segment:
     def tick(self, now: float) -> None:
         ctrls = self.controllers
 
-        # 0. housekeeping: sparse scans instead of per-server loops.
-        # Sleep transitions come straight off the block's awake lanes;
-        # pending migration costs are scanned only while a site's cost
-        # watch is armed (every path that charges a cost arms it, and a
-        # scan that finds nothing left disarms it).
+        # 0. housekeeping, row by row: costs expire on the rows that
+        # hold some (every path that charges one records its row), and
+        # wake latency advances on the non-awake rows, of which only
+        # the waking ones can change state.
         for i, ctrl in enumerate(ctrls):
             if ctrl.tracer.enabled:
                 # Open the frame before the plant hook, as the scalar
@@ -520,24 +560,23 @@ class _Segment:
                 ctrl.tracer.begin_tick(ctrl._tick_index, now)
             ctrl._tick_migration_traffic = {}
             fleet = ctrl.fleet
-            if ctrl._cost_watch:
-                costs_dirty = False
-                pending_left = False
-                for server in fleet.servers:
-                    if server._pending_costs:
-                        server.expire_costs()
-                        costs_dirty = True
-                        if server._pending_costs:
-                            pending_left = True
-                if costs_dirty:
-                    fleet.gather_costs()
-                ctrl._cost_watch = pending_left
+            servers = fleet.servers
+            if ctrl._cost_rows:
+                rows = sorted(ctrl._cost_rows)
+                for r in rows:
+                    servers[r].expire_costs()
+                fleet.gather_cost_rows(rows)
+                ctrl._cost_rows = {
+                    r for r in rows if servers[r]._pending_costs
+                }
             sl = self.local_slices[i]
-            if not bool(self.awake[sl].all()):
-                servers = fleet.servers
-                for r in np.nonzero(~self.awake[sl])[0].tolist():
+            resting = np.flatnonzero(~self.awake[sl])
+            if len(resting):
+                for r in resting.tolist():
                     servers[r].tick_wake()
-                fleet.gather_sleep()
+                fleet.gather_sleep_rows(
+                    resting[self.waking[sl][resting]].tolist()
+                )
             ctrl._begin_tick(now)
 
         # 1. sample every site's demand in site order.  The arrays stay
@@ -618,10 +657,17 @@ class _Segment:
             deficient = self.awake[sl] & (raw[sl] > self.budget[sl] + _EPS)
             if not bool(deficient.any()):
                 continue
-            # The planner walks runtime objects (raw demand, budgets,
-            # VM demands): refresh this site before handing over.
-            self._flush_servers(i)
-            self._flush_vms(i)
+            if ctrl.on_migration or ctrl.tracer.enabled:
+                # Migration hooks and trace records may read any server.
+                self._flush_servers(i)
+                self._flush_vms(i)
+            else:
+                # The planner reads the deficient servers (raw demand,
+                # budget, VMs and VM demands), and every move and drop
+                # comes off them; budgets are written eagerly.
+                rows = np.flatnonzero(deficient)
+                self._flush_server_rows(i, rows)
+                self._flush_vm_rows(i, rows)
             plan = ctrl._plan_demand_migrations(raw[sl], smoothed[sl])
             if plan is not None:
                 ctrl._execute_moves(plan.moves, MigrationCause.DEMAND, now)
@@ -652,12 +698,12 @@ class _Segment:
                 self._dirty_servers[i] = False
             if moved[i]:
                 # Migrations rehomed VMs and charged costs mid-tick;
-                # refresh the per-host sums and cost lanes before
-                # serving.
+                # refresh the per-host sums and the charged rows' cost
+                # lanes before serving.
                 vm_sums[self.local_slices[i]] = ctrl._host_demand_sums(
                     demands[i]
                 )
-                ctrl.fleet.gather_costs()
+                ctrl.fleet.gather_cost_rows(sorted(ctrl._cost_rows))
 
         # 6. serve power within budget across the whole block; throttle
         # any residual excess per VM in priority order.
@@ -668,11 +714,16 @@ class _Segment:
         served = np.where(fast, vm_sums, 0.0)
         slow_rows = np.nonzero(self.awake & ~fast)[0]
         if len(slow_rows):
+            # Priority serving reads the slow rows' VM objects.
+            slow_sites = self.row_site[slow_rows]
+            for i in np.unique(slow_sites).tolist():
+                self._flush_vm_rows(
+                    i, slow_rows[slow_sites == i] - self.row_base[i]
+                )
             available_list = available.tolist()
             for r in slow_rows.tolist():
                 i = int(self.row_site[r])
                 ctrl = ctrls[i]
-                self._flush_vms(i)  # priority serving reads VM objects
                 served[r] = ctrl._serve_scalar(
                     ctrl.fleet.servers[r - int(self.row_base[i])],
                     available_list[r],
@@ -1029,10 +1080,11 @@ class VectorizedWillowController(WillowController):
             self._anc_matrix[i, : len(chain)] = chain
         self._int_flags = np.zeros(sentinel + 1, dtype=bool)
 
-        #: Sticky migration-cost watch: armed by every path that charges
-        #: a cost on this site (local moves, cross-site hosting hooks),
-        #: disarmed by a tick whose scan finds no cost pending.
-        self._cost_watch = True
+        #: Rows whose server may hold pending migration costs: every
+        #: path that charges a cost on this site records its row (local
+        #: moves, cross-site hosting hooks), and the tick start drops
+        #: the rows left with nothing pending.
+        self._cost_rows = self._pending_cost_rows()
         #: The one-site segment :meth:`_tick` runs, built on first use.
         #: A federation coordinator ticks this site in one of its own
         #: segments instead and never calls :meth:`_tick`.
@@ -1178,17 +1230,31 @@ class VectorizedWillowController(WillowController):
         sums = np.bincount(
             self._vm_host_rows, weights=weights, minlength=fleet.n
         )
-        if self._foreign_vms:
+        guests = self._foreign_vms
+        if guests:
+            # np.add.at is unbuffered and applies the indices in order,
+            # so each host's sum grows guest by guest in arrival order.
             rows = self._foreign_rows
-            for vm_id, vm in self._foreign_vms.items():
-                sums[rows[vm_id]] += vm.current_demand
+            np.add.at(
+                sums,
+                np.fromiter(
+                    (rows[vm_id] for vm_id in guests), np.intp, len(guests)
+                ),
+                np.fromiter(
+                    (vm.current_demand for vm in guests.values()),
+                    float,
+                    len(guests),
+                ),
+            )
         return sums
 
     # ------------------------------------------------- federation hosting
     # A coordinator charges WAN migration costs on both endpoints right
-    # after these hooks, so each one arms the cost watch.
+    # after these hooks, so each one records its endpoint's cost row.
     def vm_departed(self, vm) -> None:
-        self._cost_watch = True
+        host_row = self.fleet.index.get(vm.host_id)
+        if host_row is not None:
+            self._cost_rows.add(host_row)
         row = self._vm_row.get(vm.vm_id)
         if row is not None:
             if not self._vm_away[row]:
@@ -1199,7 +1265,7 @@ class VectorizedWillowController(WillowController):
             self._foreign_rows.pop(vm.vm_id, None)
 
     def vm_arrived(self, vm, dst_node_id: int) -> None:
-        self._cost_watch = True
+        self._cost_rows.add(self.fleet.index[dst_node_id])
         row = self._vm_row.get(vm.vm_id)
         if row is not None:  # a home VM returning from another site
             if self._vm_away[row]:
@@ -1243,8 +1309,15 @@ class VectorizedWillowController(WillowController):
         fleet = self.fleet
         fleet.gather()
         fleet.raw[...] = [s.raw_demand for s in fleet.servers]
-        self._cost_watch = True
+        self._cost_rows = self._pending_cost_rows()
         self._segment = None
+
+    def _pending_cost_rows(self) -> set:
+        """Rows whose server holds pending migration costs, read off
+        the objects (at construction and on restore)."""
+        return {
+            r for r, s in enumerate(self.fleet.servers) if s._pending_costs
+        }
 
     # ------------------------------------------------------------- serving
     def _serve_scalar(self, server, available: float, now: float) -> float:
@@ -1273,11 +1346,13 @@ class VectorizedWillowController(WillowController):
     ) -> None:
         moves = list(moves)
         super()._execute_moves(moves, cause, now)
-        if moves:
-            self._cost_watch = True
+        index = self.fleet.index
         for move in moves:
             vm_id = move.vm.vm_id
-            dst_row = self.fleet.index[move.dst.node_id]
+            dst_row = index[move.dst.node_id]
+            # Both endpoints were charged a migration cost.
+            self._cost_rows.add(index[move.src.node_id])
+            self._cost_rows.add(dst_row)
             row = self._vm_row.get(vm_id)
             if row is not None:
                 self._vm_host_rows[row] = dst_row

@@ -7,10 +7,9 @@ bins).  For a site on
 :class:`~repro.core.vectorized.VectorizedWillowController` the
 coordinator asks the functions here, which screen the fleet lanes with
 the :mod:`repro.binpack.prescreen` kernels -- masks and exact-key
-argsorts pick donors and receivers, a verified cumsum prefix picks each
-server's largest-first takes -- and read per-server floats straight off
-the arrays.  Only the VM objects of the chosen servers are touched, and
-the coordinator writes those from the arrays first.
+argsorts pick donors and receivers -- and read per-server floats
+straight off the arrays.  Only the VM objects of the chosen servers are
+touched, and the coordinator writes those from the arrays first.
 
 Each function returns exactly what the coordinator's object walk of the
 same name returns on a flushed site: the same VMs, in the same order,
@@ -24,12 +23,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.binpack.items import Bin, Item
-from repro.binpack.prescreen import (
-    deficient_order,
-    destination_order,
-    shed_takes,
-    shed_vm_order,
-)
+from repro.binpack.prescreen import deficient_order, destination_order
 from repro.core.controller import _EPS
 from repro.federation.site import Site
 
@@ -45,10 +39,11 @@ __all__ = ["shed_candidates", "preshed_candidates", "destination_bins"]
 def shed_candidates(site: Site, watts: float) -> List[Tuple[int, float, Item]]:
     """Array version of the Sec. IV-E shedding rule.
 
-    Donor order and per-server largest-first takes come from
-    :mod:`repro.binpack.prescreen`; per-server floats come off the
-    fleet lanes, bit-identical to the object attributes, so the
-    directive's running left fold is the object walk's.
+    Donor order comes from :mod:`repro.binpack.prescreen` and
+    per-server floats off the fleet lanes, bit-identical to the object
+    attributes; each donor's largest-first takes are the object walk's
+    own loop over its VM objects (a handful per server, which a sort
+    and a sequential fold settle faster than array calls would).
     """
     config = site.config
     fleet = site.controller.fleet
@@ -69,17 +64,17 @@ def shed_candidates(site: Site, watts: float) -> List[Tuple[int, float, Item]]:
         budget_r = budget_list[k_row]
         deficit = raw_r - budget_r
         goal = max(budget_r - config.p_min, 0.0)
-        vms = list(server.vms.values())
-        if not vms:
-            continue
-        demands = np.fromiter(
-            (v.current_demand for v in vms), float, len(vms)
-        )
-        vm_ids = np.fromiter((v.vm_id for v in vms), np.int64, len(vms))
-        order = shed_vm_order(demands, vm_ids)
-        takes, left = shed_takes(demands[order], raw_r, goal, left, _EPS)
-        for k in takes:
-            vm = vms[int(order[k])]
+        remaining = raw_r
+        for vm in sorted(
+            server.vms.values(),
+            key=lambda v: (-v.current_demand, v.vm_id),
+        ):
+            if remaining <= goal + _EPS or left <= _EPS:
+                break
+            if vm.current_demand <= 0:
+                continue
+            if vm.current_demand > left + _EPS:
+                continue  # would overshoot the directive
             out.append(
                 (
                     server.node.node_id,
@@ -87,6 +82,8 @@ def shed_candidates(site: Site, watts: float) -> List[Tuple[int, float, Item]]:
                     Item(key=vm.vm_id, size=vm.current_demand, payload=vm),
                 )
             )
+            remaining -= vm.current_demand
+            left -= vm.current_demand
     return out
 
 

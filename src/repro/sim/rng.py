@@ -11,7 +11,7 @@ runs and across the order in which they are first requested.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -20,6 +20,19 @@ __all__ = ["RandomStreams"]
 #: Domain-separation constant mixed into fork() derivations so a fork
 #: can never collide with a named stream of the same root seed.
 _FORK_DOMAIN = 0x666F726B  # "fork"
+
+
+def _uint32_words(value: int) -> Optional[np.ndarray]:
+    """``value`` as ``SeedSequence`` coerces an int: little-endian
+    32-bit words, one zero word for 0; ``None`` when negative."""
+    if value < 0:
+        return None
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return np.array(words, dtype=np.uint32)
 
 
 class RandomStreams:
@@ -45,17 +58,30 @@ class RandomStreams:
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         self.seed = int(seed)
         self._generators: Dict[str, np.random.Generator] = {}
+        self._seed_words = _uint32_words(self.seed)
 
     def __getitem__(self, name: str) -> np.random.Generator:
-        """Return (creating if needed) the generator for ``name``."""
+        """Return (creating if needed) the generator for ``name``.
+
+        The stream's entropy is the root seed followed by one word per
+        byte of the NUL-padded UTF-8 name, so stream identity does not
+        depend on creation order.  The words are handed to
+        ``SeedSequence`` as one ``uint32`` array, which NumPy adopts as
+        is (a Python list is coerced element by element, the dominant
+        cost of creating a stream).
+        """
         if name not in self._generators:
-            # Derive a child seed from (root seed, name) so that stream
-            # identity does not depend on creation order.
-            digest = np.frombuffer(
-                name.encode("utf-8") + b"\x00" * (4 - len(name) % 4 or 4),
-                dtype=np.uint8,
+            if self._seed_words is None:
+                raise ValueError(
+                    f"expected a non-negative seed, got {self.seed}"
+                )
+            padded = name.encode("utf-8") + b"\x00" * (4 - len(name) % 4 or 4)
+            entropy = np.concatenate(
+                (
+                    self._seed_words,
+                    np.frombuffer(padded, dtype=np.uint8).astype(np.uint32),
+                )
             )
-            entropy = [self.seed, *digest.tolist()]
             self._generators[name] = np.random.default_rng(
                 np.random.SeedSequence(entropy)
             )

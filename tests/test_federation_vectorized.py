@@ -6,10 +6,12 @@ unmatched deficits, control messages, sleep states) and floats within
 ``rtol=1e-12`` of the same federation over scalar site controllers,
 for N >= 2 sites under every policy, with batteries and a plant-fault
 site in the mix.  Consecutive vectorized sites tick fused in one array
-segment, and cross-site WAN costs must reach the segment's cost watch
+segment, and cross-site WAN costs must reach the segment's cost rows
 through the hosting hooks.  A single-site neutral federation is
 additionally bit-exact with the per-site vectorized controller (nothing
-reorders a sum across sites).  Also covered here: the
+reorders a sum across sites).  Also covered here: the sync contract
+(objects current after every ``run``, whole-site flushes and gathers
+only where a reader may walk every object), the
 :mod:`repro.binpack.prescreen` kernels against their scalar reference
 loops, the array rebalance pre-screens against the coordinator's object
 walks, and the :class:`~repro.core.fleet.FederationFleet` view-aliasing
@@ -20,14 +22,13 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.binpack.prescreen import (
-    deficient_order,
-    destination_order,
-    shed_takes,
-    shed_vm_order,
-)
-from repro.core.controller import run_willow
+from repro.binpack.prescreen import deficient_order, destination_order
+from repro.core.controller import _EPS, run_willow
+from repro.core.events import MigrationCause
+from repro.core.fleet import FleetState
 from repro.core.vectorized import VectorizedWillowController, _Segment
 from repro.federation import (
     FederationCoordinator,
@@ -385,6 +386,232 @@ class TestArrayPrescreens:
         assert sum(1 for n in compared if n) > 10
 
 
+# ---------------------------------------------------------- sync contract
+SYNC_TICKS = 48
+
+
+def sync_federation(seed=1, utilization=0.4):
+    """Three fused sites on anti-correlated solar: consolidation sleeps
+    and wakes, cross-site WAN moves and slow-served rows."""
+    return build_federation(
+        [
+            SiteSpec(
+                name=f"site{i}",
+                seed=seed + i,
+                target_utilization=utilization,
+                supply=renewable_supply(
+                    5200.0, base_fraction=0.3, cloud_noise=0.0, phase=i / 3
+                ),
+            )
+            for i in range(3)
+        ],
+        n_ticks=SYNC_TICKS,
+        policy="proportional",
+        vectorized=True,
+    )
+
+
+def assert_objects_current(coordinator):
+    """Every fused site's objects hold exactly its lanes."""
+    for segment in coordinator.segments:
+        for i, ctrl in enumerate(segment.controllers):
+            sl = segment.local_slices[i]
+            servers = ctrl.fleet.servers
+            name = coordinator.sites[segment.global_idx[i]].name
+            smoothed = segment.values[sl].tolist()
+            for attr, got, lanes in (
+                ("raw", [s.raw_demand for s in servers], segment.raw),
+                ("served", [s.served_power for s in servers], segment.served),
+                (
+                    "temperature",
+                    [s.thermal.temperature for s in servers],
+                    segment.temperature,
+                ),
+                ("peak", [s.thermal.peak for s in servers], segment._peak),
+                (
+                    "violations",
+                    [s.thermal.violations for s in servers],
+                    segment._viol,
+                ),
+            ):
+                assert got == lanes[sl].tolist(), (name, attr)
+            assert [s.smoothed_demand for s in servers] == smoothed, name
+            assert [s.smoother._value for s in servers] == smoothed, name
+            demands = segment._demands[i].tolist()
+            away = ctrl._vm_away.tolist()
+            for k, vm in enumerate(segment._plan_vms[i]):
+                if not away[k]:
+                    assert vm.current_demand == demands[k], vm.vm_id
+            # A full re-read of the objects reproduces the lanes the
+            # tick kept row by row.
+            scratch = FleetState(servers, ctrl.config)
+            scratch.gather_sleep()
+            scratch.gather_costs()
+            for lane in ("awake", "asleep", "waking", "mig_cost"):
+                assert np.array_equal(
+                    getattr(scratch, lane), getattr(ctrl.fleet, lane)
+                ), (name, lane)
+
+
+class TestSyncContract:
+    """Fused sites sync their objects row by row inside a tick, and in
+    full only where a reader may walk every object."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000), utilization=st.floats(0.35, 0.55)
+    )
+    def test_objects_current_after_every_run(self, seed, utilization):
+        coordinator = sync_federation(seed, utilization)
+        for _ in range(SYNC_TICKS):
+            coordinator.run(1)
+            assert_objects_current(coordinator)
+
+    def test_whole_site_syncs_only_where_every_object_is_read(
+        self, monkeypatch
+    ):
+        """No hooks, no tracer: whole-site flushes run at the end of
+        each ``run()``, on consolidation ticks and (VMs only) in the
+        rebalance's screen; sleep and cost lanes are re-read only on
+        the rows some actor changed."""
+        coordinator = sync_federation()
+        context = []
+        whole = []
+        rows_read = {"servers": 0, "vms": 0, "sleep": 0, "costs": 0}
+
+        def within(owner, name, label):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                context.append(label)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    context.pop()
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        within(_Segment, "tick", "tick")
+        within(FederationCoordinator, "flush", "run end")
+        within(FederationCoordinator, "_rebalance", "rebalance")
+        within(FleetState, "gather", "gather")
+
+        def record_whole(name, dirty):
+            original = getattr(_Segment, name)
+
+            def wrapper(self, i):
+                if getattr(self, dirty)[i]:
+                    whole.append(
+                        (name, context[-1], self.controllers[i]._tick_index)
+                    )
+                return original(self, i)
+
+            monkeypatch.setattr(_Segment, name, wrapper)
+
+        record_whole("_flush_servers", "_dirty_servers")
+        record_whole("_flush_vms", "_dirty_vms")
+
+        flush_server_rows = _Segment._flush_server_rows
+
+        def server_rows(self, i, rows):
+            sl = self.local_slices[i]
+            deficient = self.awake[sl] & (
+                self.raw[sl] > self.budget[sl] + _EPS
+            )
+            assert deficient[rows].all()
+            rows_read["servers"] += len(rows)
+            return flush_server_rows(self, i, rows)
+
+        monkeypatch.setattr(_Segment, "_flush_server_rows", server_rows)
+        flush_vm_rows = _Segment._flush_vm_rows
+
+        def vm_rows(self, i, rows):
+            rows_read["vms"] += len(rows)
+            return flush_vm_rows(self, i, rows)
+
+        monkeypatch.setattr(_Segment, "_flush_vm_rows", vm_rows)
+
+        def refuse_whole(name):
+            original = getattr(FleetState, name)
+
+            def wrapper(self):
+                assert context and context[-1] == "gather", name
+                return original(self)
+
+            monkeypatch.setattr(FleetState, name, wrapper)
+
+        refuse_whole("gather_sleep")
+        refuse_whole("gather_costs")
+        sleep_rows = FleetState.gather_sleep_rows
+        cost_rows = FleetState.gather_cost_rows
+
+        def read_sleep(self, rows):
+            if context[-1] != "gather":
+                # Only a waking server changes state between
+                # consolidations.
+                assert all(self.waking[r] for r in rows)
+                rows_read["sleep"] += len(rows)
+            return sleep_rows(self, rows)
+
+        def read_costs(self, rows):
+            if context[-1] != "gather":
+                # Only rows holding costs, or clearing their last one.
+                assert all(
+                    self.servers[r]._pending_costs or self.mig_cost[r]
+                    for r in rows
+                )
+                rows_read["costs"] += len(rows)
+            return cost_rows(self, rows)
+
+        monkeypatch.setattr(FleetState, "gather_sleep_rows", read_sleep)
+        monkeypatch.setattr(FleetState, "gather_cost_rows", read_costs)
+
+        for _ in range(SYNC_TICKS):
+            coordinator.run(1)
+
+        eta2 = coordinator.sites[0].config.eta2
+        for name, where, tick in whole:
+            if where == "tick":
+                assert tick > 0 and tick % eta2 == 0, (name, tick)
+            elif where == "rebalance":
+                assert name == "_flush_vms"
+            else:
+                assert where == "run end", (name, where)
+        # Every run ends with one flush of each site's servers (its VMs
+        # are clean already after a consolidation tick).
+        assert sum(
+            n == "_flush_servers" and w == "run end" for n, w, _t in whole
+        ) == len(coordinator.sites) * SYNC_TICKS
+        # The federation exercises every per-row path: deficits, slow
+        # rows, wakes and charged costs, plus cross-site moves.
+        assert all(rows_read.values()), rows_read
+        assert coordinator.cross_migrations
+
+    def test_migration_hook_reads_current_servers(self):
+        """An ``on_migration`` hook may read any server object, so its
+        site is flushed in full before the planner."""
+        coordinator = sync_federation()
+        causes = []
+
+        def hook(controller, record):
+            fleet = controller.fleet
+            servers = fleet.servers
+            assert [s.raw_demand for s in servers] == fleet.raw.tolist()
+            assert [
+                s.smoothed_demand for s in servers
+            ] == fleet.smoother.values.tolist()
+            assert [s.served_power for s in servers] == fleet.served.tolist()
+            assert [
+                s.thermal.temperature for s in servers
+            ] == fleet.temperature.tolist()
+            causes.append(record.cause)
+
+        for site in coordinator.sites:
+            site.controller.on_migration.append(hook)
+        coordinator.run(SYNC_TICKS)
+        assert MigrationCause.DEMAND in causes
+
+
 class TestFederationFleetAliasing:
     """The fused tick writes block arrays; per-site code must see the
     same memory through the site views (and vice versa)."""
@@ -422,57 +649,8 @@ class TestFederationFleetAliasing:
 
 
 # ------------------------------------------------------- prescreen kernels
-def _ref_shed_takes(demands, raw, goal, directive, eps):
-    remaining = raw
-    left = directive
-    out = []
-    for k, d in enumerate(demands):
-        if remaining <= goal + eps or left <= eps:
-            break
-        if d <= 0.0:
-            continue
-        if d > left + eps:
-            continue
-        out.append(k)
-        remaining -= d
-        left -= d
-    return out, left
-
-
 class TestPrescreenKernels:
     EPS = 1e-9
-
-    def test_shed_vm_order_matches_sorted_with_ties(self):
-        demands = np.array([5.0, 2.0, 5.0, 0.0, 7.0, 2.0])
-        vm_ids = np.array([11, 3, 2, 9, 40, 1])
-        order = shed_vm_order(demands, vm_ids)
-        ref = sorted(
-            range(len(demands)),
-            key=lambda i: (-demands[i], vm_ids[i]),
-        )
-        assert order.tolist() == ref
-
-    def test_shed_takes_matches_reference(self):
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            n = int(rng.integers(0, 9))
-            demands = np.round(rng.uniform(-1.0, 6.0, n), 3)
-            demands[::-1].sort()
-            raw = float(rng.uniform(0.0, 20.0))
-            goal = float(rng.uniform(0.0, raw))
-            directive = float(rng.uniform(0.0, 12.0))
-            got = shed_takes(demands, raw, goal, directive, self.EPS)
-            want = _ref_shed_takes(demands, raw, goal, directive, self.EPS)
-            assert got[0] == want[0], (demands, raw, goal, directive)
-            assert got[1] == want[1]
-
-    def test_shed_takes_oversize_skip_falls_back(self):
-        # First VM overshoots the directive; the scalar loop skips it
-        # and takes the next one -- the prefix rule alone would not.
-        demands = np.array([10.0, 3.0, 2.0])
-        takes, left = shed_takes(demands, 20.0, 1.0, 6.0, self.EPS)
-        assert takes == [1, 2]
-        assert left == 6.0 - 3.0 - 2.0
 
     def test_deficient_order_matches_sorted(self):
         rng = np.random.default_rng(5)

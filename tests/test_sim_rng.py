@@ -53,6 +53,31 @@ def test_seed_must_be_int():
         RandomStreams("not-an-int")
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**70 + 3])
+def test_stream_derivation_is_pinned(seed):
+    """Each stream is seeded by ``SeedSequence([seed, *padded name
+    bytes])`` -- the list form, whatever the implementation hands
+    NumPy -- so every recorded run keeps its demand sequence."""
+    # UTF-8 lengths 4..8 cover every padding length (4, 3, 2, 1 NULs);
+    # the last name pads by its character count, not its byte count.
+    for name in ("abcd", "vm-12", "demand", "vm-1234", "grüße"):
+        padded = name.encode("utf-8") + b"\x00" * (4 - len(name) % 4 or 4)
+        reference = np.random.default_rng(
+            np.random.SeedSequence([seed, *padded])
+        )
+        stream = RandomStreams(seed)[name]
+        assert (
+            stream.bit_generator.state == reference.bit_generator.state
+        ), name
+        assert np.array_equal(stream.random(4), reference.random(4)), name
+
+
+def test_negative_seed_rejected_on_first_stream():
+    streams = RandomStreams(-3)
+    with pytest.raises(ValueError):
+        streams["x"]
+
+
 def test_fork_changes_streams_deterministically():
     base = RandomStreams(9)
     fork_a = base.fork(1)["w"].random(5)
