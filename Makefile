@@ -105,7 +105,9 @@ service-smoke:
 ## Crash-recovery drill: kill -9 a live checkpointed run mid-flight,
 ## corrupt the newest checkpoint, recover from the previous valid one
 ## plus the audit tail, and verify the combined audit log replays
-## bit-exactly against the recovered run's decision digest.
+## bit-exactly against the recovered run's decision digest.  Then
+## checkpoint a batch run and resume it from the file, for the scalar
+## and the array tick, and compare their decision digests.
 resume-smoke:
 	@set -e; dir=$$(mktemp -d); audit=$$dir/audit.jsonl; \
 	$(PYTHON) -m repro.cli serve $$audit \
@@ -128,11 +130,13 @@ resume-smoke:
 	grep -qF "skipped corrupt checkpoint $$newest: " $$dir/recover.out \
 		|| { echo "recovery did not name $$newest"; exit 1; }; \
 	timeout 120 $(PYTHON) -m repro.cli replay $$audit; \
-	timeout 120 $(PYTHON) -m repro.cli checkpoint $$dir/batch.ckpt \
-		--ticks 30 --seed 7 | grep "decision digest" > $$dir/a; \
-	timeout 120 $(PYTHON) -m repro.cli resume $$dir/batch.ckpt \
-		| grep "decision digest" > $$dir/b; \
-	cmp $$dir/a $$dir/b; \
+	for flag in "" --vectorized; do \
+		timeout 120 $(PYTHON) -m repro.cli checkpoint $$dir/batch$$flag.ckpt \
+			--ticks 30 --seed 7 $$flag | grep "decision digest" > $$dir/a; \
+		timeout 120 $(PYTHON) -m repro.cli resume $$dir/batch$$flag.ckpt \
+			| grep "decision digest" > $$dir/b; \
+		cmp $$dir/a $$dir/b; \
+	done; \
 	rm -rf $$dir; echo "crash recovery parity OK"
 
 ## Record a faulty-plant run with tracing on, then replay it through

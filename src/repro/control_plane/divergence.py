@@ -22,18 +22,20 @@ _COMPARED_ATTRS = ("budget", "power", "temperature")
 
 def _aligned(ideal: MetricsCollector, actual: MetricsCollector, attr: str):
     """Per-sample series of ``attr`` from both runs, order-checked."""
-    if len(ideal.server_samples) != len(actual.server_samples):
+    ideal_samples, actual_samples = ideal.server_samples, actual.server_samples
+    if len(ideal_samples) != len(actual_samples):
         raise ValueError(
             "runs are not comparable: "
-            f"{len(ideal.server_samples)} vs {len(actual.server_samples)} "
-            "server samples (different tick counts or topologies?)"
+            f"{len(ideal_samples)} vs {len(actual_samples)} server samples "
+            "(different tick counts or topologies?)"
         )
-    key = [(s.time, s.server_id) for s in ideal.server_samples]
-    if key != [(s.time, s.server_id) for s in actual.server_samples]:
-        raise ValueError("runs are not comparable: sample keys differ")
-    a = np.array([getattr(s, attr) for s in ideal.server_samples])
-    b = np.array([getattr(s, attr) for s in actual.server_samples])
-    return a, b
+    for key in ("time", "server_id"):
+        if ideal_samples.column(key) != actual_samples.column(key):
+            raise ValueError("runs are not comparable: sample keys differ")
+    return (
+        np.array(ideal_samples.column(attr)),
+        np.array(actual_samples.column(attr)),
+    )
 
 
 def divergence_series(

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.core.controller import WillowController, _EPS
 from repro.core.deficits import power_imbalance
-from repro.core.events import ControlMessage, Drop, MigrationCause
+from repro.core.events import Drop, MigrationCause
 from repro.core.fleet import (
     FederationFleet,
     FleetState,
@@ -50,8 +50,6 @@ from repro.core.fleet import (
     fold_segment_sums,
 )
 from repro.core.migration import PlannedMove
-from repro.metrics.collector import ServerSample, SwitchSample
-from repro.metrics.columnar import LazyList
 from repro.power.budget import LevelIndex, allocate_level
 from repro.thermal.model import temperature_step_arrays
 from repro.topology.tree import Node
@@ -78,45 +76,6 @@ class _LevelSpec:
     child_runtimes: list  # ServerRuntime | NodeRuntime, flat
     offsets: np.ndarray
     site_switches: list  # per node: switches colocated at that site
-
-
-# ------------------------------------------------------------ lazy blocks
-def _server_block(now, ids, wall, temps, util, raw, budget, awake):
-    """Materialiser for one site's per-tick server samples."""
-
-    def build():
-        w = wall.tolist()
-        t = temps.tolist()
-        u = util.tolist()
-        r = raw.tolist()
-        b = budget.tolist()
-        a = awake.tolist()
-        return [
-            ServerSample(now, ids[j], w[j], t[j], u[j], r[j], b[j], not a[j])
-            for j in range(len(ids))
-        ]
-
-    return build
-
-
-def _switch_block(now, ids, levels, base, mig, power):
-    """Materialiser for one site's per-tick switch samples."""
-
-    def build():
-        b = base.tolist()
-        m = mig.tolist()
-        p = power.tolist()
-        return [
-            SwitchSample(now, ids[j], levels[j], b[j], m[j], p[j])
-            for j in range(len(ids))
-        ]
-
-    return build
-
-
-def _message_block(now, ids, upward):
-    """Materialiser for one site's per-tick control messages."""
-    return lambda: [ControlMessage(now, c, upward) for c in ids]
 
 
 class _SegLevel:
@@ -405,19 +364,6 @@ class _Segment:
             )
             for ctrl in self.controllers
         ]
-        # Sample/message lists become lazily-materialised column stores.
-        for ctrl in self.controllers:
-            collector = ctrl.collector
-            if not isinstance(collector.server_samples, LazyList):
-                collector.server_samples = LazyList(
-                    collector.server_samples
-                )
-            if not isinstance(collector.switch_samples, LazyList):
-                collector.switch_samples = LazyList(
-                    collector.switch_samples
-                )
-            if not isinstance(collector.messages, LazyList):
-                collector.messages = LazyList(collector.messages)
 
     def _late_pairs(self) -> list:
         """Foreign VM objects whose *home* site sits later in this
@@ -795,24 +741,23 @@ class _Segment:
         )
         np.maximum(self._peak, temps, out=self._peak)
         self._viol += violations
-        # One queued column block per site; ServerSample objects only
-        # materialise if somebody reads the list.  budget/awake mutate
-        # across ticks, so those two columns are snapshotted.
-        budget_copy = self.budget.copy()
-        awake_copy = self.awake.copy()
+        # One column chunk of samples per site.  The budget and awake
+        # lanes change in later ticks, so the chunk gets a copy of the
+        # budgets and the negated awake mask: a waking server samples
+        # as asleep.
+        budget = self.budget.copy()
+        asleep = ~self.awake
         for i, ctrl in enumerate(ctrls):
             sl = self.local_slices[i]
-            ctrl.collector.server_samples.push_block(
-                _server_block(
-                    now,
-                    ctrl._server_ids,
-                    wall[sl],
-                    temps[sl],
-                    utilization[sl],
-                    raw[sl],
-                    budget_copy[sl],
-                    awake_copy[sl],
-                )
+            ctrl.collector.server_samples.append_columns(
+                now,
+                ctrl._server_ids,
+                wall[sl],
+                temps[sl],
+                utilization[sl],
+                raw[sl],
+                budget[sl],
+                asleep[sl],
             )
             self._dirty_servers[i] = True
 
@@ -869,16 +814,14 @@ class _Segment:
                 len(level.node_gidx),
             )
         for i, ctrl in enumerate(self.controllers):
-            ctrl.collector.messages.push_block(
-                _message_block(now, self._up_ids[i], True)
-            )
+            ctrl.collector.messages.append_columns(now, self._up_ids[i], True)
 
     # ------------------------------------------------------------ switches
     def _record_switches(self, now: float) -> None:
         """Base traffic = served power in the subtree (one fold per
         level), plus cross-host IPC and this tick's migrations; one
-        linear power expression over the shared switch array, lazily
-        queued samples."""
+        linear power expression over the shared switch array, and one
+        column chunk of samples per site."""
         below = self._served_buf
         below[self.server_gidx] = self.served
         for level in self.levels:
@@ -899,15 +842,8 @@ class _Segment:
         for i, ctrl in enumerate(self.controllers):
             sl = self._sw_slices[i]
             ids, levels = self._sw_meta[i]
-            ctrl.collector.switch_samples.push_block(
-                _switch_block(
-                    now,
-                    ids,
-                    levels,
-                    base[sl],
-                    migration[sl],
-                    power[sl],
-                )
+            ctrl.collector.switch_samples.append_columns(
+                now, ids, levels, base[sl], migration[sl], power[sl]
             )
 
     # --------------------------------------------------------- supply side
@@ -979,8 +915,8 @@ class _Segment:
                 reserves,
             )
         for i, ctrl in enumerate(self.controllers):
-            ctrl.collector.messages.push_block(
-                _message_block(now, self._down_ids[i], False)
+            ctrl.collector.messages.append_columns(
+                now, self._down_ids[i], False
             )
 
     def _trace_allocations(

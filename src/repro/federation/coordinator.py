@@ -682,10 +682,10 @@ class FederationCoordinator:
                 bins.append(Bin(key=node_id, capacity=capacity))
         return bins
 
-    def _screens(self, site: Site) -> Tuple[Callable, Callable, Callable]:
-        """The rebalance candidate searches for ``site``: ``(shed,
-        preshed, bins)``, called as ``shed(site, watts)``,
-        ``preshed(site, watts)`` and ``bins(site, wan_power)``.
+    def _screens(self, site: Site) -> Tuple[Callable, Callable]:
+        """The shed screens for a transfer's source ``site``:
+        ``(shed, preshed)``, called as ``shed(site, watts)`` and
+        ``preshed(site, watts)``.
 
         Vectorized controllers get the array versions in
         :mod:`repro.federation.vectorized`, which read the fleet lanes
@@ -698,23 +698,28 @@ class FederationCoordinator:
             entry = self._segment_of.get(site.name)
             if entry is not None:
                 entry[0]._flush_vms(entry[1])
-            return shed_candidates, preshed_candidates, destination_bins
-        return (
-            self._shed_candidates,
-            self._preshed_candidates,
-            self._destination_bins,
-        )
+            return shed_candidates, preshed_candidates
+        return self._shed_candidates, self._preshed_candidates
+
+    def _bins_screen(self, site: Site) -> Callable:
+        """The receiver screen for a transfer's destination ``site``,
+        called as ``bins(site, wan_power)``.  The array version reads
+        only lanes and the runtimes the allocation writes eagerly, so
+        no VM object is written for it."""
+        if isinstance(site.controller, VectorizedWillowController):
+            return destination_bins
+        return self._destination_bins
 
     def _execute_transfer(self, transfer: Transfer, now: float) -> None:
         src_site = self._by_name[transfer.src]
         dst_site = self._by_name[transfer.dst]
-        shed, preshed, _ = self._screens(src_site)
+        shed, preshed = self._screens(src_site)
         items = (preshed if transfer.preemptive else shed)(
             src_site, transfer.watts
         )
         if not items:
             return
-        bins = self._screens(dst_site)[2](
+        bins = self._bins_screen(dst_site)(
             dst_site, self._wan_cost(dst_site)[0]
         )
         if not bins:

@@ -2,19 +2,21 @@
 
 The collector is deliberately dumb: controllers append samples and
 events; analysis happens in :mod:`repro.metrics.summary` and the
-experiment modules.  All series convert to NumPy arrays on demand.
+experiment modules.  Every table is a
+:class:`~repro.metrics.columnar.RecordTable`, stored as columns on every
+controller: scalar code appends rows, the array tick appends column
+chunks, and readers that scan a whole table read its columns.
 
-Checkpoints store the record tables as columns
+Checkpoints store the tables' columns
 (:meth:`MetricsCollector.snapshot_tables` /
 :meth:`MetricsCollector.restore_tables`); see docs/checkpointing.md.
 """
 
 from __future__ import annotations
 
-import typing
+from collections import Counter
 from dataclasses import dataclass, field, fields
-from operator import attrgetter, itemgetter
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -25,14 +27,10 @@ from repro.core.events import (
     MigrationCause,
     PlantEvent,
 )
+from repro.metrics.columnar import RecordTable
 from repro.trace.tracer import NULL_TRACER, Tracer
 
-__all__ = ["ServerSample", "SwitchSample", "MetricsCollector", "TUPLE_COLUMNS"]
-
-#: Column names of the record tables whose rows are plain tuples rather
-#: than dataclasses.  Imbalance rows stay tuples because the decision
-#: digest hashes their repr.
-TUPLE_COLUMNS = {"imbalance": ("time", "imbalance_watts")}
+__all__ = ["ServerSample", "SwitchSample", "MetricsCollector"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,27 +59,41 @@ class SwitchSample:
     power: float  # watts
 
 
+def _table(record: type, *names: str):
+    """A collector field holding a fresh table of ``record`` rows."""
+    return field(default_factory=lambda: RecordTable(record, names or None))
+
+
 @dataclass
 class MetricsCollector:
     """Accumulates everything a Willow evaluation reports."""
 
-    server_samples: List[ServerSample] = field(default_factory=list)
-    switch_samples: List[SwitchSample] = field(default_factory=list)
-    migrations: List[Migration] = field(default_factory=list)
-    drops: List[Drop] = field(default_factory=list)
+    server_samples: RecordTable = _table(ServerSample)
+    switch_samples: RecordTable = _table(SwitchSample)
+    migrations: RecordTable = _table(Migration)
+    drops: RecordTable = _table(Drop)
     #: Deficit demand the matcher could not place (the VM stays on its
     #: host and runs degraded; actual unserved watts appear in `drops`).
-    unmatched_deficits: List[Drop] = field(default_factory=list)
-    messages: List[ControlMessage] = field(default_factory=list)
-    imbalance: List[tuple] = field(default_factory=list)  # (time, watts)
+    unmatched_deficits: RecordTable = _table(Drop)
+    messages: RecordTable = _table(ControlMessage)
+    #: The Eq. 9 residual per tick.  Rows stay ``(time, watts)`` tuples,
+    #: whose repr the decision digest hashes.
+    imbalance: RecordTable = _table(tuple, "time", "imbalance_watts")
     #: Physical-plant fault transitions (crashes, sensor quarantines,
     #: circuit trips, cooling events and their recoveries).
-    plant_events: List[PlantEvent] = field(default_factory=list)
+    plant_events: RecordTable = _table(PlantEvent)
     #: Forwarding sink for the observability layer: drops, unmatched
     #: deficits, plant events and the imbalance residual also land in
-    #: the owning controller's open trace frame.  Not a record series
-    #: (excluded from export/round-trip by not being a list field).
+    #: the owning controller's open trace frame.  Not a record table.
     tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
+
+    def tables(self) -> Dict[str, RecordTable]:
+        """Every record table by field name, in declaration order."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if isinstance(getattr(self, f.name), RecordTable)
+        }
 
     # -- recording ---------------------------------------------------------
     def record_server(self, sample: ServerSample) -> None:
@@ -119,10 +131,7 @@ class MetricsCollector:
     # -- plant faults --------------------------------------------------------
     def plant_event_counts(self) -> Dict[str, int]:
         """Number of plant-fault transitions per event kind."""
-        counts: Dict[str, int] = {}
-        for event in self.plant_events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
+        return dict(Counter(self.plant_events.column("kind")))
 
     def plant_events_for(self, node_id: int) -> List[PlantEvent]:
         """Time-ordered plant events touching one node."""
@@ -131,17 +140,11 @@ class MetricsCollector:
     # -- server series -------------------------------------------------------
     def server_ids(self) -> List[int]:
         """Distinct server ids, sorted."""
-        return sorted({s.server_id for s in self.server_samples})
+        return sorted(set(self.server_samples.column("server_id")))
 
     def server_series(self, server_id: int, attribute: str) -> np.ndarray:
         """Time-ordered values of ``attribute`` for one server."""
-        return np.array(
-            [
-                getattr(s, attribute)
-                for s in self.server_samples
-                if s.server_id == server_id
-            ]
-        )
+        return _series(self.server_samples, "server_id", server_id, attribute)
 
     def mean_server(self, server_id: int, attribute: str) -> float:
         """Run-average of ``attribute`` for one server."""
@@ -152,11 +155,11 @@ class MetricsCollector:
 
     def times(self) -> np.ndarray:
         """Distinct sample times, sorted."""
-        return np.unique([s.time for s in self.server_samples])
+        return np.unique(self.server_samples.column("time"))
 
     def total_energy(self) -> float:
         """Sum of server power over all samples (W * ticks)."""
-        return float(sum(s.power for s in self.server_samples))
+        return float(sum(self.server_samples.column("power")))
 
     # -- migrations ----------------------------------------------------------
     def migrations_by_cause(self, cause: MigrationCause) -> List[Migration]:
@@ -165,16 +168,16 @@ class MetricsCollector:
     def migration_count(self, cause: Optional[MigrationCause] = None) -> int:
         if cause is None:
             return len(self.migrations)
-        return len(self.migrations_by_cause(cause))
+        return self.migrations.column("cause").count(cause)
 
     def migration_times(self) -> np.ndarray:
-        return np.array([m.time for m in self.migrations])
+        return np.array(self.migrations.column("time"))
 
     def migrations_per_tick(self, horizon: float) -> np.ndarray:
         """Histogram of migration counts per unit-time bucket."""
         counts = np.zeros(int(np.ceil(horizon)), dtype=int)
-        for m in self.migrations:
-            index = int(m.time)
+        for time in self.migrations.column("time"):
+            index = int(time)
             if 0 <= index < len(counts):
                 counts[index] += 1
         return counts
@@ -183,33 +186,31 @@ class MetricsCollector:
         """Fraction of migrations that stayed within the parent group."""
         if not self.migrations:
             return float("nan")
-        return sum(1 for m in self.migrations if m.local) / len(self.migrations)
+        local = self.migrations.column("local")
+        return sum(1 for is_local in local if is_local) / len(local)
 
     # -- drops -----------------------------------------------------------------
     def total_dropped_power(self) -> float:
-        return float(sum(d.power for d in self.drops))
+        return float(sum(self.drops.column("power")))
 
     def total_unmatched_power(self) -> float:
         """Deficit watts left degrading in place (never placed elsewhere)."""
-        return float(sum(d.power for d in self.unmatched_deficits))
+        return float(sum(self.unmatched_deficits.column("power")))
 
     # -- switches ----------------------------------------------------------------
     def switch_ids(self, level: Optional[int] = None) -> List[int]:
-        ids = {
-            s.switch_id
-            for s in self.switch_samples
-            if level is None or s.level == level
-        }
-        return sorted(ids)
+        samples = self.switch_samples
+        ids = samples.column("switch_id")
+        if level is not None:
+            ids = [
+                switch_id
+                for switch_id, at in zip(ids, samples.column("level"))
+                if at == level
+            ]
+        return sorted(set(ids))
 
     def switch_series(self, switch_id: int, attribute: str) -> np.ndarray:
-        return np.array(
-            [
-                getattr(s, attribute)
-                for s in self.switch_samples
-                if s.switch_id == switch_id
-            ]
-        )
+        return _series(self.switch_samples, "switch_id", switch_id, attribute)
 
     def mean_switch(self, switch_id: int, attribute: str) -> float:
         series = self.switch_series(switch_id, attribute)
@@ -220,10 +221,8 @@ class MetricsCollector:
     # -- messages -----------------------------------------------------------------
     def messages_per_link_per_tick(self) -> Dict[tuple, int]:
         """Max message count observed on any (link, tick) pair, per link."""
-        counts: Dict[tuple, int] = {}
-        for msg in self.messages:
-            key = (msg.link, msg.time)
-            counts[key] = counts.get(key, 0) + 1
+        messages = self.messages
+        counts = Counter(zip(messages.column("link"), messages.column("time")))
         worst: Dict[tuple, int] = {}
         for (link, _time), count in counts.items():
             worst[link] = max(worst.get(link, 0), count)
@@ -238,67 +237,54 @@ class MetricsCollector:
         lists of floats, ints and enums costs a small fraction of
         pickling one object per row.  The lists are not converted to
         arrays, so every value keeps its Python type and
-        :meth:`restore_tables` rebuilds rows equal to the originals.
+        :meth:`restore_tables` restores columns equal to the originals.
         """
-        tables: Dict[str, Dict[str, Any]] = {}
-        for name, (record, names) in _record_schema(type(self)).items():
-            rows = getattr(self, name)
-            getters = (
-                map(itemgetter, range(len(names)))
-                if record is tuple
-                else map(attrgetter, names)
-            )
-            tables[name] = {
-                "record": record,
-                "fields": names,
-                "columns": [list(map(get, rows)) for get in getters],
+        return {
+            name: {
+                "record": table.record,
+                "fields": table.fields,
+                "columns": [table.column(f) for f in table.fields],
             }
-        return tables
+            for name, table in self.tables().items()
+        }
 
     def restore_tables(self, tables: Mapping[str, Mapping[str, Any]]) -> None:
-        """Rebuild :meth:`snapshot_tables` output into this collector.
+        """Write :meth:`snapshot_tables` output into this collector.
 
-        Rows go through their constructors into the existing list
-        objects, so a vectorized controller's ``LazyList`` tables keep
-        their identity.  Raises
+        The columns go into the existing table objects, which keep
+        their identity, and no row is built.  Raises
         :class:`~repro.checkpoint.errors.CheckpointError` when the stored
         tables, row types or field names differ from this build's.
         """
         from repro.checkpoint.errors import CheckpointError
 
-        schema = _record_schema(type(self))
-        if set(tables) != set(schema):
+        own = self.tables()
+        if set(tables) != set(own):
             raise CheckpointError(
                 f"snapshot has collector tables {sorted(tables)}, "
-                f"this build has {sorted(schema)}"
+                f"this build has {sorted(own)}"
             )
-        for name, (record, names) in schema.items():
-            table = tables[name]
-            stored = tuple(table["fields"])
-            if table["record"] is not record or stored != names:
+        for name, table in own.items():
+            stored = tables[name]
+            names = tuple(stored["fields"])
+            if stored["record"] is not table.record or names != table.fields:
                 raise CheckpointError(
                     f"snapshot table {name} holds "
-                    f"{table['record'].__name__}{stored}, this build's "
-                    f"rows are {record.__name__}{names}"
+                    f"{stored['record'].__name__}{names}, this build's "
+                    f"rows are {table.record.__name__}{table.fields}"
                 )
-            columns = table["columns"]
-            getattr(self, name)[:] = (
-                zip(*columns) if record is tuple else map(record, *columns)
-            )
+            table.clear()
+            table.append_columns(*stored["columns"])
 
 
-def _record_schema(cls: type) -> Dict[str, Tuple[type, Tuple[str, ...]]]:
-    """Row type and field names of every record table (list field)."""
-    hints = typing.get_type_hints(cls)
-    schema = {}
-    for table in fields(cls):
-        if typing.get_origin(hints[table.name]) is not list:
-            continue
-        (record,) = typing.get_args(hints[table.name])
-        schema[table.name] = (
-            record,
-            TUPLE_COLUMNS[table.name]
-            if record is tuple
-            else tuple(column.name for column in fields(record)),
-        )
-    return schema
+def _series(
+    table: RecordTable, key: str, wanted: int, attribute: str
+) -> np.ndarray:
+    """``attribute`` of the rows whose ``key`` is ``wanted``, in order."""
+    return np.array(
+        [
+            value
+            for id_, value in zip(table.column(key), table.column(attribute))
+            if id_ == wanted
+        ]
+    )

@@ -1,200 +1,190 @@
-"""Columnar, lazily-materialised metrics storage for batched ticks.
+"""Columnar record tables: the storage behind every metrics table.
 
-The fused federation tick produces per-tick *arrays* (wall power,
-temperatures, utilization, ...), but :class:`~repro.metrics.collector.
-MetricsCollector` stores per-sample dataclasses.  Building ~N dataclass
-objects per tick is the single largest Python cost of the batched hot
-path, and almost all of it is wasted: most runs only read the sample
-lists once, at the end, if at all.
-
-:class:`LazyList` keeps the collector contract -- it *is* a ``list``
-and any read or mutation sees exactly the elements an eager append
-loop would have produced, in the same order -- while letting the hot
-path enqueue a *block* per tick: a zero-argument materialiser closing
-over the tick's column arrays.  Blocks are expanded in FIFO order the
-first time the list is observed, so the cost moves off the per-tick
-path entirely and is only ever paid for lists someone actually reads.
+Every table of :class:`~repro.metrics.collector.MetricsCollector` is a
+:class:`RecordTable`.  A table knows its row type and field names and
+stores one column per field.  Scalar code appends rows, which split
+into the columns; the array tick appends each site's per-tick arrays as
+one column chunk, and a chunk stays an array until someone reads it.
+Rows are built only when a reader iterates or indexes the table.
+Readers that scan a whole table (summaries, the decision digest, the
+checkpoint codec, export) read :meth:`RecordTable.column` and build no
+rows at all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List
+import dataclasses
+from bisect import bisect_right
+from functools import partial
+from itertools import islice, repeat
+from operator import attrgetter, index
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["LazyList"]
+import numpy as np
+
+__all__ = ["RecordTable"]
+
+#: Chunk columns that hold one value per row.  Any other column value
+#: is one value broadcast over its chunk.
+_SEQUENCES = (np.ndarray, list, tuple)
 
 
-class LazyList(list):
-    """A ``list`` whose tail may still be queued as column blocks.
+def _values(column, lo: int, hi: int):
+    """Values ``lo:hi`` of one chunk column, as Python objects."""
+    if isinstance(column, np.ndarray):
+        return column[lo:hi].tolist()
+    if isinstance(column, (list, tuple)):
+        return column[lo:hi]
+    return repeat(column, hi - lo)
 
-    ``push_block(fn)`` enqueues ``fn`` -- a callable returning an
-    iterable of elements -- without running it.  Every observation of
-    the list (iteration, ``len``, indexing, comparison, ``append``,
-    ``sort``, ...) first drains the queue in order, so consumers can
-    never tell the difference from an eagerly-built list.
+
+class RecordTable:
+    """An append-only table of ``record`` rows, stored as columns.
+
+    ``record`` is a dataclass, whose fields name the columns, or
+    ``tuple`` with explicit ``fields``.  ``len``, iteration, int and
+    slice indexing and ``==`` behave as on the list of rows, which is
+    built from the columns on every read.
     """
 
-    def __init__(self, iterable: Iterable = ()):  # noqa: D107
-        super().__init__(iterable)
-        self._pending: List[Callable[[], Iterable]] = []
+    __slots__ = ("record", "fields", "_get", "_chunks", "_ends", "_tail")
 
-    # ------------------------------------------------------------- queue
-    def push_block(self, materializer: Callable[[], Iterable]) -> None:
-        """Enqueue a block; ``materializer()`` runs on first access."""
-        self._pending.append(materializer)
+    def __init__(self, record: type, fields: Optional[Sequence[str]] = None):
+        self.record = record
+        self.fields = (
+            tuple(f.name for f in dataclasses.fields(record))
+            if fields is None
+            else tuple(fields)
+        )
+        self._get = tuple if record is tuple else attrgetter(*self.fields)
+        self.clear()
 
-    def _drain(self) -> None:
-        pending = self._pending
-        if pending:
-            # Reset first: a materialiser that (indirectly) reads the
-            # list must not re-enter the same queue.
-            self._pending = []
-            for block in pending:
-                list.extend(self, block())
+    # ------------------------------------------------------------ writes
+    def clear(self) -> None:
+        """Remove every row."""
+        # Closed chunks, ``(length, columns)``, and the row count
+        # through each.  Rows appended since the last chunk collect in
+        # one flat list, field after field, which makes an append one
+        # ``extend``; ``tail[k::len(fields)]`` is field ``k``'s column.
+        self._chunks: List[Tuple[int, tuple]] = []
+        self._ends: List[int] = []
+        self._tail: list = []
 
-    # --------------------------------------------------------- observers
-    def __len__(self):
-        self._drain()
-        return list.__len__(self)
+    def append(self, row) -> None:
+        values = self._get(row)
+        if len(values) != len(self.fields):
+            raise ValueError(
+                f"a {self.record.__name__} row has {len(self.fields)} "
+                f"fields, got {len(values)} values"
+            )
+        self._tail.extend(values)
 
-    def __iter__(self):
-        self._drain()
-        return list.__iter__(self)
+    def extend(self, rows: Iterable) -> None:
+        for row in rows:
+            self.append(row)
 
-    def __reversed__(self):
-        self._drain()
-        return list.__reversed__(self)
+    def append_columns(self, *columns) -> None:
+        """Append one chunk of rows: one column per field, in field order.
 
-    def __getitem__(self, index):
-        self._drain()
-        return list.__getitem__(self, index)
+        A column is an array or a sequence with one value per row, or a
+        single value broadcast over the chunk.  The table keeps the
+        arrays and sequences it is given, so callers must not change
+        them afterwards.
+        """
+        if len(columns) != len(self.fields):
+            raise ValueError(
+                f"{self.record.__name__} rows have {len(self.fields)} "
+                f"fields, got {len(columns)} columns"
+            )
+        lengths = {len(c) for c in columns if isinstance(c, _SEQUENCES)}
+        if len(lengths) != 1:
+            raise ValueError(
+                "a chunk needs columns of one length, got lengths "
+                f"{sorted(lengths)}"
+            )
+        (n,) = lengths
+        if not n:
+            return
+        n_tail = len(self._tail) // len(self.fields)
+        if n_tail:
+            self._push(n_tail, self._tail_columns(0, n_tail))
+            self._tail = []
+        self._push(n, columns)
 
-    def __contains__(self, item):
-        self._drain()
-        return list.__contains__(self, item)
+    def _push(self, n: int, columns: tuple) -> None:
+        self._chunks.append((n, columns))
+        self._ends.append((self._ends[-1] if self._ends else 0) + n)
 
-    def __eq__(self, other):
-        self._drain()
-        if isinstance(other, LazyList):
-            other._drain()
-        return list.__eq__(self, other)
+    # ------------------------------------------------------------- reads
+    def _tail_columns(self, lo: int, hi: int) -> tuple:
+        """Columns of the appended rows ``lo:hi`` after the last chunk."""
+        width = len(self.fields)
+        return tuple(
+            self._tail[lo * width + k : hi * width : width]
+            for k in range(width)
+        )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
+    def column(self, name: str) -> list:
+        """One field's values in row order, as Python objects."""
+        k = self.fields.index(name)
+        out: list = []
+        for n, columns in self._chunks:
+            out += _values(columns[k], 0, n)
+        out += self._tail[k :: len(self.fields)]
+        return out
 
-    def __lt__(self, other):
-        self._drain()
-        if isinstance(other, LazyList):
-            other._drain()
-        return list.__lt__(self, other)
+    def _rows(self, start: int, stop: int) -> Iterator:
+        """Rows ``start:stop``, built from the columns: the one place a
+        table builds rows."""
+        build = zip if self.record is tuple else partial(map, self.record)
+        k = bisect_right(self._ends, start)
+        begin = self._ends[k - 1] if k else 0
+        for n, columns in islice(self._chunks, k, None):
+            if begin >= stop:
+                return
+            lo, hi = max(start - begin, 0), min(stop - begin, n)
+            yield from build(*(_values(c, lo, hi) for c in columns))
+            begin += n
+        if stop > begin:
+            yield from build(
+                *self._tail_columns(max(start - begin, 0), stop - begin)
+            )
 
-    def __le__(self, other):
-        self._drain()
-        if isinstance(other, LazyList):
-            other._drain()
-        return list.__le__(self, other)
+    def __len__(self) -> int:
+        n_tail = len(self._tail) // len(self.fields)
+        return (self._ends[-1] if self._ends else 0) + n_tail
 
-    def __gt__(self, other):
-        self._drain()
-        if isinstance(other, LazyList):
-            other._drain()
-        return list.__gt__(self, other)
+    def __iter__(self) -> Iterator:
+        return self._rows(0, len(self))
 
-    def __ge__(self, other):
-        self._drain()
-        if isinstance(other, LazyList):
-            other._drain()
-        return list.__ge__(self, other)
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            rows = range(len(self))[key]
+            if not rows:
+                return []
+            lo = min(rows[0], rows[-1])
+            block = list(self._rows(lo, max(rows[0], rows[-1]) + 1))
+            return block[rows[0] - lo :: rows.step]
+        i = index(key)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("table index out of range")
+        i %= n
+        return next(self._rows(i, i + 1))
 
-    # Defining __eq__ resets __hash__ to None, which keeps LazyList
-    # unhashable exactly like ``list``.
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RecordTable) and (
+            other.record is self.record and other.fields == self.fields
+        ):
+            # Rows of one type are equal iff every field is: compare
+            # the columns without building a row.
+            return len(self) == len(other) and all(
+                self.column(name) == other.column(name)
+                for name in self.fields
+            )
+        if isinstance(other, (RecordTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
 
-    def __reduce__(self):
-        # Pickle and copy the materialised elements: the default list
-        # protocol rebuilds without __init__ (no queue) and would copy
-        # the queued blocks ahead of the elements.
-        return (type(self), (list(self),))
-
-    def __repr__(self):
-        self._drain()
-        return list.__repr__(self)
-
-    def __add__(self, other):
-        self._drain()
-        if isinstance(other, LazyList):
-            other._drain()
-        return list.__add__(self, other)
-
-    def __mul__(self, value):
-        self._drain()
-        return list.__mul__(self, value)
-
-    def __rmul__(self, value):
-        self._drain()
-        return list.__rmul__(self, value)
-
-    def copy(self):
-        self._drain()
-        return list(self)
-
-    def index(self, *args):
-        self._drain()
-        return list.index(self, *args)
-
-    def count(self, item):
-        self._drain()
-        return list.count(self, item)
-
-    # ---------------------------------------------------------- mutators
-    def append(self, item):
-        self._drain()
-        list.append(self, item)
-
-    def extend(self, iterable):
-        self._drain()
-        list.extend(self, iterable)
-
-    def insert(self, index, item):
-        self._drain()
-        list.insert(self, index, item)
-
-    def pop(self, *args):
-        self._drain()
-        return list.pop(self, *args)
-
-    def remove(self, item):
-        self._drain()
-        list.remove(self, item)
-
-    def clear(self):
-        self._pending = []
-        list.clear(self)
-
-    def sort(self, **kw):
-        self._drain()
-        list.sort(self, **kw)
-
-    def reverse(self):
-        self._drain()
-        list.reverse(self)
-
-    def __setitem__(self, index, value):
-        self._drain()
-        list.__setitem__(self, index, value)
-
-    def __delitem__(self, index):
-        self._drain()
-        list.__delitem__(self, index)
-
-    def __iadd__(self, other):
-        self._drain()
-        if isinstance(other, LazyList):
-            other._drain()
-        list.extend(self, other)
-        return self
-
-    def __imul__(self, value):
-        self._drain()
-        result = list.__mul__(self, value)
-        list.clear(self)
-        list.extend(self, result)
-        return self
+    def __repr__(self) -> str:
+        return f"RecordTable({self.record.__name__}, {len(self)} rows)"

@@ -7,24 +7,24 @@ users (plotting, spreadsheets, other languages) get flat files:
 * :func:`export_json` -- a single JSON document;
 * :func:`load_json` -- round-trip loader (returns plain dicts/lists).
 
-The table set is derived from :class:`MetricsCollector`'s dataclass
-fields (:func:`record_tables`), not hand-listed: every list-valued
-field exports, so adding a record series to the collector automatically
-adds its table here.  (A hand-written table list once silently dropped
-``unmatched_deficits`` and ``plant_events`` -- the whole fault
-telemetry of a run; ``tests/test_metrics_export.py`` now asserts the
-field-to-table coverage introspectively.)
+The table set is the collector's own (:meth:`MetricsCollector.tables`,
+through :func:`record_tables`), not hand-listed, so adding a record
+table to the collector adds its export too.  (A hand-written table list
+once silently dropped ``unmatched_deficits`` and ``plant_events`` --
+the whole fault telemetry of a run; ``tests/test_metrics_export.py``
+asserts the coverage.)  Rows are written from the tables' columns, one
+``{field: value}`` dict per row, with enums as their values.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from pathlib import Path
 from typing import Any, Dict, List
 
-from repro.metrics.collector import TUPLE_COLUMNS, MetricsCollector
+from repro.metrics.collector import MetricsCollector
+from repro.metrics.columnar import RecordTable
 
 __all__ = ["export_csv", "export_json", "load_json", "record_tables"]
 
@@ -33,36 +33,21 @@ __all__ = ["export_csv", "export_json", "load_json", "record_tables"]
 _TABLE_NAMES = {"server_samples": "servers", "switch_samples": "switches"}
 
 
-def record_tables(collector: MetricsCollector) -> Dict[str, list]:
-    """Every record series of the collector, keyed by exported name.
-
-    Introspects the dataclass: all list-valued fields are record series
-    (non-list fields, like the forwarding tracer, are not).
-    """
-    tables: Dict[str, list] = {}
-    for field in dataclasses.fields(type(collector)):
-        value = getattr(collector, field.name)
-        if not isinstance(value, list):
-            continue
-        tables[_TABLE_NAMES.get(field.name, field.name)] = value
-    return tables
+def record_tables(collector: MetricsCollector) -> Dict[str, RecordTable]:
+    """Every record table of the collector, keyed by exported name."""
+    return {
+        _TABLE_NAMES.get(name, name): table
+        for name, table in collector.tables().items()
+    }
 
 
-def _normalise(record: Dict[str, Any]) -> Dict[str, Any]:
-    out = {}
-    for key, value in record.items():
-        if hasattr(value, "value"):  # enums
-            out[key] = value.value
-        else:
-            out[key] = value
-    return out
+def _normalise(value: Any) -> Any:
+    return value.value if hasattr(value, "value") else value  # enums
 
 
-def _table_rows(name: str, records: list) -> List[Dict[str, Any]]:
-    if name in TUPLE_COLUMNS:
-        columns = TUPLE_COLUMNS[name]
-        return [dict(zip(columns, record)) for record in records]
-    return [_normalise(dataclasses.asdict(r)) for r in records]
+def _table_rows(table: RecordTable) -> List[Dict[str, Any]]:
+    columns = [map(_normalise, table.column(name)) for name in table.fields]
+    return [dict(zip(table.fields, values)) for values in zip(*columns)]
 
 
 def export_csv(collector: MetricsCollector, directory) -> Dict[str, Path]:
@@ -73,15 +58,14 @@ def export_csv(collector: MetricsCollector, directory) -> Dict[str, Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: Dict[str, Path] = {}
-    for name, records in record_tables(collector).items():
-        rows = _table_rows(name, records)
-        if not rows:
+    for name, table in record_tables(collector).items():
+        if not table:
             continue
         path = directory / f"{name}.csv"
         with path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer = csv.DictWriter(handle, fieldnames=table.fields)
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(_table_rows(table))
         written[name] = path
     return written
 
@@ -90,8 +74,8 @@ def export_json(collector: MetricsCollector, path) -> Path:
     """Write the whole collector as one JSON document."""
     path = Path(path)
     document = {
-        name: _table_rows(name, records)
-        for name, records in record_tables(collector).items()
+        name: _table_rows(table)
+        for name, table in record_tables(collector).items()
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=1))

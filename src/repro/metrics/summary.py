@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Dict, Iterable, List
+from itertools import compress
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -65,15 +65,14 @@ class RunSummary:
 
 def summarize_run(collector: MetricsCollector) -> RunSummary:
     """Aggregate a finished run into a :class:`RunSummary`."""
-    if not collector.server_samples:
+    samples = collector.server_samples
+    if not samples:
         raise ValueError("no server samples recorded")
     times = collector.times()
     n_ticks = len(times)
     mean_power = mean_by_server(collector, "power")
     mean_fleet_power = float(sum(mean_power.values()))
-    peak_temperature = float(
-        max(s.temperature for s in collector.server_samples)
-    )
+    peak_temperature = float(max(samples.column("temperature")))
     local_fraction = collector.local_fraction()
     return RunSummary(
         n_servers=len(mean_power),
@@ -88,25 +87,20 @@ def summarize_run(collector: MetricsCollector) -> RunSummary:
             0.0 if np.isnan(local_fraction) else local_fraction
         ),
         dropped_power=collector.total_dropped_power(),
-        asleep_fraction=float(
-            np.mean([s.asleep for s in collector.server_samples])
-        ),
+        asleep_fraction=float(np.mean(samples.column("asleep"))),
         unmatched_count=len(collector.unmatched_deficits),
         unmatched_watts=collector.total_unmatched_power(),
         plant_events=collector.plant_event_counts(),
     )
 
 
-def _grouped(
-    rows: Iterable, key: str, attribute: str
-) -> Dict[int, np.ndarray]:
-    """``attribute`` of ``rows`` per ``key`` id in one pass, sorted by
-    id, each series in row order (the order the per-id scans of
-    :class:`MetricsCollector` see)."""
+def _grouped(keys: Iterable[int], values: Iterable) -> Dict[int, np.ndarray]:
+    """``values`` per key in one pass, sorted by key, each series in
+    row order (the order the per-id scans of :class:`MetricsCollector`
+    see)."""
     groups: Dict[int, list] = defaultdict(list)
-    key_of, value_of = attrgetter(key), attrgetter(attribute)
-    for row in rows:
-        groups[key_of(row)].append(value_of(row))
+    for key, value in zip(keys, values):
+        groups[key].append(value)
     return {i: np.array(groups[i]) for i in sorted(groups)}
 
 
@@ -124,28 +118,28 @@ def series_by_server(
     collector: MetricsCollector, attribute: str
 ) -> Dict[int, np.ndarray]:
     """Full time series of one attribute per server."""
-    return _grouped(collector.server_samples, "server_id", attribute)
+    samples = collector.server_samples
+    return _grouped(samples.column("server_id"), samples.column(attribute))
 
 
 def mean_by_switch_level(
     collector: MetricsCollector, level: int, attribute: str
 ) -> Dict[int, float]:
     """Run-average of one switch attribute over switches at ``level``."""
+    samples = collector.switch_samples
+    at_level = [at == level for at in samples.column("level")]
     return {
         switch_id: float(series.mean())
         for switch_id, series in _grouped(
-            (s for s in collector.switch_samples if s.level == level),
-            "switch_id",
-            attribute,
+            compress(samples.column("switch_id"), at_level),
+            compress(samples.column(attribute), at_level),
         ).items()
     }
 
 
 def fleet_mean(collector: MetricsCollector, attribute: str) -> float:
     """Average of a server attribute over all servers and ticks."""
-    values: List[float] = [
-        getattr(s, attribute) for s in collector.server_samples
-    ]
+    values = collector.server_samples.column(attribute)
     if not values:
         raise ValueError("no server samples recorded")
     return float(np.mean(values))

@@ -49,6 +49,7 @@ def verify_message_bound(collector: MetricsCollector, bound: int = 2) -> bool:
 
 def messages_per_direction(collector: MetricsCollector) -> Dict[str, int]:
     """Total upward (demand reports) vs downward (budget directives)."""
-    up = sum(1 for m in collector.messages if m.upward)
-    down = len(collector.messages) - up
+    upward = collector.messages.column("upward")
+    up = sum(1 for is_up in upward if is_up)
+    down = len(upward) - up
     return {"upward": up, "downward": down}

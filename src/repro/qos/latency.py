@@ -65,12 +65,19 @@ def sla_compliance(
     """
     model = model or LatencyModel()
     threshold = model.max_utilization_for(qos)
+    samples = collector.server_samples
+    awake_utils: Dict[int, list] = {}
+    for server_id, asleep, utilization in zip(
+        samples.column("server_id"),
+        samples.column("asleep"),
+        samples.column("utilization"),
+    ):
+        utils = awake_utils.setdefault(server_id, [])
+        if not asleep:
+            utils.append(utilization)
     result: Dict[int, float] = {}
-    for server_id in collector.server_ids():
-        utils = []
-        for sample in collector.server_samples:
-            if sample.server_id == server_id and not sample.asleep:
-                utils.append(sample.utilization)
+    for server_id in sorted(awake_utils):
+        utils = awake_utils[server_id]
         if not utils:
             result[server_id] = 1.0
             continue

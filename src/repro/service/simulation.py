@@ -508,46 +508,29 @@ def decision_digest(collector: MetricsCollector) -> str:
             h.update(repr(row).encode())
             h.update(b"\n")
 
-    feed(
-        "servers",
-        (
-            (s.time, s.server_id, s.power, s.temperature, s.utilization,
-             s.demand, s.budget, s.asleep)
-            for s in collector.server_samples
-        ),
-    )
+    def rows(table, *names):
+        """The tuples of ``names`` per row, read off the columns."""
+        return zip(*map(table.column, names or table.fields))
+
+    feed("servers", rows(collector.server_samples))
     feed(
         "switches",
-        (
-            (s.time, s.switch_id, s.base_traffic, s.migration_traffic, s.power)
-            for s in collector.switch_samples
+        rows(
+            collector.switch_samples,
+            "time", "switch_id", "base_traffic", "migration_traffic", "power",
         ),
     )
+    # A migration's cause hashes as its value.
+    cause = collector.migrations.fields.index("cause")
     feed(
         "migrations",
         (
-            (m.time, m.vm_id, m.src_id, m.dst_id, m.demand, m.cause.value,
-             m.local, m.hops, m.cost_power)
-            for m in collector.migrations
+            row[:cause] + (row[cause].value,) + row[cause + 1 :]
+            for row in rows(collector.migrations)
         ),
     )
-    feed(
-        "drops",
-        ((d.time, d.node_id, d.vm_id, d.power) for d in collector.drops),
-    )
-    feed(
-        "unmatched",
-        (
-            (d.time, d.node_id, d.vm_id, d.power)
-            for d in collector.unmatched_deficits
-        ),
-    )
-    feed(
-        "plant",
-        (
-            (e.time, e.kind, e.node_id, e.detail)
-            for e in collector.plant_events
-        ),
-    )
-    feed("imbalance", collector.imbalance)
+    feed("drops", rows(collector.drops))
+    feed("unmatched", rows(collector.unmatched_deficits))
+    feed("plant", rows(collector.plant_events))
+    feed("imbalance", rows(collector.imbalance))
     return h.hexdigest()

@@ -482,11 +482,9 @@ def _table_rich_controller(kind):
 
 
 def _list_fields(collector):
-    return [
-        field.name
-        for field in dataclasses.fields(collector)
-        if isinstance(getattr(collector, field.name), list)
-    ]
+    names = list(collector.tables())
+    assert len(names) == 8, names
+    return names
 
 
 def _row_types(rows):

@@ -8,8 +8,6 @@ loop.  Everything else (policies, WAN cost charging, the experiment's
 headline claims) builds on that foundation.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core import WillowConfig
@@ -33,12 +31,10 @@ from repro.power import constant_supply, renewable_supply
 
 
 def collector_series(collector):
-    """All list-typed record series of a collector, keyed by name."""
-    return {
-        f.name: getattr(collector, f.name)
-        for f in dataclasses.fields(collector)
-        if isinstance(getattr(collector, f.name), list)
-    }
+    """Every record table of a collector, keyed by name."""
+    tables = collector.tables()
+    assert len(tables) == 8, sorted(tables)
+    return tables
 
 
 # --------------------------------------------------------------- contract

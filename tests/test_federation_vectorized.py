@@ -472,8 +472,8 @@ class TestSyncContract:
     ):
         """No hooks, no tracer: whole-site flushes run at the end of
         each ``run()``, on consolidation ticks and (VMs only) in the
-        rebalance's screen; sleep and cost lanes are re-read only on
-        the rows some actor changed."""
+        rebalance's shed screen on a transfer's source site; sleep and
+        cost lanes are re-read only on the rows some actor changed."""
         coordinator = sync_federation()
         context = []
         whole = []
@@ -502,7 +502,12 @@ class TestSyncContract:
             def wrapper(self, i):
                 if getattr(self, dirty)[i]:
                     whole.append(
-                        (name, context[-1], self.controllers[i]._tick_index)
+                        (
+                            name,
+                            context[-1],
+                            self.controllers[i]._tick_index,
+                            coordinator.sites[self.global_idx[i]].name,
+                        )
                     )
                 return original(self, i)
 
@@ -566,22 +571,34 @@ class TestSyncContract:
         monkeypatch.setattr(FleetState, "gather_sleep_rows", read_sleep)
         monkeypatch.setattr(FleetState, "gather_cost_rows", read_costs)
 
-        for _ in range(SYNC_TICKS):
-            coordinator.run(1)
+        # Three-tick runs: a rebalance inside a run finds its sites'
+        # VMs dirty, one on a run's first tick finds them flushed.
+        runs = SYNC_TICKS // 3
+        for _ in range(runs):
+            coordinator.run(3)
 
         eta2 = coordinator.sites[0].config.eta2
-        for name, where, tick in whole:
+        sources = {
+            (tick, transfer.src)
+            for tick, transfers in coordinator.transfer_log
+            for transfer in transfers
+        }
+        for name, where, tick, site in whole:
             if where == "tick":
                 assert tick > 0 and tick % eta2 == 0, (name, tick)
             elif where == "rebalance":
+                # Only the shed screens read VM objects; the receiver
+                # screen reads lanes.
                 assert name == "_flush_vms"
+                assert (tick, site) in sources, (tick, site)
             else:
                 assert where == "run end", (name, where)
+        assert any(where == "rebalance" for _n, where, _t, _s in whole)
         # Every run ends with one flush of each site's servers (its VMs
         # are clean already after a consolidation tick).
         assert sum(
-            n == "_flush_servers" and w == "run end" for n, w, _t in whole
-        ) == len(coordinator.sites) * SYNC_TICKS
+            n == "_flush_servers" and w == "run end" for n, w, _t, _s in whole
+        ) == len(coordinator.sites) * runs
         # The federation exercises every per-row path: deficits, slow
         # rows, wakes and charged costs, plus cross-site moves.
         assert all(rows_read.values()), rows_read

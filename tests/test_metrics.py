@@ -2,12 +2,19 @@
 
 import copy
 import pickle
+import tempfile
+import typing
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import run_willow
 from repro.core.events import ControlMessage, Drop, Migration, MigrationCause
+from repro.federation import SiteSpec, build_federation
 from repro.metrics import (
     MetricsCollector,
     ServerSample,
@@ -18,8 +25,14 @@ from repro.metrics import (
     recommended_delta_d,
     residence_times,
 )
+from repro.metrics.columnar import RecordTable
 from repro.metrics.convergence import decision_time_scaling, fit_log_scaling
-from repro.metrics.summary import fleet_mean, mean_by_server
+from repro.metrics.export import export_csv, export_json, load_json
+from repro.metrics.federation import summarize_federation
+from repro.metrics.summary import fleet_mean, mean_by_server, summarize_run
+from repro.network.messages import verify_message_bound
+from repro.power import renewable_supply
+from repro.service.simulation import decision_digest
 from repro.workload import AppType, VM
 
 
@@ -118,6 +131,248 @@ class TestCollector:
         ):
             for name in ("server_samples", "switch_samples", "messages"):
                 assert getattr(clone, name) == getattr(collector, name), name
+
+
+# ------------------------------------------------------------ record tables
+#: Value strategies per field kind, and the collector table holding each
+#: row type with its field kinds.
+VALUES = {
+    "float": st.floats(-1e6, 1e6, allow_nan=False),
+    "watts": st.floats(0.0, 1e6, allow_nan=False),
+    "int": st.integers(0, 2**40),
+    "bool": st.booleans(),
+    "vm": st.none() | st.integers(0, 1000),
+}
+TABLES = {
+    "server_samples": ("float", "int") + ("float",) * 5 + ("bool",),
+    "messages": ("float", "int", "bool"),
+    "drops": ("float", "int", "vm", "watts"),
+    "imbalance": ("float", "float"),
+}
+
+
+def _row(table, values):
+    return tuple(values) if table.record is tuple else table.record(*values)
+
+
+def _field(table, row, k):
+    return row[k] if table.record is tuple else getattr(row, table.fields[k])
+
+
+def _draw_chunk(data, kinds):
+    """One column chunk: each column an array, a list, a tuple or one
+    broadcast value, at least one of them a sequence."""
+    n = data.draw(st.integers(0, 4))
+    forms = data.draw(
+        st.lists(
+            st.sampled_from(["array", "list", "tuple", "broadcast"]),
+            min_size=len(kinds),
+            max_size=len(kinds),
+        )
+    )
+    if all(form == "broadcast" for form in forms):
+        forms[0] = "list"
+    columns, values = [], []
+    for kind, form in zip(kinds, forms):
+        if form == "broadcast":
+            value = data.draw(VALUES[kind])
+            columns.append(value)
+            values.append([value] * n)
+            continue
+        column = data.draw(st.lists(VALUES[kind], min_size=n, max_size=n))
+        values.append(column)
+        columns.append(
+            np.array(column) if form == "array"
+            else tuple(column) if form == "tuple"
+            else column
+        )
+    return columns, list(zip(*values)) if n else []
+
+
+class TestRecordTable:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(TABLES)))
+    def test_table_behaves_as_its_rows(self, data, name):
+        """Any interleaving of row appends, extends and column chunks
+        reads back as the eagerly built list of rows, through every
+        reader, a pickle, a copy, the checkpoint codec and export."""
+        kinds = TABLES[name]
+        collector = MetricsCollector()
+        table = getattr(collector, name)
+        row_values = st.tuples(*(VALUES[kind] for kind in kinds))
+        rows = []
+        for op in data.draw(
+            st.lists(st.sampled_from(["append", "extend", "columns"]),
+                     max_size=8)
+        ):
+            if op == "append":
+                row = _row(table, data.draw(row_values))
+                table.append(row)
+                rows.append(row)
+            elif op == "extend":
+                new = [
+                    _row(table, values)
+                    for values in data.draw(st.lists(row_values, max_size=4))
+                ]
+                table.extend(new)
+                rows.extend(new)
+            else:
+                columns, values = _draw_chunk(data, kinds)
+                table.append_columns(*columns)
+                rows.extend(_row(table, v) for v in values)
+
+        assert len(table) == len(rows)
+        assert bool(table) == bool(rows)
+        assert list(table) == rows
+        assert table == rows and rows == table
+        assert [type(row) for row in table] == [type(row) for row in rows]
+        for i in range(-len(rows), len(rows)):
+            assert table[i] == rows[i]
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                table[index]
+        for _ in range(3):
+            key = data.draw(st.slices(len(rows) + 2))
+            assert table[key] == rows[key]
+        for k, field_name in enumerate(table.fields):
+            column = table.column(field_name)
+            expected = [_field(table, row, k) for row in rows]
+            assert column == expected
+            assert [type(v) for v in column] == [type(v) for v in expected]
+
+        for clone in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert clone == table
+            assert list(clone) == rows
+
+        twin = MetricsCollector()
+        before = getattr(twin, name)
+        twin.restore_tables(
+            pickle.loads(pickle.dumps(collector.snapshot_tables()))
+        )
+        assert getattr(twin, name) is before
+        assert list(before) == rows
+        assert twin == collector
+
+        with tempfile.TemporaryDirectory() as tmp:
+            document = load_json(export_json(collector, Path(tmp) / "t.json"))
+        exported = "servers" if name == "server_samples" else name
+        assert document[exported] == [
+            {
+                field_name: _field(table, row, k)
+                for k, field_name in enumerate(table.fields)
+            }
+            for row in rows
+        ]
+
+    def test_rows_and_chunks_must_match_the_fields(self):
+        table = RecordTable(ControlMessage)
+        with pytest.raises(ValueError, match="one length"):
+            table.append_columns(0.0, [1, 2], [True])
+        with pytest.raises(ValueError, match="one length"):
+            table.append_columns(0.0, 1, True)
+        with pytest.raises(ValueError, match="3 fields"):
+            table.append_columns(0.0, [1])
+        pairs = RecordTable(tuple, ("time", "imbalance_watts"))
+        with pytest.raises(ValueError, match="2 fields"):
+            pairs.append((1.0, 2.0, 3.0))
+        assert len(table) == len(pairs) == 0
+
+
+def fused_federation(n_ticks=24):
+    """Three fused array sites on anti-correlated solar, with drops,
+    cross-site moves and consolidation."""
+    coordinator = build_federation(
+        [
+            SiteSpec(
+                name=f"site{i}",
+                seed=1 + i,
+                target_utilization=0.45,
+                supply=renewable_supply(
+                    5200.0, base_fraction=0.3, cloud_noise=0.0, phase=i / 3
+                ),
+            )
+            for i in range(3)
+        ],
+        n_ticks=n_ticks,
+        policy="proportional",
+        vectorized=True,
+    )
+    coordinator.run(n_ticks)
+    assert [seg.global_idx for seg in coordinator.segments] == [[0, 1, 2]]
+    return coordinator
+
+
+def _field_types(table):
+    """The Python types a field's values may have: the annotation's."""
+    if table.record is tuple:
+        return {name: {float} for name in table.fields}
+    hints = typing.get_type_hints(table.record)
+    return {
+        name: set(typing.get_args(hints[name])) or {hints[name]}
+        for name in table.fields
+    }
+
+
+def test_every_table_value_has_the_scalar_python_type():
+    """Rows and columns carry Python floats, ints, bools, ``None`` and
+    enums on every controller, never NumPy scalars: the decision digest
+    hashes their repr."""
+    _, scalar = run_willow(n_ticks=30, seed=7)
+    _, vectorized = run_willow(n_ticks=30, seed=7, vectorized=True)
+    coordinator = fused_federation()
+    collectors = [scalar, vectorized] + [
+        site.collector for site in coordinator.sites
+    ]
+    for collector in collectors:
+        tables = collector.tables()
+        assert len(tables) == 8
+        assert collector.server_samples and collector.messages
+        for name, table in tables.items():
+            allowed = _field_types(table)
+            for k, field_name in enumerate(table.fields):
+                for value in table.column(field_name):
+                    assert type(value) in allowed[field_name], (
+                        name, field_name, type(value),
+                    )
+            for row in table:
+                for k, field_name in enumerate(table.fields):
+                    value = _field(table, row, k)
+                    assert type(value) in allowed[field_name], (
+                        name, field_name, type(value),
+                    )
+
+
+def test_whole_table_readers_build_no_rows(monkeypatch, tmp_path):
+    """Summaries, the digest, snapshots, Property 3, energy and export
+    read columns: on array-tick tables they build no sample or message
+    row."""
+    controller, collector = run_willow(n_ticks=20, seed=3, vectorized=True)
+    coordinator = fused_federation()
+    collectors = [collector] + [site.collector for site in coordinator.sites]
+    built = Counter()
+    rows = RecordTable._rows
+
+    def counting(self, start, stop):
+        for row in rows(self, start, stop):
+            built[type(row)] += 1
+            yield row
+
+    monkeypatch.setattr(RecordTable, "_rows", counting)
+    summarize_run(collector)
+    summarize_federation(coordinator)
+    controller.snapshot_state()
+    coordinator.snapshot_state()
+    for i, each in enumerate(collectors):
+        decision_digest(each)
+        assert verify_message_bound(each)
+        each.total_energy()
+        export_csv(each, tmp_path / f"csv{i}")
+        export_json(each, tmp_path / f"run{i}.json")
+    assert not {ServerSample, SwitchSample, ControlMessage} & set(built)
+    # The counter sees rows a reader does build.
+    collector.server_samples[-1]
+    coordinator.sites[2].collector.messages[:2]
+    assert built[ServerSample] == 1 and built[ControlMessage] == 2
 
 
 class TestStability:

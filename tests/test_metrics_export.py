@@ -121,19 +121,13 @@ def test_faulty_run_exports_plant_events_and_unmatched(
 def test_export_json_covers_every_collector_list_field(tmp_path, run_data):
     """Introspective guard: a new collector series cannot silently be
     omitted from export (the original unmatched/plant-events bug)."""
-    import dataclasses
-
-    from repro.metrics import MetricsCollector
     from repro.metrics.export import record_tables
 
     _, collector = run_data
-    list_fields = [
-        f.name
-        for f in dataclasses.fields(MetricsCollector)
-        if isinstance(getattr(collector, f.name), list)
-    ]
+    table_fields = list(collector.tables())
+    assert len(table_fields) == 8, table_fields
     tables = record_tables(collector)
-    assert len(tables) == len(list_fields)
+    assert len(tables) == len(table_fields)
 
     document = load_json(export_json(collector, tmp_path / "all.json"))
     assert set(document) == set(tables)
