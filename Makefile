@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-guard federation-bench-smoke perfbench-check trace-smoke examples-smoke federation-smoke mpc-smoke gym-smoke service-smoke resume-smoke experiments clean-cache
+.PHONY: test bench bench-smoke bench-guard federation-bench-smoke perfbench-check trace-smoke examples-smoke federation-smoke mpc-smoke gym-smoke service-smoke resume-smoke cli-smoke experiments clean-cache
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -138,6 +138,27 @@ resume-smoke:
 		cmp $$dir/a $$dir/b; \
 	done; \
 	rm -rf $$dir; echo "crash recovery parity OK"
+
+## CLI smoke: the scalar and --vectorized controllers print
+## byte-identical summaries, the distributed control plane runs under
+## loss and a PMU crash, every subcommand's --help works, and a usage
+## error exits 2 as a process with one stderr line.
+cli-smoke:
+	@set -e; dir=$$(mktemp -d); cli="timeout 120 $(PYTHON) -m repro.cli"; \
+	$$cli --utilization 0.8 --ticks 60 --hot 4 --seed 9 > $$dir/scalar; \
+	$$cli --utilization 0.8 --ticks 60 --hot 4 --seed 9 --vectorized \
+		> $$dir/vectorized; \
+	diff $$dir/scalar $$dir/vectorized; \
+	$$cli degraded --ticks 20 --drop 0.1 --latency 1 --crashes 1 > /dev/null; \
+	for sub in "" bench degraded resilience federation gym trace serve \
+		replay checkpoint resume; do \
+		$$cli $$sub --help > /dev/null; \
+	done; \
+	status=0; $$cli --ticks 0 > $$dir/out 2> $$dir/err || status=$$?; \
+	[ "$$status" -eq 2 ] || { echo "--ticks 0 exited $$status, not 2"; exit 1; }; \
+	[ ! -s $$dir/out ] && [ "$$(wc -l < $$dir/err)" -eq 1 ] \
+		|| { echo "--ticks 0 did not print one stderr line"; exit 1; }; \
+	rm -rf $$dir; echo "cli smoke OK"
 
 ## Record a faulty-plant run with tracing on, then replay it through
 ## the trace CLI (overview, per-server explanation, fault edges).

@@ -51,13 +51,145 @@ Every run subcommand takes ``--trace FILE`` to record the structured
 tick trace (:mod:`repro.trace`); ``trace`` replays a recorded file into
 a per-node causal explanation -- the budget's path down the tree with
 the constraint that bound at each level (see docs/observability.md).
+
+Exit status, for every subcommand: 0 when the run finished; 1 when
+``replay`` finds the re-executed run differs from the recorded one;
+2 for a usage error -- a bad flag value, a missing input file, an
+output directory that does not exist -- reported as one line on stderr
+that names the flag, never a traceback (argparse's own errors add its
+usage line; ``resume`` first names each corrupt checkpoint it
+skipped).  Subcommands import only what they run, so ``serve`` starts
+without loading the federation, gym or benchmark code.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
+
+
+class UsageError(Exception):
+    """A bad command line: its one-line reason goes to stderr, exit 2."""
+
+
+def _command(main):
+    """The one usage-error handler, around every subcommand's entry
+    point: a :class:`UsageError` prints its reason and returns 2."""
+
+    @functools.wraps(main)
+    def run(argv: List[str]) -> int:
+        try:
+            return main(argv)
+        except UsageError as error:
+            print(error, file=sys.stderr)
+            return 2
+
+    return run
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
+@contextmanager
+def _usage_errors(prefix: str, errors=ValueError):
+    """Report ``errors`` raised while building from a flag (a library
+    constructor rejecting its value, a missing input file) as a usage
+    error ``"PREFIX: reason"``."""
+    try:
+        yield
+    except errors as error:
+        raise UsageError(f"{prefix}: {error}") from None
+
+
+def _at_least(args, name: str, low) -> None:
+    """``--NAME`` must be unset (None) or at least ``low``."""
+    value = getattr(args, name)
+    flag = "--" + name.replace("_", "-")
+    _require(value is None or value >= low, f"{flag} must be >= {low}")
+
+
+def _check_utilization(utilization: float) -> None:
+    _require(0.0 < utilization <= 1.0, "--utilization must be in (0, 1]")
+
+
+def _int_list(text: str, flag: str) -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} must be comma-separated ints") from None
+
+
+def _branching(text: Optional[str]) -> Optional[tuple]:
+    """The ``--branching`` factors, or None for the paper's tree."""
+    if not text:
+        return None
+    factors = _int_list(text, "--branching")
+    _require(min(factors) >= 1, "--branching factors must be >= 1")
+    return factors
+
+
+def _tree(branching):
+    from repro.topology import build_balanced, build_paper_simulation
+
+    if branching:
+        return build_balanced(list(branching))
+    return build_paper_simulation()
+
+
+def _check_parent(path: str, flag: str) -> None:
+    """Output flags that write a single file (``bench --profile``, the
+    ``serve`` audit log) fail up front when the file's directory is
+    absent, instead of a traceback deep inside ``open`` -- and without
+    silently creating whole directory trees the user probably
+    mistyped."""
+    from pathlib import Path
+
+    parent = Path(path).expanduser().parent
+    _require(
+        parent.is_dir(),
+        f"{flag}: directory {parent} does not exist "
+        f"(create it first, or check the path)",
+    )
+
+
+@contextmanager
+def _trace_file(path: Optional[str]):
+    """The recording tracer for ``--trace FILE`` (None when unset),
+    closed and reported when the run ends."""
+    if not path:
+        yield None
+        return
+    from repro.trace import JsonlTraceWriter, Tracer
+
+    tracer = Tracer(JsonlTraceWriter(path))
+    try:
+        yield tracer
+    finally:
+        tracer.close()
+    print(f"wrote trace to {path}")
+
+
+def _thermal_safety(collectors, t_limit: float, violations=None) -> str:
+    """The ``thermal safety:`` verdict over every server sample of
+    ``collectors``; ``violations`` (counted by the controller) must
+    also be zero when given."""
+    worst = max(
+        max(c.server_samples.column("temperature")) for c in collectors
+    )
+    safe = worst <= t_limit + 1e-6
+    counted = ""
+    if violations is not None:
+        counted = f", {violations} violations"
+        safe = safe and not violations
+    return (
+        f"thermal safety: worst temperature {worst:.2f} C vs "
+        f"T_limit {t_limit:.0f} C{counted} ({'OK' if safe else 'VIOLATED'})"
+    )
 
 
 def package_version() -> str:
@@ -73,33 +205,66 @@ def package_version() -> str:
         return repro.__version__
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli",
-        description="Run Willow on a simulated data center.",
+def _parser(command: str, description: str) -> argparse.ArgumentParser:
+    prog = "python -m repro.cli" + (f" {command}" if command else "")
+    return argparse.ArgumentParser(prog=prog, description=description)
+
+
+#: Flags several subcommands share, by destination name.
+_RUN_FLAGS = {
+    "ticks": dict(type=int, help="control ticks to run (default %(default)s)"),
+    "seed": dict(type=int, help="RNG seed (default %(default)s)"),
+    "utilization": dict(
+        type=float,
+        help="target mean utilization in (0, 1] (default %(default)s)",
+    ),
+    "branching": dict(
+        type=str, metavar="A,B,C",
+        help="custom balanced tree, e.g. 3,3,3 (default: paper's 2,3,3)",
+    ),
+    "supply_factor": dict(
+        type=float,
+        help="supply as a multiple of fleet circuit capacity "
+             "(default %(default)s)",
+    ),
+    "vms_per_server": dict(
+        type=int, metavar="N",
+        help="initial VMs per server (default %(default)s)",
+    ),
+}
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, **defaults) -> None:
+    """Add the shared flags named by ``defaults``, each with this
+    subcommand's default; a ``(default, help)`` pair also replaces the
+    shared help where the flag means something else here."""
+    for name, default in defaults.items():
+        spec = dict(_RUN_FLAGS[name], default=default)
+        if isinstance(default, tuple):
+            spec["default"], spec["help"] = default
+        parser.add_argument("--" + name.replace("_", "-"), **spec)
+
+
+def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--trace", type=str, default=None, metavar="FILE",
+        help="record a structured tick trace (JSONL; replay with "
+             "'python -m repro.cli trace FILE')",
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _parser("", "Run Willow on a simulated data center.")
     parser.add_argument(
         "--version", action="version", version=f"repro {package_version()}"
     )
-    parser.add_argument(
-        "--utilization", type=float, default=0.5,
-        help="target mean utilization in (0, 1] (default 0.5)",
+    _add_run_flags(
+        parser, utilization=0.5, ticks=100, seed=0, branching=None,
+        supply_factor=1.0,
     )
-    parser.add_argument(
-        "--ticks", type=int, default=100, help="control ticks to run"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument(
         "--hot", type=int, default=0, metavar="N",
         help="put the last N servers in a 40C hot zone",
-    )
-    parser.add_argument(
-        "--branching", type=str, default=None, metavar="A,B,C",
-        help="custom balanced tree, e.g. 3,3,3 (default: paper's 2,3,3)",
-    )
-    parser.add_argument(
-        "--supply-factor", type=float, default=1.0,
-        help="nominal supply as a multiple of fleet circuit capacity",
     )
     parser.add_argument(
         "--supply-dip", type=float, default=0.0, metavar="FRAC",
@@ -143,53 +308,94 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", type=str, default=None, metavar="FILE",
-        help="record a structured tick trace (JSONL; replay with "
-             "'python -m repro.cli trace FILE')",
-    )
+@_command
+def run_main(argv: List[str]) -> int:
+    """The default run: one Willow data center, summarised."""
+    args = build_parser().parse_args(argv)
+    _check_utilization(args.utilization)
+    _at_least(args, "ticks", 1)
+    _require(0.0 <= args.supply_dip < 1.0, "--supply-dip must be in [0, 1)")
+    _at_least(args, "hot", 0)
+    branching = _branching(args.branching)
 
+    from repro.core import WillowConfig, run_willow
+    from repro.metrics import summarize_run
+    from repro.power import step_supply
 
-def _open_tracer(path: Optional[str]):
-    """A recording tracer for ``--trace FILE``, or None when unset."""
-    if not path:
-        return None
-    from repro.trace import JsonlTraceWriter, Tracer
+    tree = _tree(branching)
+    servers = tree.servers()
+    _require(args.hot <= len(servers), "--hot exceeds server count")
+    overrides = {s.name: 40.0 for s in servers[len(servers) - args.hot:]}
+    config_kwargs = {}
+    if args.no_consolidation:
+        config_kwargs["consolidation_enabled"] = False
+    if args.p_min is not None:
+        config_kwargs["p_min"] = args.p_min
+    with _usage_errors("--p-min"):
+        config = WillowConfig(**config_kwargs)
 
-    return Tracer(JsonlTraceWriter(path))
+    if args.supply_csv:
+        from repro.power import supply_from_csv
 
+        with _usage_errors("--supply-csv", (OSError, ValueError)):
+            supply = supply_from_csv(args.supply_csv)
+    else:
+        nominal = args.supply_factor * len(servers) * config.circuit_limit
+        segments = [(0.0, nominal)]
+        if args.supply_dip > 0:
+            _at_least(args, "dip_at", 1)
+            dip_at = args.dip_at or max(args.ticks // 2, 1)
+            segments.append((float(dip_at), nominal * (1 - args.supply_dip)))
+        with _usage_errors("--supply-factor"):
+            supply = step_supply(segments)
 
-def _close_tracer(tracer, path: Optional[str]) -> None:
-    if tracer is not None:
-        tracer.close()
-        print(f"wrote trace to {path}")
+    if args.battery is not None:
+        from repro.power import buffer_supply, parse_battery_spec
 
-
-def _missing_parent(path: str, flag: str) -> Optional[str]:
-    """A clear error message when an output path's directory is absent.
-
-    Output flags that write a single file (``bench --profile``, the
-    ``serve`` audit log) fail up front with this instead of a traceback
-    deep inside ``open``/``dump_stats`` -- and without silently
-    creating whole directory trees the user probably mistyped.
-    """
-    from pathlib import Path
-
-    parent = Path(path).expanduser().parent
-    if not parent.is_dir():
-        return (
-            f"{flag}: directory {parent} does not exist "
-            f"(create it first, or check the path)"
+        with _usage_errors("--battery"):
+            battery = parse_battery_spec(args.battery).build()
+        supply = buffer_supply(
+            supply,
+            battery,
+            duration=args.ticks * config.delta_d,
+            dt=config.delta_d,
         )
-    return None
+
+    with _trace_file(args.trace) as tracer:
+        _, collector = run_willow(
+            tree=tree,
+            config=config,
+            supply=supply,
+            target_utilization=args.utilization,
+            n_ticks=args.ticks,
+            seed=args.seed,
+            ambient_overrides=overrides,
+            vectorized=args.vectorized,
+            tracer=tracer,
+        )
+
+    print(
+        f"Willow run: {len(servers)} servers, U={args.utilization:.0%}, "
+        f"{args.ticks} ticks, seed {args.seed}"
+        + (f", hot zone on last {args.hot}" if args.hot else "")
+    )
+    print(summarize_run(collector).format())
+
+    if args.export_csv:
+        from repro.metrics.export import export_csv
+
+        written = export_csv(collector, args.export_csv)
+        print(f"wrote {len(written)} CSV files to {args.export_csv}")
+    if args.export_json:
+        from repro.metrics.export import export_json
+
+        path = export_json(collector, args.export_json)
+        print(f"wrote {path}")
+    return 0
 
 
 def build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli bench",
-        description="Run the hot-path benchmark harness.",
-    )
+    parser = _parser("bench", "Run the hot-path benchmark harness.")
     parser.add_argument(
         "suite", nargs="?", choices=("all", "service", "gym"), default="all",
         help="'service' or 'gym' reruns only that suite and merges it "
@@ -215,6 +421,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_command
 def bench_main(argv: List[str]) -> int:
     args = build_bench_parser().parse_args(argv)
     from repro.benchmarks.harness import (
@@ -229,23 +436,14 @@ def bench_main(argv: List[str]) -> int:
 
     sizes = None
     if args.sizes:
-        try:
-            sizes = tuple(int(x) for x in args.sizes.split(","))
-        except ValueError:
-            print("--sizes must be comma-separated ints", file=sys.stderr)
-            return 2
+        sizes = _int_list(args.sizes, "--sizes")
         unknown = [s for s in sizes if s not in FLEET_SHAPES]
-        if unknown:
-            print(
-                f"--sizes must be from {sorted(FLEET_SHAPES)}, got {unknown}",
-                file=sys.stderr,
-            )
-            return 2
+        _require(
+            not unknown,
+            f"--sizes must be from {sorted(FLEET_SHAPES)}, got {unknown}",
+        )
     if args.profile:
-        error = _missing_parent(args.profile, "--profile")
-        if error:
-            print(error, file=sys.stderr)
-            return 2
+        _check_parent(args.profile, "--profile")
 
     def run():
         if args.suite == "service":
@@ -286,21 +484,12 @@ def bench_main(argv: List[str]) -> int:
 
 
 def build_degraded_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli degraded",
-        description=(
-            "Run the distributed control plane under lossy transport and "
-            "fault injection; report divergence from the ideal controller."
-        ),
+    parser = _parser(
+        "degraded",
+        "Run the distributed control plane under lossy transport and "
+        "fault injection; report divergence from the ideal controller.",
     )
-    parser.add_argument(
-        "--ticks", type=int, default=80, help="control ticks to run"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--utilization", type=float, default=0.5,
-        help="target mean utilization in (0, 1] (default 0.5)",
-    )
+    _add_run_flags(parser, ticks=80, seed=0, utilization=0.5)
     parser.add_argument(
         "--drop", type=float, default=0.0, metavar="P",
         help="per-link message drop probability in [0, 1)",
@@ -341,24 +530,23 @@ def build_degraded_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_command
 def degraded_main(argv: List[str]) -> int:
     args = build_degraded_parser().parse_args(argv)
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
+    _check_utilization(args.utilization)
+    _at_least(args, "ticks", 1)
     for name in ("drop", "dup", "reorder"):
-        if not 0.0 <= getattr(args, name) < 1.0:
-            print(f"--{name} must be in [0, 1)", file=sys.stderr)
-            return 2
-    if args.latency < 0 or args.jitter < 0:
-        print("--latency/--jitter must be >= 0", file=sys.stderr)
-        return 2
-    if args.crashes < 0 or args.partitions < 0:
-        print("--crashes/--partitions must be >= 0", file=sys.stderr)
-        return 2
+        _require(
+            0.0 <= getattr(args, name) < 1.0, f"--{name} must be in [0, 1)"
+        )
+    _require(
+        args.latency >= 0 and args.jitter >= 0,
+        "--latency/--jitter must be >= 0",
+    )
+    _require(
+        args.crashes >= 0 and args.partitions >= 0,
+        "--crashes/--partitions must be >= 0",
+    )
 
     from repro.control_plane import (
         ControlPlaneConfig,
@@ -369,11 +557,12 @@ def degraded_main(argv: List[str]) -> int:
         random_fault_schedule,
         run_distributed,
     )
-    from repro.core import WillowConfig
-    from repro.core.controller import run_willow
+    from repro.core import WillowConfig, run_willow
     from repro.metrics import summarize_run
     from repro.topology import build_paper_simulation
 
+    with _usage_errors("--ttl"):
+        staleness = StalenessPolicy(ttl_ticks=args.ttl)
     config = WillowConfig()
     tree = build_paper_simulation()
     control_plane = ControlPlaneConfig(
@@ -384,7 +573,7 @@ def degraded_main(argv: List[str]) -> int:
             dup_prob=args.dup,
             reorder_prob=args.reorder,
         ),
-        staleness=StalenessPolicy(ttl_ticks=args.ttl),
+        staleness=staleness,
         reliable=not args.unreliable,
     )
     faults = FaultSchedule()
@@ -403,12 +592,11 @@ def degraded_main(argv: List[str]) -> int:
         n_ticks=args.ticks,
         seed=args.seed,
     )
-    tracer = _open_tracer(args.trace)
-    controller, collector = run_distributed(
-        tree=tree, control_plane=control_plane, faults=faults,
-        tracer=tracer, **run_kwargs
-    )
-    _close_tracer(tracer, args.trace)
+    with _trace_file(args.trace) as tracer:
+        controller, collector = run_distributed(
+            tree=tree, control_plane=control_plane, faults=faults,
+            tracer=tracer, **run_kwargs
+        )
     _, ideal = run_willow(**run_kwargs)
 
     print(
@@ -450,33 +638,18 @@ def degraded_main(argv: List[str]) -> int:
         f"temperature {summary['temperature_mean']:.3f} C mean / "
         f"{summary['temperature_max']:.2f} C max"
     )
-    t_limit = config.thermal.t_limit
-    worst = max(s.temperature for s in collector.server_samples)
-    print(
-        f"thermal safety: worst temperature {worst:.2f} C vs "
-        f"T_limit {t_limit:.0f} C "
-        f"({'OK' if worst <= t_limit + 1e-6 else 'VIOLATED'})"
-    )
+    print(_thermal_safety([collector], config.thermal.t_limit))
     return 0
 
 
 def build_resilience_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli resilience",
-        description=(
-            "Run Willow under physical plant faults (crashes, sensor "
-            "faults, cooling derates, circuit trips) with the sensor-"
-            "fault-tolerant controller; report QoS loss and safety."
-        ),
+    parser = _parser(
+        "resilience",
+        "Run Willow under physical plant faults (crashes, sensor "
+        "faults, cooling derates, circuit trips) with the sensor-"
+        "fault-tolerant controller; report QoS loss and safety.",
     )
-    parser.add_argument(
-        "--ticks", type=int, default=80, help="control ticks to run"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--utilization", type=float, default=0.5,
-        help="target mean utilization in (0, 1] (default 0.5)",
-    )
+    _add_run_flags(parser, ticks=80, seed=0, utilization=0.5)
     parser.add_argument(
         "--crashes", type=int, default=0, metavar="N",
         help="inject N seeded server crash/restart windows",
@@ -501,20 +674,13 @@ def build_resilience_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_command
 def resilience_main(argv: List[str]) -> int:
     args = build_resilience_parser().parse_args(argv)
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
+    _check_utilization(args.utilization)
+    _at_least(args, "ticks", 1)
     for name in ("crashes", "sensor_faults", "cooling_events", "trips"):
-        if getattr(args, name) < 0:
-            print(
-                f"--{name.replace('_', '-')} must be >= 0", file=sys.stderr
-            )
-            return 2
+        _at_least(args, name, 0)
 
     from repro.core import WillowConfig
     from repro.core.events import MigrationCause
@@ -540,18 +706,17 @@ def resilience_main(argv: List[str]) -> int:
             n_circuit_trips=args.trips,
         )
 
-    tracer = _open_tracer(args.trace)
-    controller, collector = run_resilient(
-        tree=tree,
-        config=config,
-        plant_faults=schedule,
-        outside_temp=args.outside,
-        target_utilization=args.utilization,
-        n_ticks=args.ticks,
-        seed=args.seed,
-        tracer=tracer,
-    )
-    _close_tracer(tracer, args.trace)
+    with _trace_file(args.trace) as tracer:
+        controller, collector = run_resilient(
+            tree=tree,
+            config=config,
+            plant_faults=schedule,
+            outside_temp=args.outside,
+            target_utilization=args.utilization,
+            n_ticks=args.ticks,
+            seed=args.seed,
+            tracer=tracer,
+        )
 
     print(
         f"Resilient Willow run: {len(tree.servers())} servers, "
@@ -589,17 +754,11 @@ def resilience_main(argv: List[str]) -> int:
         f"evacuations          : "
         f"{collector.migration_count(MigrationCause.EVACUATION)}"
     )
-    t_limit = config.thermal.t_limit
-    worst = max(s.temperature for s in collector.server_samples)
-    min_budget = min(s.budget for s in collector.server_samples)
     violations = sum(
         s.thermal.violations for s in controller.servers.values()
     )
-    print(
-        f"thermal safety: worst temperature {worst:.2f} C vs "
-        f"T_limit {t_limit:.0f} C, {violations} violations "
-        f"({'OK' if worst <= t_limit + 1e-6 and not violations else 'VIOLATED'})"
-    )
+    print(_thermal_safety([collector], config.thermal.t_limit, violations))
+    min_budget = min(collector.server_samples.column("budget"))
     print(
         f"budget floor: {min_budget:.2f} W "
         f"({'OK' if min_budget >= 0 else 'VIOLATED'})"
@@ -608,26 +767,17 @@ def resilience_main(argv: List[str]) -> int:
 
 
 def build_federation_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli federation",
-        description=(
-            "Run a geo-federation: N Willow sites on anti-correlated "
-            "solar supply, tick-locked, with supply-aware cross-site "
-            "load shifting (see docs/federation.md)."
-        ),
+    parser = _parser(
+        "federation",
+        "Run a geo-federation: N Willow sites on anti-correlated "
+        "solar supply, tick-locked, with supply-aware cross-site "
+        "load shifting (see docs/federation.md).",
     )
     parser.add_argument(
         "--sites", type=int, default=2, metavar="N",
         help="number of sites (solar humps spread 1/N day apart)",
     )
-    parser.add_argument(
-        "--ticks", type=int, default=192, help="control ticks to run"
-    )
-    parser.add_argument("--seed", type=int, default=1, help="RNG seed")
-    parser.add_argument(
-        "--utilization", type=float, default=0.35,
-        help="per-site target mean utilization in (0, 1] (default 0.35)",
-    )
+    _add_run_flags(parser, ticks=192, seed=1, utilization=0.35)
     parser.add_argument(
         "--policy", type=str, default="proportional",
         help="shifting policy: neutral, proportional, greedy-greenest, "
@@ -683,70 +833,62 @@ def build_federation_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_command
 def federation_main(argv: List[str]) -> int:
     args = build_federation_parser().parse_args(argv)
-    if args.sites < 1:
-        print("--sites must be >= 1", file=sys.stderr)
-        return 2
-    if args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.horizon < 0:
-        print("--horizon must be >= 0", file=sys.stderr)
-        return 2
-    if args.cooling and args.vectorized:
-        print("--cooling is incompatible with --vectorized", file=sys.stderr)
-        return 2
+    _at_least(args, "sites", 1)
+    _at_least(args, "ticks", 1)
+    _check_utilization(args.utilization)
+    _at_least(args, "horizon", 0)
+    _require(
+        not (args.cooling and args.vectorized),
+        "--cooling is incompatible with --vectorized",
+    )
+    # Zero WAN cost or duration is a real ablation; negative ones would
+    # silently mean zero.
+    _at_least(args, "wan_cost", 0)
+    _at_least(args, "wan_ticks", 0)
+    _require(
+        args.solar_peak is None or args.solar_peak > 0,
+        "--solar-peak must be > 0",
+    )
 
     from repro.experiments.fig_federation import SOLAR_PEAK, build_specs
-    from repro.federation import POLICIES, run_federation
+    from repro.federation import (
+        POLICIES,
+        resolve_forecast_model,
+        run_federation,
+    )
     from repro.metrics.federation import summarize_federation
 
-    if args.policy not in POLICIES:
-        print(
-            f"--policy must be one of {', '.join(sorted(POLICIES))}",
-            file=sys.stderr,
-        )
-        return 2
+    _require(
+        args.policy in POLICIES,
+        f"--policy must be one of {', '.join(sorted(POLICIES))}",
+    )
     if not POLICIES[args.policy].forecast_aware:
         # Lookahead knobs silently do nothing without the planner;
         # reject them instead of pretending they took effect.
+        aware = ", ".join(
+            sorted(name for name, fn in POLICIES.items() if fn.forecast_aware)
+        )
         for flag, given in (
             ("--horizon", args.horizon > 0),
             ("--cooling", args.cooling),
         ):
-            if given:
-                aware = sorted(
-                    name
-                    for name, fn in POLICIES.items()
-                    if fn.forecast_aware
-                )
-                print(
-                    f"{flag} needs a forecast-aware policy "
-                    f"({', '.join(aware)}); {args.policy!r} ignores it",
-                    file=sys.stderr,
-                )
-                return 2
-    from repro.federation import resolve_forecast_model
-
-    try:
+            _require(
+                not given,
+                f"{flag} needs a forecast-aware policy ({aware}); "
+                f"{args.policy!r} ignores it",
+            )
+    with _usage_errors("--forecast"):
         forecast = resolve_forecast_model(args.forecast)
-    except ValueError as error:
-        print(f"--forecast: {error}", file=sys.stderr)
-        return 2
     battery_capacity = 0.0
     battery_rate = None
     if args.battery is not None:
         from repro.power import parse_battery_spec
 
-        try:
+        with _usage_errors("--battery"):
             spec = parse_battery_spec(args.battery)
-        except ValueError as error:
-            print(f"--battery: {error}", file=sys.stderr)
-            return 2
         battery_capacity = spec.capacity
         battery_rate = spec.max_rate
 
@@ -755,7 +897,7 @@ def federation_main(argv: List[str]) -> int:
         battery_capacity=battery_capacity,
         battery_rate=battery_rate,
         target_utilization=args.utilization,
-        solar_peak=args.solar_peak or SOLAR_PEAK,
+        solar_peak=SOLAR_PEAK if args.solar_peak is None else args.solar_peak,
         seed=args.seed,
     )
     cooling = None
@@ -763,20 +905,19 @@ def federation_main(argv: List[str]) -> int:
         from repro.federation import CoolingControl
 
         cooling = CoolingControl(outside_temp=args.outside_temp)
-    tracer = _open_tracer(args.trace)
-    coordinator = run_federation(
-        specs,
-        n_ticks=args.ticks,
-        policy=args.policy,
-        wan_cost_power=args.wan_cost,
-        wan_cost_ticks=args.wan_ticks,
-        horizon=args.horizon,
-        cooling=cooling,
-        forecast=forecast,
-        tracer=tracer,
-        vectorized=args.vectorized,
-    )
-    _close_tracer(tracer, args.trace)
+    with _trace_file(args.trace) as tracer:
+        coordinator = run_federation(
+            specs,
+            n_ticks=args.ticks,
+            policy=args.policy,
+            wan_cost_power=args.wan_cost,
+            wan_cost_ticks=args.wan_ticks,
+            horizon=args.horizon,
+            cooling=cooling,
+            forecast=forecast,
+            tracer=tracer,
+            vectorized=args.vectorized,
+        )
 
     print(
         f"Federated Willow run: {args.sites} site(s), "
@@ -792,28 +933,21 @@ def federation_main(argv: List[str]) -> int:
         + (", cooling actuation on" if args.cooling else "")
     )
     print(summarize_federation(coordinator).format())
-    t_limit = max(site.config.thermal.t_limit for site in coordinator.sites)
-    worst = max(
-        sample.temperature
-        for site in coordinator.sites
-        for sample in site.collector.server_samples
-    )
     print(
-        f"thermal safety: worst temperature {worst:.2f} C vs "
-        f"T_limit {t_limit:.0f} C "
-        f"({'OK' if worst <= t_limit + 1e-6 else 'VIOLATED'})"
+        _thermal_safety(
+            [site.collector for site in coordinator.sites],
+            max(site.config.thermal.t_limit for site in coordinator.sites),
+        )
     )
     return 0
 
 
 def build_trace_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli trace",
-        description=(
-            "Replay a recorded tick trace: explain one server's budget "
-            "at one tick (the allocation path down the tree with the "
-            "binding constraint at each level), or summarise the run."
-        ),
+    parser = _parser(
+        "trace",
+        "Replay a recorded tick trace: explain one server's budget "
+        "at one tick (the allocation path down the tree with the "
+        "binding constraint at each level), or summarise the run.",
     )
     parser.add_argument(
         "file", type=str, metavar="FILE",
@@ -847,15 +981,13 @@ def build_trace_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_command
 def trace_main(argv: List[str]) -> int:
     args = build_trace_parser().parse_args(argv)
     from repro.trace import TraceReader
 
-    try:
+    with _usage_errors("trace", (OSError, ValueError, IndexError)):
         reader = TraceReader(args.file, run=args.run)
-    except (OSError, ValueError, IndexError) as error:
-        print(f"trace: {error}", file=sys.stderr)
-        return 2
 
     run = reader.run
     did_something = False
@@ -882,16 +1014,11 @@ def trace_main(argv: List[str]) -> int:
         server = args.server
         if server is None:
             leaves = run.leaf_ids()
-            if not leaves:
-                print("trace: meta frame lists no leaves", file=sys.stderr)
-                return 2
+            _require(leaves, "trace: meta frame lists no leaves")
             server = leaves[0]
         tick = args.tick if args.tick is not None else reader.last_tick()
-        try:
+        with _usage_errors("trace", (KeyError, ValueError)):
             print(reader.explain(server, tick))
-        except (KeyError, ValueError) as error:
-            print(f"trace: {error}", file=sys.stderr)
-            return 2
         did_something = True
     if not did_something:
         ticks = len(run.frames)
@@ -918,14 +1045,12 @@ def trace_main(argv: List[str]) -> int:
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli serve",
-        description=(
-            "Run Willow-as-a-service: a live controller ticked on the "
-            "wall clock, fed by JSON-lines events over TCP through a "
-            "bounded queue, with every accepted event recorded in a "
-            "replayable audit log (see docs/service.md)."
-        ),
+    parser = _parser(
+        "serve",
+        "Run Willow-as-a-service: a live controller ticked on the "
+        "wall clock, fed by JSON-lines events over TCP through a "
+        "bounded queue, with every accepted event recorded in a "
+        "replayable audit log (see docs/service.md).",
     )
     parser.add_argument(
         "audit", type=str, metavar="AUDIT_FILE",
@@ -945,9 +1070,16 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="no TCP server; ingest only via the in-process API "
              "(embedding and tests)",
     )
-    parser.add_argument(
-        "--ticks", type=int, default=None, metavar="N",
-        help="stop after N ticks (default: run until SIGINT/SIGTERM)",
+    _add_run_flags(
+        parser,
+        ticks=(None, "stop after TICKS ticks (default: run until "
+                     "SIGINT/SIGTERM)"),
+        utilization=0.5,
+        vms_per_server=(4, "initial VMs per server (0 = start empty; "
+                           "default %(default)s)"),
+        branching=None,
+        seed=0,
+        supply_factor=1.0,
     )
     parser.add_argument(
         "--tick-seconds", type=float, default=None, metavar="S",
@@ -964,24 +1096,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         choices=("scalar", "vectorized"),
         help="embedded controller: scalar accepts live fault events, "
              "vectorized is faster at large fleets (default scalar)",
-    )
-    parser.add_argument(
-        "--utilization", type=float, default=0.5,
-        help="initial fleet utilization in (0, 1] (default 0.5)",
-    )
-    parser.add_argument(
-        "--vms-per-server", type=int, default=4, metavar="N",
-        help="initial VMs per server (0 = start empty; default 4)",
-    )
-    parser.add_argument(
-        "--branching", type=str, default=None, metavar="A,B,C",
-        help="custom balanced tree, e.g. 3,3,3 (default: paper's 2,3,3)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--supply-factor", type=float, default=1.0,
-        help="initial root budget as a multiple of fleet circuit "
-             "capacity (supply_update events change it live)",
     )
     parser.add_argument(
         "--outside", type=float, default=35.0, metavar="DEGC",
@@ -1018,44 +1132,28 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_command
 def serve_main(argv: List[str]) -> int:
     args = build_serve_parser().parse_args(argv)
-    if args.ticks is not None and args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
-    if args.tick_seconds is not None and args.tick_seconds <= 0:
-        print("--tick-seconds must be positive", file=sys.stderr)
-        return 2
-    if args.queue_bound < 1:
-        print("--queue-bound must be >= 1", file=sys.stderr)
-        return 2
-    if args.load is not None and (args.load < 1 or args.no_listen):
-        print(
-            "--load needs a positive count and the TCP server "
-            "(drop --no-listen)",
-            file=sys.stderr,
-        )
-        return 2
+    _at_least(args, "ticks", 1)
+    _require(
+        args.tick_seconds is None or args.tick_seconds > 0,
+        "--tick-seconds must be positive",
+    )
+    _at_least(args, "queue_bound", 1)
+    _require(
+        args.load is None or (args.load >= 1 and not args.no_listen),
+        "--load needs a positive count and the TCP server "
+        "(drop --no-listen)",
+    )
     if args.checkpoint_every is not None:
-        if args.checkpoint_every < 1:
-            print("--checkpoint-every must be >= 1", file=sys.stderr)
-            return 2
-        if args.checkpoint_dir is None and not args.recover:
-            print(
-                "--checkpoint-every needs --checkpoint-dir", file=sys.stderr
-            )
-            return 2
-    error = _missing_parent(args.audit, "audit path")
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    branching = None
-    if args.branching:
-        try:
-            branching = tuple(int(x) for x in args.branching.split(","))
-        except ValueError:
-            print("--branching must be comma-separated ints", file=sys.stderr)
-            return 2
+        _at_least(args, "checkpoint_every", 1)
+        _require(
+            args.checkpoint_dir is not None or args.recover,
+            "--checkpoint-every needs --checkpoint-dir",
+        )
+    _check_parent(args.audit, "audit path")
+    branching = _branching(args.branching)
 
     import asyncio
     import signal
@@ -1079,19 +1177,16 @@ def serve_main(argv: List[str]) -> int:
             checkpoint_dir = f"{args.audit}.ckpt"
         from repro.service import AuditRecordError, recover_simulation
 
-        try:
+        with _usage_errors(
+            "serve --recover",
+            (FileNotFoundError, AuditRecordError, CheckpointError),
+        ):
             recovery = recover_simulation(args.audit, checkpoint_dir)
-        except FileNotFoundError as error:
-            print(f"serve --recover: {error}", file=sys.stderr)
-            return 2
-        except (AuditRecordError, CheckpointError) as error:
-            print(f"serve --recover: {error}", file=sys.stderr)
-            return 2
         print(recovery.format(), flush=True)
         sim = recovery.sim
         max_ticks = sim.tick + args.ticks if args.ticks is not None else None
     else:
-        try:
+        with _usage_errors("serve"):
             spec = ServiceSpec(
                 seed=args.seed,
                 controller=args.controller,
@@ -1101,15 +1196,12 @@ def serve_main(argv: List[str]) -> int:
                 supply_factor=args.supply_factor,
                 outside_temp=args.outside,
             )
-        except ValueError as error:
-            print(f"serve: {error}", file=sys.stderr)
-            return 2
         sim = LiveSimulation(spec)
         max_ticks = args.ticks
-    if args.load is not None and not sim.n_vms:
-        print("--load needs an initial fleet (--vms-per-server > 0)",
-              file=sys.stderr)
-        return 2
+    _require(
+        args.load is None or sim.n_vms,
+        "--load needs an initial fleet (--vms-per-server > 0)",
+    )
     gateway = IngestGateway(
         queue_bound=args.queue_bound, allow_faults=sim.allow_faults
     )
@@ -1174,12 +1266,10 @@ def serve_main(argv: List[str]) -> int:
 
 
 def build_replay_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli replay",
-        description=(
-            "Re-execute a live run's audit log offline and verify "
-            "bit-exact parity with the recorded decision digest."
-        ),
+    parser = _parser(
+        "replay",
+        "Re-execute a live run's audit log offline and verify "
+        "bit-exact parity with the recorded decision digest.",
     )
     parser.add_argument(
         "file", type=str, metavar="AUDIT_FILE",
@@ -1193,15 +1283,13 @@ def build_replay_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_command
 def replay_main(argv: List[str]) -> int:
     args = build_replay_parser().parse_args(argv)
     from repro.service import AuditRecordError, replay
 
-    try:
+    with _usage_errors("replay", (FileNotFoundError, AuditRecordError)):
         result = replay(args.file)
-    except (FileNotFoundError, AuditRecordError) as error:
-        print(f"replay: {error}", file=sys.stderr)
-        return 2
     print(result.format())
     if args.summary:
         from repro.metrics import summarize_run
@@ -1210,94 +1298,60 @@ def replay_main(argv: List[str]) -> int:
     return 1 if result.parity is False else 0
 
 
-def _build_resumable_run(
-    *,
-    seed: int,
-    vectorized: bool,
-    utilization: float,
-    branching,
-    supply_factor: float,
-    vms_per_server: int,
-):
-    """A batch controller built exactly as ``checkpoint``/``resume`` need:
-    the same (tree, supply, placement, seed) recipe on both sides is
-    what makes restore-onto-a-fresh-twin bit-exact."""
+def _checkpointed_controller(meta: dict):
+    """The batch controller a checkpoint's meta describes.
+
+    ``checkpoint`` builds from the meta it writes and ``resume`` from
+    the one it reads, through the one run recipe
+    (:func:`repro.core.controller.build_willow`): the same tree,
+    supply, placement and seed on both sides is what makes
+    restore-onto-a-fresh-twin bit-exact.
+    """
     from repro.core import WillowConfig, WillowController
+    from repro.core.controller import build_willow
     from repro.core.vectorized import VectorizedWillowController
     from repro.power import constant_supply
-    from repro.sim import RandomStreams
-    from repro.topology import build_balanced, build_paper_simulation
-    from repro.workload import (
-        SIMULATION_APPS,
-        random_placement,
-        scale_for_target_utilization,
-    )
 
-    tree = (
-        build_balanced([int(b) for b in branching])
-        if branching
-        else build_paper_simulation()
-    )
-    servers = tree.servers()
+    tree = _tree(meta.get("branching"))
     config = WillowConfig()
-    supply = constant_supply(
-        supply_factor * len(servers) * config.circuit_limit
+    with _usage_errors("--supply-factor"):
+        supply = constant_supply(
+            meta["supply_factor"] * len(tree.servers()) * config.circuit_limit
+        )
+    return build_willow(
+        VectorizedWillowController if meta["vectorized"] else WillowController,
+        tree=tree,
+        config=config,
+        supply=supply,
+        target_utilization=meta["utilization"],
+        seed=meta["seed"],
+        vms_per_server=meta["vms_per_server"],
     )
-    streams = RandomStreams(seed)
-    placement = random_placement(
-        [s.node_id for s in servers],
-        SIMULATION_APPS,
-        streams["placement"],
-        vms_per_server=vms_per_server,
-    )
-    scale_for_target_utilization(
-        placement, config.server_model.slope, utilization
-    )
-    cls = VectorizedWillowController if vectorized else WillowController
-    return cls(tree, config, supply, placement, seed=seed)
 
 
 def build_checkpoint_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli checkpoint",
-        description=(
-            "Run a batch Willow simulation while writing periodic "
-            "hash-verified checkpoints; resume it bit-exactly with "
-            "'python -m repro.cli resume DIR' (see docs/checkpointing.md)."
-        ),
+    parser = _parser(
+        "checkpoint",
+        "Run a batch Willow simulation while writing periodic "
+        "hash-verified checkpoints; resume it bit-exactly with "
+        "'python -m repro.cli resume DIR' (see docs/checkpointing.md).",
     )
     parser.add_argument(
         "dir", type=str, metavar="DIR",
         help="checkpoint directory (created if absent)",
     )
-    parser.add_argument(
-        "--ticks", type=int, default=100, help="control ticks to run"
+    _add_run_flags(
+        parser, ticks=100, seed=0, utilization=0.5, branching=None,
+        supply_factor=1.0, vms_per_server=4,
     )
     parser.add_argument(
         "--every", type=int, default=None, metavar="N",
         help="checkpoint cadence in ticks (default: the config's eta2 "
              "consolidation cadence)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument(
         "--vectorized", action="store_true",
         help="use the array-based controller",
-    )
-    parser.add_argument(
-        "--utilization", type=float, default=0.5,
-        help="target mean utilization in (0, 1] (default 0.5)",
-    )
-    parser.add_argument(
-        "--branching", type=str, default=None, metavar="A,B,C",
-        help="custom balanced tree, e.g. 3,3,3 (default: paper's 2,3,3)",
-    )
-    parser.add_argument(
-        "--supply-factor", type=float, default=1.0,
-        help="supply as a multiple of fleet circuit capacity",
-    )
-    parser.add_argument(
-        "--vms-per-server", type=int, default=4, metavar="N",
-        help="initial VMs per server (default 4)",
     )
     parser.add_argument(
         "--keep", type=int, default=None, metavar="N",
@@ -1310,38 +1364,21 @@ def build_checkpoint_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_command
 def checkpoint_main(argv: List[str]) -> int:
     args = build_checkpoint_parser().parse_args(argv)
-    if args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
-    if args.every is not None and args.every < 1:
-        print("--every must be >= 1", file=sys.stderr)
-        return 2
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
-        return 2
-    branching = None
-    if args.branching:
-        try:
-            branching = tuple(int(x) for x in args.branching.split(","))
-        except ValueError:
-            print("--branching must be comma-separated ints", file=sys.stderr)
-            return 2
+    _at_least(args, "ticks", 1)
+    _at_least(args, "every", 1)
+    _check_utilization(args.utilization)
+    _at_least(args, "vms_per_server", 1)
+    branching = _branching(args.branching)
 
     from repro.checkpoint import CheckpointStore, Checkpointer
     from repro.metrics import summarize_run
     from repro.service.simulation import decision_digest
 
-    controller = _build_resumable_run(
-        seed=args.seed,
-        vectorized=args.vectorized,
-        utilization=args.utilization,
-        branching=branching,
-        supply_factor=args.supply_factor,
-        vms_per_server=args.vms_per_server,
-    )
-    store = CheckpointStore(args.dir, fsync=args.fsync, keep=args.keep)
+    with _usage_errors("--keep"):
+        store = CheckpointStore(args.dir, fsync=args.fsync, keep=args.keep)
     # The meta rides inside every checkpoint header so `resume` can
     # rebuild the identical twin without any side-channel.
     meta = {
@@ -1353,6 +1390,7 @@ def checkpoint_main(argv: List[str]) -> int:
         "supply_factor": args.supply_factor,
         "vms_per_server": args.vms_per_server,
     }
+    controller = _checkpointed_controller(meta)
     checkpointer = Checkpointer(store, every=args.every, meta=meta)
     checkpointer.attach(controller)
     collector = controller.run(args.ticks)
@@ -1367,14 +1405,12 @@ def checkpoint_main(argv: List[str]) -> int:
 
 
 def build_resume_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli resume",
-        description=(
-            "Resume a checkpointed batch run from its latest valid "
-            "checkpoint (corrupt or other-version files are skipped and "
-            "named) and run it to completion; the decision digest "
-            "matches an uninterrupted run bit-exactly."
-        ),
+    parser = _parser(
+        "resume",
+        "Resume a checkpointed batch run from its latest valid "
+        "checkpoint (corrupt or other-version files are skipped and "
+        "named) and run it to completion; the decision digest "
+        "matches an uninterrupted run bit-exactly.",
     )
     parser.add_argument(
         "dir", type=str, metavar="DIR",
@@ -1385,14 +1421,15 @@ def build_resume_parser() -> argparse.ArgumentParser:
         help="resume from the checkpoint at this exact tick instead of "
              "the latest valid one",
     )
-    parser.add_argument(
-        "--ticks", type=int, default=None, metavar="N",
-        help="total ticks to run to (default: the run length recorded "
-             "when the checkpoints were written)",
+    _add_run_flags(
+        parser,
+        ticks=(None, "total ticks to run to (default: the run length "
+                     "recorded when the checkpoints were written)"),
     )
     return parser
 
 
+@_command
 def resume_main(argv: List[str]) -> int:
     args = build_resume_parser().parse_args(argv)
     from pathlib import Path
@@ -1406,69 +1443,44 @@ def resume_main(argv: List[str]) -> int:
     from repro.metrics import summarize_run
     from repro.service.simulation import decision_digest
 
-    if not Path(args.dir).is_dir():
-        print(
-            f"resume: {args.dir} is not a directory (run "
-            f"'python -m repro.cli checkpoint {args.dir}' first?)",
-            file=sys.stderr,
-        )
-        return 2
+    _require(
+        Path(args.dir).is_dir(),
+        f"resume: {args.dir} is not a directory (run "
+        f"'python -m repro.cli checkpoint {args.dir}' first?)",
+    )
     store = CheckpointStore(args.dir)
-    try:
+    with _usage_errors(
+        "resume", (FileNotFoundError, PermissionError, CheckpointError)
+    ), _usage_errors("resume: corrupt checkpoint", CheckpointCorruptError):
         if args.at is not None:
             document = store.load(args.at)
         else:
             document = store.latest_valid()
-    except (FileNotFoundError, PermissionError) as error:
-        print(f"resume: {error}", file=sys.stderr)
-        return 2
-    except CheckpointCorruptError as error:
-        print(f"resume: corrupt checkpoint: {error}", file=sys.stderr)
-        return 2
-    except CheckpointError as error:
-        print(f"resume: {error}", file=sys.stderr)
-        return 2
     out = sys.stdout if document is not None else sys.stderr
     for path, error in store.skipped:
         print(f"resume: {describe_skip(path, error)}", file=out)
-    if document is None:
-        print(
-            f"resume: no valid checkpoint found in {args.dir}",
-            file=sys.stderr,
-        )
-        return 2
+    _require(
+        document is not None,
+        f"resume: no valid checkpoint found in {args.dir}",
+    )
     meta = document["meta"]
     required = ("ticks", "seed", "vectorized", "utilization",
                 "supply_factor", "vms_per_server")
-    if any(key not in meta for key in required):
-        print(
-            f"resume: checkpoint at tick {document['tick']} has no "
-            f"rebuild recipe in its meta (written by 'checkpoint'? "
-            f"service checkpoints are resumed with 'serve --recover')",
-            file=sys.stderr,
-        )
-        return 2
-    total_ticks = args.ticks if args.ticks is not None else meta["ticks"]
-    if total_ticks < document["tick"]:
-        print(
-            f"resume: --ticks {total_ticks} is before the checkpoint "
-            f"at tick {document['tick']}",
-            file=sys.stderr,
-        )
-        return 2
-    controller = _build_resumable_run(
-        seed=meta["seed"],
-        vectorized=meta["vectorized"],
-        utilization=meta["utilization"],
-        branching=meta.get("branching"),
-        supply_factor=meta["supply_factor"],
-        vms_per_server=meta["vms_per_server"],
+    _require(
+        all(key in meta for key in required),
+        f"resume: checkpoint at tick {document['tick']} has no "
+        f"rebuild recipe in its meta (written by 'checkpoint'? "
+        f"service checkpoints are resumed with 'serve --recover')",
     )
-    try:
+    total_ticks = args.ticks if args.ticks is not None else meta["ticks"]
+    _require(
+        total_ticks >= document["tick"],
+        f"resume: --ticks {total_ticks} is before the checkpoint "
+        f"at tick {document['tick']}",
+    )
+    controller = _checkpointed_controller(meta)
+    with _usage_errors("resume", CheckpointError):
         controller.restore_state(document["state"])
-    except CheckpointError as error:
-        print(f"resume: {error}", file=sys.stderr)
-        return 2
     remaining = total_ticks - document["tick"]
     print(
         f"resumed from checkpoint at tick {document['tick']} "
@@ -1481,13 +1493,11 @@ def resume_main(argv: List[str]) -> int:
 
 
 def build_gym_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli gym",
-        description=(
-            "Train learned federation schedulers in the gym environment "
-            "and score them against the shipped policies on one "
-            "scenario (see docs/gym.md)."
-        ),
+    parser = _parser(
+        "gym",
+        "Train learned federation schedulers in the gym environment "
+        "and score them against the shipped policies on one "
+        "scenario (see docs/gym.md).",
     )
     parser.add_argument(
         "--sites", type=int, default=2, metavar="N",
@@ -1501,8 +1511,10 @@ def build_gym_parser() -> argparse.ArgumentParser:
         "--horizon", type=int, default=4, metavar="K",
         help="forecast steps in the observation (default 4)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="scenario seed (default 0)"
+    _add_run_flags(
+        parser,
+        seed=(0, "scenario seed (default %(default)s)"),
+        utilization=0.35,
     )
     parser.add_argument(
         "--agent-seed", type=int, default=0,
@@ -1521,10 +1533,6 @@ def build_gym_parser() -> argparse.ArgumentParser:
         help="bandit training episodes (default 4)",
     )
     parser.add_argument(
-        "--utilization", type=float, default=0.35,
-        help="per-site target mean utilization in (0, 1] (default 0.35)",
-    )
-    parser.add_argument(
         "--battery", type=float, default=0.0, metavar="CAPACITY",
         help="per-site UPS capacity in W*ticks (default 0 = none)",
     )
@@ -1539,36 +1547,21 @@ def build_gym_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_command
 def gym_main(argv: List[str]) -> int:
     args = build_gym_parser().parse_args(argv)
-    if args.sites < 1:
-        print("--sites must be >= 1", file=sys.stderr)
-        return 2
-    if args.windows < 1:
-        print("--windows must be >= 1", file=sys.stderr)
-        return 2
-    if args.horizon < 0:
-        print("--horizon must be >= 0", file=sys.stderr)
-        return 2
-    if args.iterations < 1:
-        print("--iterations must be >= 1", file=sys.stderr)
-        return 2
-    if args.population < 2:
-        print("--population must be >= 2", file=sys.stderr)
-        return 2
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.battery < 0:
-        print("--battery must be >= 0", file=sys.stderr)
-        return 2
+    _at_least(args, "sites", 1)
+    _at_least(args, "windows", 1)
+    _at_least(args, "horizon", 0)
+    _at_least(args, "iterations", 1)
+    _at_least(args, "population", 2)
+    _at_least(args, "episodes", 1)
+    _check_utilization(args.utilization)
+    _at_least(args, "battery", 0)
     from repro.federation import resolve_forecast_model
 
-    try:
+    with _usage_errors("--forecast"):
         resolve_forecast_model(args.forecast)
-    except ValueError as error:
-        print(f"--forecast: {error}", file=sys.stderr)
-        return 2
 
     from repro.gym import GymConfig, compare
 
@@ -1619,144 +1612,27 @@ def gym_main(argv: List[str]) -> int:
     return 0
 
 
+#: ``python -m repro.cli NAME ...`` runs ``SUBCOMMANDS[NAME]``; any
+#: other first argument is a flag of the default run (:func:`run_main`).
+SUBCOMMANDS = {
+    "bench": bench_main,
+    "degraded": degraded_main,
+    "resilience": resilience_main,
+    "federation": federation_main,
+    "gym": gym_main,
+    "trace": trace_main,
+    "serve": serve_main,
+    "replay": replay_main,
+    "checkpoint": checkpoint_main,
+    "resume": resume_main,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "bench":
-        return bench_main(argv[1:])
-    if argv and argv[0] == "degraded":
-        return degraded_main(argv[1:])
-    if argv and argv[0] == "resilience":
-        return resilience_main(argv[1:])
-    if argv and argv[0] == "federation":
-        return federation_main(argv[1:])
-    if argv and argv[0] == "gym":
-        return gym_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "replay":
-        return replay_main(argv[1:])
-    if argv and argv[0] == "checkpoint":
-        return checkpoint_main(argv[1:])
-    if argv and argv[0] == "resume":
-        return resume_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.supply_dip < 1.0:
-        print("--supply-dip must be in [0, 1)", file=sys.stderr)
-        return 2
-
-    from repro.core import WillowConfig, WillowController
-    from repro.core.vectorized import VectorizedWillowController
-    from repro.metrics import summarize_run
-    from repro.power import constant_supply, step_supply
-    from repro.sim import RandomStreams
-    from repro.topology import build_balanced, build_paper_simulation
-    from repro.workload import (
-        SIMULATION_APPS,
-        random_placement,
-        scale_for_target_utilization,
-    )
-
-    if args.branching:
-        try:
-            branching = [int(x) for x in args.branching.split(",")]
-        except ValueError:
-            print("--branching must be comma-separated ints", file=sys.stderr)
-            return 2
-        tree = build_balanced(branching)
-    else:
-        tree = build_paper_simulation()
-    servers = tree.servers()
-
-    overrides = {}
-    config_kwargs = {}
-    if args.no_consolidation:
-        config_kwargs["consolidation_enabled"] = False
-    if args.p_min is not None:
-        config_kwargs["p_min"] = args.p_min
-    config = WillowConfig(**config_kwargs)
-
-    if args.hot:
-        if args.hot > len(servers):
-            print("--hot exceeds server count", file=sys.stderr)
-            return 2
-        overrides = {s.name: 40.0 for s in servers[-args.hot:]}
-
-    nominal = args.supply_factor * len(servers) * config.circuit_limit
-    if args.supply_csv:
-        from repro.power import supply_from_csv
-
-        try:
-            supply = supply_from_csv(args.supply_csv)
-        except (OSError, ValueError) as error:
-            print(f"--supply-csv: {error}", file=sys.stderr)
-            return 2
-    elif args.supply_dip > 0:
-        dip_at = args.dip_at if args.dip_at is not None else args.ticks // 2
-        supply = step_supply(
-            [(0.0, nominal), (float(dip_at), nominal * (1 - args.supply_dip))]
-        )
-    else:
-        supply = constant_supply(nominal)
-
-    if args.battery is not None:
-        from repro.power import buffer_supply, parse_battery_spec
-
-        try:
-            battery = parse_battery_spec(args.battery).build()
-        except ValueError as error:
-            print(f"--battery: {error}", file=sys.stderr)
-            return 2
-        supply = buffer_supply(
-            supply,
-            battery,
-            duration=args.ticks * config.delta_d,
-            dt=config.delta_d,
-        )
-
-    streams = RandomStreams(args.seed)
-    placement = random_placement(
-        [s.node_id for s in servers], SIMULATION_APPS, streams["placement"]
-    )
-    scale_for_target_utilization(
-        placement, config.server_model.slope, args.utilization
-    )
-    controller_cls = (
-        VectorizedWillowController if args.vectorized else WillowController
-    )
-    tracer = _open_tracer(args.trace)
-    controller = controller_cls(
-        tree, config, supply, placement,
-        ambient_overrides=overrides, seed=args.seed, tracer=tracer,
-    )
-    collector = controller.run(args.ticks)
-    _close_tracer(tracer, args.trace)
-
-    print(
-        f"Willow run: {len(servers)} servers, U={args.utilization:.0%}, "
-        f"{args.ticks} ticks, seed {args.seed}"
-        + (f", hot zone on last {args.hot}" if args.hot else "")
-    )
-    print(summarize_run(collector).format())
-
-    if args.export_csv:
-        from repro.metrics.export import export_csv
-
-        written = export_csv(collector, args.export_csv)
-        print(f"wrote {len(written)} CSV files to {args.export_csv}")
-    if args.export_json:
-        from repro.metrics.export import export_json
-
-        path = export_json(collector, args.export_json)
-        print(f"wrote {path}")
-    return 0
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
+    return run_main(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -34,9 +34,9 @@ from repro.control_plane.config import ControlPlaneConfig
 from repro.control_plane.faults import FaultSchedule
 from repro.control_plane.transport import LinkStats, Transport
 from repro.core.config import WillowConfig
-from repro.core.controller import WillowController
+from repro.core.controller import WillowController, build_willow
 from repro.metrics.collector import MetricsCollector
-from repro.power.supply import SupplyTrace, constant_supply
+from repro.power.supply import SupplyTrace
 from repro.topology.tree import Node, Tree
 from repro.workload.applications import SIMULATION_APPS
 
@@ -224,38 +224,18 @@ def run_distributed(
     is directly comparable (see :mod:`repro.control_plane.divergence`)
     to the ideal synchronous run.  Returns ``(controller, collector)``.
     """
-    from repro.sim.rng import RandomStreams
-    from repro.topology.builders import build_paper_simulation
-    from repro.workload.generator import (
-        random_placement,
-        scale_for_target_utilization,
-    )
-
-    tree = tree or build_paper_simulation()
-    config = config or WillowConfig()
-    servers = tree.servers()
-    if supply is None:
-        supply = constant_supply(len(servers) * config.circuit_limit)
-
-    streams = RandomStreams(seed)
-    placement = random_placement(
-        [s.node_id for s in servers],
-        apps,
-        streams["placement"],
+    controller = build_willow(
+        DistributedWillowController,
+        tree=tree,
+        config=config,
+        supply=supply,
+        target_utilization=target_utilization,
+        seed=seed,
+        apps=apps,
         vms_per_server=vms_per_server,
-    )
-    scale_for_target_utilization(
-        placement, config.server_model.slope, target_utilization
-    )
-    controller = DistributedWillowController(
-        tree,
-        config,
-        supply,
-        placement,
         control_plane=control_plane,
         faults=faults,
         ambient_overrides=ambient_overrides,
-        seed=seed,
         tracer=tracer,
     )
     collector: MetricsCollector = controller.run(n_ticks)

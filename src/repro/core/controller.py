@@ -50,7 +50,13 @@ from repro.workload.generator import (
     scale_for_target_utilization,
 )
 
-__all__ = ["DemandSource", "WillowController", "run_willow"]
+__all__ = [
+    "DemandSource",
+    "WillowController",
+    "build_willow",
+    "run_willow",
+    "seeded_placement",
+]
 
 _EPS = 1e-9
 
@@ -801,6 +807,74 @@ class WillowController:
         self.collector.restore_tables(state["collector"])
 
 
+def seeded_placement(
+    tree: Tree,
+    config: WillowConfig,
+    *,
+    seed: int,
+    target_utilization: float,
+    apps: tuple = SIMULATION_APPS,
+    vms_per_server: int = 4,
+) -> PlacementPlan:
+    """The initial placement every seeded entry point starts from.
+
+    ``vms_per_server`` VMs per server drawn from the seed's
+    ``"placement"`` stream, scaled so the fleet's mean demand is
+    ``target_utilization`` of the servers' dynamic range.  One recipe
+    is what gives controllers compared at one seed (scalar, array,
+    distributed, fault-tolerant, live, resumed) the same fleet.
+    """
+    placement = random_placement(
+        [s.node_id for s in tree.servers()],
+        apps,
+        RandomStreams(seed)["placement"],
+        vms_per_server=vms_per_server,
+    )
+    return scale_for_target_utilization(
+        placement, config.server_model.slope, target_utilization
+    )
+
+
+def build_willow(
+    controller_cls: type = WillowController,
+    *,
+    tree: Optional[Tree] = None,
+    config: Optional[WillowConfig] = None,
+    supply: Optional[SupplyTrace] = None,
+    target_utilization: float = 0.4,
+    seed: int = 0,
+    apps: tuple = SIMULATION_APPS,
+    vms_per_server: int = 4,
+    **controller_kwargs,
+):
+    """A ``controller_cls`` over the paper's simulation defaults, unrun.
+
+    Defaults reproduce the paper's simulation environment: the Fig. 3
+    topology (4 levels, 18 servers), a supply close to the servers'
+    maximum power limit, the 1/2/5/9 application mix, and the
+    :func:`seeded_placement` scaled to ``target_utilization``.
+    ``controller_kwargs`` go to the controller (``ambient_overrides``,
+    ``tracer``, a subclass's own options).
+    """
+    from repro.topology.builders import build_paper_simulation
+
+    tree = tree or build_paper_simulation()
+    config = config or WillowConfig()
+    if supply is None:
+        supply = constant_supply(len(tree.servers()) * config.circuit_limit)
+    placement = seeded_placement(
+        tree,
+        config,
+        seed=seed,
+        target_utilization=target_utilization,
+        apps=apps,
+        vms_per_server=vms_per_server,
+    )
+    return controller_cls(
+        tree, config, supply, placement, seed=seed, **controller_kwargs
+    )
+
+
 def run_willow(
     *,
     tree: Optional[Tree] = None,
@@ -815,12 +889,7 @@ def run_willow(
     vectorized: bool = False,
     tracer: Optional[Tracer] = None,
 ) -> tuple:
-    """Build and run a complete Willow simulation in one call.
-
-    Defaults reproduce the paper's simulation environment: the Fig. 3
-    topology (4 levels, 18 servers), a supply close to the servers'
-    maximum power limit, the 1/2/5/9 application mix, and Poisson
-    demand scaled to ``target_utilization``.
+    """Build (:func:`build_willow`) and run a Willow simulation in one call.
 
     ``vectorized=True`` runs the array-based tick path
     (:class:`repro.core.vectorized.VectorizedWillowController`), a
@@ -829,37 +898,21 @@ def run_willow(
 
     Returns ``(controller, collector)``.
     """
-    from repro.topology.builders import build_paper_simulation
-
-    tree = tree or build_paper_simulation()
-    config = config or WillowConfig()
-    servers = tree.servers()
-    if supply is None:
-        supply = constant_supply(len(servers) * config.circuit_limit)
-
-    streams = RandomStreams(seed)
-    placement = random_placement(
-        [s.node_id for s in servers],
-        apps,
-        streams["placement"],
-        vms_per_server=vms_per_server,
-    )
-    scale_for_target_utilization(
-        placement, config.server_model.slope, target_utilization
-    )
     controller_cls = WillowController
     if vectorized:
         from repro.core.vectorized import VectorizedWillowController
 
         controller_cls = VectorizedWillowController
-    controller = controller_cls(
-        tree,
-        config,
-        supply,
-        placement,
-        ambient_overrides=ambient_overrides,
+    controller = build_willow(
+        controller_cls,
+        tree=tree,
+        config=config,
+        supply=supply,
+        target_utilization=target_utilization,
         seed=seed,
+        apps=apps,
+        vms_per_server=vms_per_server,
+        ambient_overrides=ambient_overrides,
         tracer=tracer,
     )
-    collector = controller.run(n_ticks)
-    return controller, collector
+    return controller, controller.run(n_ticks)

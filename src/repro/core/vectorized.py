@@ -51,6 +51,7 @@ from repro.core.fleet import (
 )
 from repro.core.migration import PlannedMove
 from repro.power.budget import LevelIndex, allocate_level
+from repro.power.smoothing import smooth_lanes
 from repro.thermal.model import temperature_step_arrays
 from repro.topology.tree import Node
 from repro.workload.generator import DemandGenerator
@@ -564,16 +565,12 @@ class _Segment:
                 self.static_power + vm_sums + self.mig_cost,
             ),
         )
-        # VectorSmoother.update with a per-lane alpha: the same IEEE-754
-        # expression per lane, sites with different alphas included.
-        # Waking servers keep reporting their wake forecast; everyone
-        # else (awake or asleep) absorbs this tick's observation.
-        smoothed_expr = self.alpha * raw + (1.0 - self.alpha) * self.values
-        fresh = np.where(self.primed, smoothed_expr, raw)
-        mask = ~self.waking
-        np.copyto(self.values, fresh, where=mask)
-        self.primed |= mask
-        smoothed = self.values
+        # Eq. 4 with a per-lane alpha (sites may differ).  Waking
+        # servers keep reporting their wake forecast; everyone else
+        # (awake or asleep) absorbs this tick's observation.
+        smoothed = smooth_lanes(
+            self.values, self.primed, self.alpha, raw, ~self.waking
+        )
         self.raw[...] = raw
         for i in range(len(ctrls)):
             self._dirty_servers[i] = True

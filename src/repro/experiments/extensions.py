@@ -22,28 +22,19 @@ def run(seed: int = 17) -> ExperimentResult:
 
     # -- QoS classes --------------------------------------------------------
     from repro.core import WillowConfig, WillowController
+    from repro.core.controller import build_willow, seeded_placement
     from repro.power import step_supply
     from repro.qos import per_class_report, tiered_catalog
-    from repro.sim import RandomStreams
     from repro.topology import build_paper_simulation
-    from repro.workload import (
-        SIMULATION_APPS,
-        random_placement,
-        scale_for_target_utilization,
-    )
+    from repro.workload import SIMULATION_APPS
 
-    tree = build_paper_simulation()
-    config = WillowConfig()
-    streams = RandomStreams(seed)
-    placement = random_placement(
-        [s.node_id for s in tree.servers()],
-        tuple(tiered_catalog(SIMULATION_APPS)),
-        streams["placement"],
+    controller = build_willow(
+        supply=step_supply([(0.0, 18 * 450.0), (30.0, 18 * 200.0)]),
+        target_utilization=0.65,
+        seed=seed,
+        apps=tuple(tiered_catalog(SIMULATION_APPS)),
         vms_per_server=6,
     )
-    scale_for_target_utilization(placement, config.server_model.slope, 0.65)
-    supply = step_supply([(0.0, 18 * 450.0), (30.0, 18 * 200.0)])
-    controller = WillowController(tree, config, supply, placement, seed=seed)
     collector = controller.run(80)
     report = per_class_report(
         collector, controller.vms, scale=controller.placement.scale
@@ -111,14 +102,8 @@ def run(seed: int = 17) -> ExperimentResult:
     def _affinity_variant(aware: bool) -> float:
         atree = build_paper_simulation()
         aconfig = WillowConfig(affinity_aware=aware)
-        astreams = RandomStreams(seed + 20)
-        aplacement = random_placement(
-            [s.node_id for s in atree.servers()],
-            SIMULATION_APPS,
-            astreams["placement"],
-        )
-        scale_for_target_utilization(
-            aplacement, aconfig.server_model.slope, 0.6
+        aplacement = seeded_placement(
+            atree, aconfig, seed=seed + 20, target_utilization=0.6
         )
         graph = clustered_affinity(aplacement.vms, cluster_size=4, in_rate=8.0)
         asupply = step_supply([(0.0, 18 * 450.0), (25.0, 0.75 * 18 * 450.0)])

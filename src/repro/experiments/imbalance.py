@@ -14,16 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import WillowConfig
-from repro.core.controller import WillowController
+from repro.core.controller import WillowController, seeded_placement
 from repro.experiments.common import ExperimentResult, hot_zone_overrides
 from repro.power.supply import step_supply
-from repro.sim.rng import RandomStreams
 from repro.topology.builders import build_paper_simulation
-from repro.workload.generator import (
-    random_placement,
-    scale_for_target_utilization,
-)
-from repro.workload.applications import SIMULATION_APPS
 
 __all__ = ["run", "main"]
 
@@ -36,11 +30,9 @@ def _run_variant(migrations_enabled: bool, n_ticks: int, seed: int):
         config = WillowConfig()
     else:
         config = WillowConfig(p_min=1e9, consolidation_enabled=False)
-    streams = RandomStreams(seed)
-    placement = random_placement(
-        [s.node_id for s in tree.servers()], SIMULATION_APPS, streams["placement"]
+    placement = seeded_placement(
+        tree, config, seed=seed, target_utilization=0.6
     )
-    scale_for_target_utilization(placement, config.server_model.slope, 0.6)
     nominal = 18 * 450.0
     supply = step_supply([(0.0, nominal), (n_ticks / 3, 0.8 * nominal)])
     controller = WillowController(

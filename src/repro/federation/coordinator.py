@@ -138,6 +138,12 @@ class FederationConfig:
     forecast: Union[str, ForecastModel, None] = "oracle"
 
     def __post_init__(self) -> None:
+        # Zero is a real ablation; a negative charge would silently
+        # mean zero (charge_migration_cost ignores it).
+        for name in ("wan_cost_power", "wan_cost_ticks"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if not 0.0 < self.discount <= 1.0:

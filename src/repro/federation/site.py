@@ -21,18 +21,13 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.core.config import WillowConfig
-from repro.core.controller import WillowController
+from repro.core.controller import WillowController, seeded_placement
 from repro.metrics.collector import MetricsCollector
 from repro.power.battery import Battery, buffer_supply_with_plan
 from repro.power.supply import SupplyTrace, constant_supply
-from repro.sim.rng import RandomStreams
 from repro.topology.tree import Tree
 from repro.trace.tracer import NULL_TRACER
 from repro.workload.applications import SIMULATION_APPS
-from repro.workload.generator import (
-    random_placement,
-    scale_for_target_utilization,
-)
 
 __all__ = ["SiteSpec", "Site", "build_site"]
 
@@ -222,9 +217,8 @@ def build_site(
 
     tree = spec.tree or build_paper_simulation()
     config = spec.config or WillowConfig()
-    servers = tree.servers()
     raw_supply = spec.supply or constant_supply(
-        len(servers) * config.circuit_limit
+        len(tree.servers()) * config.circuit_limit
     )
     delivered = raw_supply
     battery_plan = None
@@ -238,15 +232,13 @@ def build_site(
         )
         battery_rate = spec.battery.max_rate
 
-    streams = RandomStreams(spec.seed)
-    placement = random_placement(
-        [s.node_id for s in servers],
-        spec.apps,
-        streams["placement"],
+    placement = seeded_placement(
+        tree,
+        config,
+        seed=spec.seed,
+        target_utilization=spec.target_utilization,
+        apps=spec.apps,
         vms_per_server=spec.vms_per_server,
-    )
-    scale_for_target_utilization(
-        placement, config.server_model.slope, spec.target_utilization
     )
     if vm_id_offset:
         for vm in placement.vms:

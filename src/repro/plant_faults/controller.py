@@ -42,21 +42,16 @@ from repro.binpack.ffdlr import ffdlr_pack
 from repro.binpack.items import Bin, Item
 from repro.cooling.model import CoolingModel
 from repro.core.config import WillowConfig
-from repro.core.controller import WillowController
+from repro.core.controller import WillowController, build_willow
 from repro.core.events import MigrationCause, PlantEvent
 from repro.core.migration import PlannedMove
 from repro.core.state import ServerRuntime, SleepState
 from repro.metrics.collector import MetricsCollector
 from repro.plant_faults.schedule import PlantFaultSchedule
 from repro.plant_faults.sensors import SensorBank, SensorValidatorConfig
-from repro.power.supply import SupplyTrace, constant_supply
-from repro.sim.rng import RandomStreams
+from repro.power.supply import SupplyTrace
 from repro.topology.tree import Tree
 from repro.workload.applications import SIMULATION_APPS
-from repro.workload.generator import (
-    random_placement,
-    scale_for_target_utilization,
-)
 
 __all__ = ["FaultTolerantWillowController", "run_resilient"]
 
@@ -473,36 +468,21 @@ def run_resilient(
 
     Returns ``(controller, collector)``.
     """
-    from repro.topology.builders import build_paper_simulation
-
-    tree = tree or build_paper_simulation()
-    config = config or WillowConfig()
-    servers = tree.servers()
-    if supply is None:
-        supply = constant_supply(len(servers) * config.circuit_limit)
-
-    streams = RandomStreams(seed)
-    placement = random_placement(
-        [s.node_id for s in servers],
-        apps,
-        streams["placement"],
+    controller = build_willow(
+        FaultTolerantWillowController,
+        tree=tree,
+        config=config,
+        supply=supply,
+        target_utilization=target_utilization,
+        seed=seed,
+        apps=apps,
         vms_per_server=vms_per_server,
-    )
-    scale_for_target_utilization(
-        placement, config.server_model.slope, target_utilization
-    )
-    controller = FaultTolerantWillowController(
-        tree,
-        config,
-        supply,
-        placement,
         plant_faults=plant_faults,
         validator=validator,
         cooling=cooling,
         outside_temp=outside_temp,
         ambient_overrides=ambient_overrides,
         collector=collector,
-        seed=seed,
         tracer=tracer,
     )
     out = controller.run(n_ticks)

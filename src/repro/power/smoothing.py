@@ -12,7 +12,12 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ExponentialSmoother", "VectorSmoother", "smooth_series"]
+__all__ = [
+    "ExponentialSmoother",
+    "VectorSmoother",
+    "smooth_lanes",
+    "smooth_series",
+]
 
 
 class ExponentialSmoother:
@@ -121,22 +126,44 @@ class HoltSmoother:
         self._trend = 0.0
 
 
-class VectorSmoother:
-    """Eq. 4 smoothing for a whole fleet of signals in one array op.
+def smooth_lanes(
+    values: np.ndarray,
+    primed: np.ndarray,
+    alpha,
+    observations: np.ndarray,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Eq. 4 for many signals in one array op: the one array kernel.
 
-    Semantically ``n`` independent :class:`ExponentialSmoother` states
-    advanced together: the update is the same IEEE-754 expression
-    ``alpha * obs + (1 - alpha) * value`` applied elementwise, so each
-    lane's sequence is bit-identical to a scalar smoother fed the same
-    observations.  Unprimed lanes (no observation yet) are seeded by
-    their first observation, exactly like the scalar cold-start rule.
+    Each lane advances like its own :class:`ExponentialSmoother`: the
+    same IEEE-754 expression ``alpha * obs + (1 - alpha) * value``
+    elementwise, with ``alpha`` a scalar or one weight per lane, so
+    every lane's sequence is bit-identical to a scalar smoother fed the
+    same observations.  An unprimed lane is seeded by its first
+    observation, exactly like the scalar cold-start rule.  ``mask``
+    selects the lanes that absorb this tick (None = all); the others
+    keep their value and primed state.
 
-    ``values`` and ``primed`` are updated strictly in place, so callers
-    may alias them (the federation block in
-    :class:`~repro.core.fleet.FederationFleet` rebinds them to slices
-    of one shared array) without the update silently detaching the
-    view.
+    ``values`` and ``primed`` are updated strictly in place and
+    returned, so callers may pass views into a larger block (the
+    federation block in :class:`~repro.core.fleet.FederationFleet`)
+    without the update detaching them.
     """
+    smoothed = alpha * observations + (1.0 - alpha) * values
+    fresh = np.where(primed, smoothed, observations)
+    if mask is None:
+        values[...] = fresh
+        primed[...] = True
+    else:
+        np.copyto(values, fresh, where=mask)
+        primed |= mask
+    return values
+
+
+class VectorSmoother:
+    """The Eq. 4 state of ``n`` signals sharing one ``alpha``, advanced
+    by :func:`smooth_lanes`.  ``values`` and ``primed`` may be rebound
+    to views of a shared block."""
 
     def __init__(self, alpha: float, n: int):
         if not 0.0 < alpha <= 1.0:
@@ -148,32 +175,11 @@ class VectorSmoother:
         self.primed = np.zeros(n, dtype=bool)
 
     def update(self, observations: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """Absorb one tick of observations; return the smoothed vector.
-
-        ``mask`` selects which lanes update (True = update); unmasked
-        lanes keep their previous value and primed state.
-        """
+        """Absorb one tick of observations; return the smoothed vector."""
         observations = np.asarray(observations, dtype=float)
-        smoothed = (
-            self.alpha * observations + (1.0 - self.alpha) * self.values
+        return smooth_lanes(
+            self.values, self.primed, self.alpha, observations, mask
         )
-        fresh = np.where(self.primed, smoothed, observations)
-        if mask is None:
-            self.values[...] = fresh
-            self.primed[...] = True
-        else:
-            np.copyto(self.values, fresh, where=mask)
-            self.primed |= mask
-        return self.values
-
-    def reset_lane(self, index: int, initial: float | None = None) -> None:
-        """Reset one lane (``None`` returns it to the unprimed state)."""
-        if initial is None:
-            self.values[index] = 0.0
-            self.primed[index] = False
-        else:
-            self.values[index] = float(initial)
-            self.primed[index] = True
 
 
 def smooth_series(values: Sequence[float], alpha: float) -> np.ndarray:

@@ -266,6 +266,8 @@ def renewable_supply(
     """
     if not 0.0 <= base_fraction <= 1.0:
         raise ValueError("base_fraction must be in [0, 1]")
+    if not peak >= 0:
+        raise ValueError(f"peak must be >= 0, got {peak}")
     if rng is None:
         rng = np.random.default_rng(7)
     times = np.arange(0.0, day_length * days, resolution)
@@ -276,5 +278,4 @@ def renewable_supply(
             1.0 + rng.normal(0.0, cloud_noise, size=len(times)), 0.0, None
         )
     budgets = peak * (base_fraction + (1.0 - base_fraction) * solar)
-    budgets = np.clip(budgets, 0.0, None)
     return SupplyTrace(tuple(times.tolist()), tuple(budgets.tolist()))

@@ -117,7 +117,10 @@ def read_audit(path) -> Dict[str, Any]:
     trailing partial line (hard kill mid-write) is skipped and counted,
     never fatal -- but a missing/invalid meta record is.
     """
-    segments = trace_segments(path)
+    try:
+        segments = trace_segments(path)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no audit log found at {path}") from None
     meta: Optional[Dict[str, Any]] = None
     end: Optional[Dict[str, Any]] = None
     events: List[Dict[str, Any]] = []

@@ -30,13 +30,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 from repro.core.config import WillowConfig
+from repro.core.controller import seeded_placement
 from repro.metrics.collector import MetricsCollector
 from repro.service.events import OPEN_END_TICK, app_from_spec
-from repro.workload.generator import (
-    PlacementPlan,
-    random_placement,
-    scale_for_target_utilization,
-)
+from repro.workload.generator import PlacementPlan
 from repro.workload.vm import VM
 
 __all__ = [
@@ -162,23 +159,18 @@ class LiveSimulation:
             if spec.branching
             else build_paper_simulation()
         )
-        servers = self.tree.servers()
         self.supply = MutableSupply(
-            spec.supply_factor * len(servers) * self.config.circuit_limit
+            spec.supply_factor
+            * len(self.tree.servers())
+            * self.config.circuit_limit
         )
         if spec.vms_per_server:
-            from repro.sim.rng import RandomStreams
-            from repro.workload.applications import SIMULATION_APPS
-
-            streams = RandomStreams(spec.seed)
-            placement = random_placement(
-                [s.node_id for s in servers],
-                SIMULATION_APPS,
-                streams["placement"],
+            placement = seeded_placement(
+                self.tree,
+                self.config,
+                seed=spec.seed,
+                target_utilization=spec.utilization,
                 vms_per_server=spec.vms_per_server,
-            )
-            scale_for_target_utilization(
-                placement, self.config.server_model.slope, spec.utilization
             )
             # Live demand arrives in absolute watts; seed each VM's
             # zero-order hold at its scaled mean so the fleet starts at

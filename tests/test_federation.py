@@ -229,6 +229,15 @@ class TestCoordinatorValidation:
         with pytest.raises(ValueError, match="target_utilization"):
             SiteSpec(name="a", target_utilization=0.0)
 
+    def test_rejects_negative_wan_cost(self):
+        # Zero is the no-WAN-cost ablation; a negative charge used to
+        # be accepted and silently mean zero.
+        assert FederationConfig(wan_cost_power=0.0, wan_cost_ticks=0)
+        with pytest.raises(ValueError, match="wan_cost_power"):
+            FederationConfig(wan_cost_power=-5.0)
+        with pytest.raises(ValueError, match="wan_cost_ticks"):
+            FederationConfig(wan_cost_ticks=-1)
+
     def test_callable_policy_accepted(self):
         coordinator = run_federation(
             [SiteSpec(name="a")], n_ticks=8, policy=neutral

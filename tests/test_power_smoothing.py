@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.power import ExponentialSmoother, HoltSmoother, smooth_series
 
@@ -108,3 +110,40 @@ class TestSmoothSeries:
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             smooth_series([1.0], 0.0)
+
+
+class TestSmoothLanes:
+    """The one array Eq. 4 kernel equals independent scalar smoothers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_lanes_match_scalar_smoothers_bit_for_bit(self, data):
+        from repro.power.smoothing import smooth_lanes
+
+        n = data.draw(st.integers(1, 8), label="lanes")
+        ticks = data.draw(st.integers(1, 6), label="ticks")
+        unit = st.floats(0.01, 1.0)
+        watts = st.floats(0.0, 1e4)
+        alphas = data.draw(st.lists(unit, min_size=n, max_size=n))
+        starts = data.draw(
+            st.lists(st.none() | watts, min_size=n, max_size=n)
+        )
+        scalars = [ExponentialSmoother(a, s) for a, s in zip(alphas, starts)]
+        values = np.array([0.0 if s is None else s for s in starts])
+        primed = np.array([s is not None for s in starts])
+        for _ in range(ticks):
+            obs = data.draw(st.lists(watts, min_size=n, max_size=n))
+            mask = data.draw(
+                st.none() | st.lists(st.booleans(), min_size=n, max_size=n)
+            )
+            out = smooth_lanes(
+                values, primed, np.array(alphas), np.array(obs),
+                None if mask is None else np.array(mask),
+            )
+            assert out is values
+            for i, smoother in enumerate(scalars):
+                if mask is None or mask[i]:
+                    smoother.update(obs[i])
+                assert bool(primed[i]) == smoother.primed
+                if smoother.primed:
+                    assert values[i] == smoother.value

@@ -192,6 +192,12 @@ class TestRenewable:
         with pytest.raises(ValueError):
             renewable_supply(1000.0, base_fraction=1.5)
 
+    def test_negative_peak_rejected(self):
+        # It used to clip into an all-zero trace.
+        with pytest.raises(ValueError, match="peak"):
+            renewable_supply(-5.0)
+        assert renewable_supply(0.0).series(np.arange(3.0)).max() == 0.0
+
 
 class TestCSVRoundTrip:
     def test_supply_from_csv(self, tmp_path):
