@@ -105,9 +105,11 @@ service-smoke:
 ## Crash-recovery drill: kill -9 a live checkpointed run mid-flight,
 ## corrupt the newest checkpoint, recover from the previous valid one
 ## plus the audit tail, and verify the combined audit log replays
-## bit-exactly against the recovered run's decision digest.  Then
-## checkpoint a batch run and resume it from the file, for the scalar
-## and the array tick, and compare their decision digests.
+## bit-exactly against the recovered run's decision digest.  The same
+## kill -9 drill (without the corruption) then runs the live service on
+## the array controller.  Then checkpoint a batch run and resume it from
+## the file, for the scalar and the array tick, and compare their
+## decision digests.
 resume-smoke:
 	@set -e; dir=$$(mktemp -d); audit=$$dir/audit.jsonl; \
 	$(PYTHON) -m repro.cli serve $$audit \
@@ -130,6 +132,24 @@ resume-smoke:
 	grep -qF "skipped corrupt checkpoint $$newest: " $$dir/recover.out \
 		|| { echo "recovery did not name $$newest"; exit 1; }; \
 	timeout 120 $(PYTHON) -m repro.cli replay $$audit; \
+	array=$$dir/array.jsonl; \
+	$(PYTHON) -m repro.cli serve $$array --controller vectorized \
+		--ticks 500 --tick-seconds 0.05 --seed 3 --load 4000 \
+		--checkpoint-dir $$array.ckpt --checkpoint-every 4 \
+		> $$dir/array.out 2>&1 & pid=$$!; \
+	for i in $$(seq 1 200); do \
+		n=$$(ls $$array.ckpt/checkpoint-*.wck 2>/dev/null | wc -l); \
+		[ "$$n" -ge 3 ] && break; sleep 0.2; \
+	done; \
+	[ "$$n" -ge 3 ] || { echo "no array checkpoints appeared"; kill -9 $$pid; exit 1; }; \
+	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
+	echo "killed live array run after $$n checkpoint(s)"; \
+	timeout 120 $(PYTHON) -m repro.cli serve $$array \
+		--recover --no-listen --ticks 6 --tick-seconds 0.02; \
+	timeout 120 $(PYTHON) -m repro.cli replay $$array \
+		| tee $$dir/array.replay; \
+	grep -qF "replay parity: OK" $$dir/array.replay \
+		|| { echo "array replay lost parity"; exit 1; }; \
 	for flag in "" --vectorized; do \
 		timeout 120 $(PYTHON) -m repro.cli checkpoint $$dir/batch$$flag.ckpt \
 			--ticks 30 --seed 7 $$flag | grep "decision digest" > $$dir/a; \

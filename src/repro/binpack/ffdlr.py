@@ -132,8 +132,13 @@ def ffdlr_pack(items: Sequence[Item], bins: Sequence[Bin]) -> PackResult:
             leftovers.extend(group)
 
     # Split infeasible groups: best-fit each leftover item individually
-    # into whatever residual capacity remains (used bins included).
+    # into whatever residual capacity remains (used bins included).  A
+    # residual never exceeds its bin's capacity, so an oversized item
+    # goes straight to unpacked.
     for item in sorted(leftovers, key=lambda it: it.size, reverse=True):
+        if item.size > largest + _SLACK:
+            result.unpacked.append(item)
+            continue
         residual = caps - loads
         feasible = np.flatnonzero(item.size <= residual + _SLACK)
         if feasible.size:

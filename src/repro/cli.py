@@ -683,12 +683,13 @@ def resilience_main(argv: List[str]) -> int:
         _at_least(args, name, 0)
 
     from repro.core import WillowConfig
+    from repro.core.controller import build_willow
     from repro.core.events import MigrationCause
     from repro.metrics import summarize_run
     from repro.plant_faults import (
+        FaultTolerantWillowController,
         PlantFaultSchedule,
         random_plant_schedule,
-        run_resilient,
     )
     from repro.topology import build_paper_simulation
 
@@ -707,16 +708,18 @@ def resilience_main(argv: List[str]) -> int:
         )
 
     with _trace_file(args.trace) as tracer:
-        controller, collector = run_resilient(
-            tree=tree,
-            config=config,
-            plant_faults=schedule,
-            outside_temp=args.outside,
-            target_utilization=args.utilization,
-            n_ticks=args.ticks,
-            seed=args.seed,
-            tracer=tracer,
-        )
+        with _usage_errors("--outside"):
+            controller = build_willow(
+                FaultTolerantWillowController,
+                tree=tree,
+                config=config,
+                plant_faults=schedule,
+                outside_temp=args.outside,
+                target_utilization=args.utilization,
+                seed=args.seed,
+                tracer=tracer,
+            )
+        collector = controller.run(args.ticks)
 
     print(
         f"Resilient Willow run: {len(tree.servers())} servers, "
@@ -904,7 +907,8 @@ def federation_main(argv: List[str]) -> int:
     if args.cooling:
         from repro.federation import CoolingControl
 
-        cooling = CoolingControl(outside_temp=args.outside_temp)
+        with _usage_errors("--outside-temp"):
+            cooling = CoolingControl(outside_temp=args.outside_temp)
     with _trace_file(args.trace) as tracer:
         coordinator = run_federation(
             specs,
@@ -1141,6 +1145,7 @@ def serve_main(argv: List[str]) -> int:
         "--tick-seconds must be positive",
     )
     _at_least(args, "queue_bound", 1)
+    _require(0 <= args.port <= 65535, "--port must be in 0-65535")
     _require(
         args.load is None or (args.load >= 1 and not args.no_listen),
         "--load needs a positive count and the TCP server "

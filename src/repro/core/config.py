@@ -8,6 +8,7 @@ multipliers ``eta1 = 4`` and ``eta2 = 7``, consolidation threshold 20 %
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.power.server import SIMULATION_SERVER, ServerPowerModel
@@ -136,6 +137,21 @@ class WillowConfig:
     device_classes: tuple | None = None
 
     def __post_init__(self) -> None:
+        # NaN passes every ``x < 0`` test below, so non-finite floats
+        # are rejected first.
+        for name in (
+            "delta_d",
+            "alpha",
+            "p_min",
+            "migration_cost_power",
+            "migration_traffic_factor",
+            "consolidation_threshold",
+            "circuit_limit",
+            "thermal_window",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.allocation_mode not in ("demand", "capacity"):
             raise ValueError(
                 f"allocation_mode must be 'demand' or 'capacity', "

@@ -1,37 +1,44 @@
-"""Struct-of-arrays view of a server fleet for the array tick.
+"""Struct-of-arrays state of a server fleet, and the runtime objects
+that are views onto it.
 
-:class:`FleetState` mirrors a fixed, ordered list of
-:class:`~repro.core.state.ServerRuntime` objects into flat NumPy arrays:
-immutable per-server parameters (static/standby power, dynamic range,
-thermal constants, precomputed exponential decay factors) are captured
-once at construction, while mutable control state (sleep flags, pending
-migration costs, smoother lanes, budgets, temperatures) is gathered
-from the objects wherever scalar code (consolidation, wake-ups,
-migrations) has changed them -- in full, or only for the rows it
-changed.
+:class:`FleetState` holds an ordered list of
+:class:`~repro.core.state.ServerRuntime` objects as flat NumPy lanes:
+immutable per-server parameters are captured once, and the mutable
+state is seeded from the objects once.  :meth:`FleetState.bind` then
+makes every server, its thermal integrator and its smoother a view onto
+its row, so the lanes are the only storage for what the array tick
+writes; a site's home VMs become views onto its demand lane the same
+way (:class:`VmDemandLane`).  What scalar code changes through methods
+(sleep states, pending migration costs) is re-read by the ``gather``
+calls, in full or only for the rows it changed.
 
 :class:`FederationFleet` concatenates one or more site fleets into one
-block and rebinds each site's arrays to views of it; the array tick in
-:mod:`repro.core.vectorized` sweeps the block.  Between scalar sync
-points the arrays are the truth and the objects are refreshed by the
-tick's flush -- see docs/performance.md for the layout and the
-equivalence contract.
+block and rebinds each site's lanes to views of it; the array tick in
+:mod:`repro.core.vectorized` sweeps the block.  See docs/performance.md
+for the layout and the equivalence contract.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+import operator
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.config import WillowConfig
 from repro.core.state import ServerRuntime, SleepState
-from repro.power.smoothing import VectorSmoother
-from repro.thermal.model import power_cap_arrays
+from repro.power.smoothing import ExponentialSmoother, VectorSmoother
+from repro.thermal.model import TemperatureIntegrator, power_cap_arrays
+from repro.workload.vm import VM
 
 __all__ = [
     "FleetState",
     "FederationFleet",
+    "LaneServerRuntime",
+    "LaneThermal",
+    "LaneSmoother",
+    "LaneVM",
+    "VmDemandLane",
     "fold_segment_sums",
     "build_fold_index",
 ]
@@ -75,14 +82,15 @@ def fold_segment_sums(
 
 
 class FleetState:
-    """Array mirror of an ordered server fleet.
+    """The lanes of an ordered server fleet.
 
     Parameters
     ----------
     servers:
         Server runtimes in a fixed order (the controller uses
         ``tree.servers()`` order, which matches its ``servers`` dict's
-        insertion order).
+        insertion order).  Row ``i`` of every lane belongs to
+        ``servers[i]``.
     config:
         The run configuration; supplies ``alpha``, tick length and
         thermal mode.
@@ -139,39 +147,53 @@ class FleetState:
         else:
             self.window_caps = None
 
-        # -- per-tick mutable state (gathered from the objects) -----------
+        # -- mutable state, seeded from the objects ----------------------
+        # Sleep masks and cost lanes are filled by :meth:`gather`.
+        servers = self.servers
+
+        def lane(values, dtype=float):
+            return np.fromiter(values, dtype, n)
+
         self.awake = np.zeros(n, dtype=bool)
         self.asleep = np.zeros(n, dtype=bool)
         self.waking = np.zeros(n, dtype=bool)
         self.mig_cost = np.zeros(n)
-        self.budget = np.zeros(n)
-        self.temperature = np.zeros(n)
-        self.raw = np.zeros(n)
-        self.served = np.zeros(n)
+        self.budget = lane(s.budget for s in servers)
+        self.temperature = lane(s.thermal.temperature for s in servers)
+        self.peak = lane(s.thermal.peak for s in servers)
+        self.violations = lane(
+            (s.thermal.violations for s in servers), np.int64
+        )
+        self.raw = lane(s.raw_demand for s in servers)
+        self.served = lane(s.served_power for s in servers)
+        # ExponentialSmoother keeps None until primed; mirror that into
+        # the (value, primed) lane pair.
         self.smoother = VectorSmoother(config.alpha, n)
+        for i, s in enumerate(servers):
+            value = s.smoother._value
+            if value is not None:
+                self.smoother.values[i] = value
+                self.smoother.primed[i] = True
+        #: The demand lane of the site's home VMs, once they are bound
+        #: (see :class:`VmDemandLane`).
+        self.vm_lane: Optional[VmDemandLane] = None
+
+    def bind(self) -> None:
+        """Make every server, its thermal integrator and its smoother a
+        view onto its row of the lanes: reading or writing
+        ``server.raw_demand`` reads or writes the ``raw`` lane."""
+        for row, server in enumerate(self.servers):
+            _bind(server, LaneServerRuntime, self, row)
+            _bind(server.thermal, LaneThermal, self, row)
+            _bind(server.smoother, LaneSmoother, self, row)
 
     # -------------------------------------------------------------- gather
     def gather(self) -> None:
-        """Refresh every mutable array from the runtime objects."""
+        """Re-read every sleep mask and pending migration-cost lane from
+        the objects: the state that scalar code (consolidation, wake-ups,
+        migrations, restores) changes through methods, not views."""
         self.gather_sleep()
         self.gather_costs()
-        smoother = self.smoother
-        values = smoother.values
-        primed = smoother.primed
-        budget = self.budget
-        temperature = self.temperature
-        for i, s in enumerate(self.servers):
-            # ExponentialSmoother keeps None until primed; mirror that
-            # into the (value, primed) lane pair.
-            v = s.smoother._value
-            if v is None:
-                values[i] = 0.0
-                primed[i] = False
-            else:
-                values[i] = v
-                primed[i] = True
-            budget[i] = s.budget
-            temperature[i] = s.thermal.temperature
 
     def gather_sleep(self) -> None:
         """Refresh every sleep-state mask."""
@@ -242,6 +264,8 @@ _BLOCK_FIELDS = (
     "mig_cost",
     "budget",
     "temperature",
+    "peak",
+    "violations",
     "raw",
     "served",
 )
@@ -254,10 +278,11 @@ class FederationFleet:
     buffers and *rebinds* each site's arrays (and its
     :class:`~repro.power.smoothing.VectorSmoother` lanes) to basic
     slices of the block.  Basic slicing shares memory, so per-site code
-    (gathers, consolidation resync, the rebalance pre-screens) keeps
-    working unchanged while the array tick's sweeps -- demand, Eq. 4
-    smoothing, Eq. 2/3 thermal, serving -- run once over the whole
-    block.  A single-site block is how
+    (gathers, the rebalance pre-screens, the bound runtime objects,
+    which look their lane up on every access) keeps working unchanged
+    while the array tick's sweeps -- demand, Eq. 4 smoothing, Eq. 2/3
+    thermal, serving -- run once over the whole block.  A single-site
+    block is how
     :class:`~repro.core.vectorized.VectorizedWillowController` ticks.
 
     Sites may differ in ``alpha`` (per-lane array, bit-identical to the
@@ -298,3 +323,166 @@ class FederationFleet:
         for f, sl in zip(self.fleets, self.site_slices):
             f.smoother.values = self.smoother_values[sl]
             f.smoother.primed = self.smoother_primed[sl]
+
+
+# ------------------------------------------------------------------ views
+# A view looks its lane up on every access, so it follows
+# FederationFleet's rebinding.  Reads return Python floats and ints,
+# never NumPy scalars (whose reprs differ, and digests hash reprs).
+def _lane(name: str) -> property:
+    """The object's row of the fleet lane ``name`` (dotted for the
+    smoother's), as a read/write attribute."""
+    lane_of = operator.attrgetter(name)
+
+    def get(self):
+        return lane_of(self._fleet).item(self._row)
+
+    def set(self, value):
+        lane_of(self._fleet)[self._row] = value
+
+    return property(get, set)
+
+
+def _bind(obj, cls, fleet: FleetState, row: int) -> None:
+    """Turn ``obj`` into a ``cls`` view of ``fleet``'s row ``row``.  The
+    lanes already hold the values, so the plain attributes go."""
+    for name in cls._LANES:
+        obj.__dict__.pop(name, None)
+    obj._fleet = fleet
+    obj._row = row
+    obj.__class__ = cls
+
+
+class LaneServerRuntime(ServerRuntime):
+    """A server of an array site: demands and served power are views."""
+
+    _LANES = ("raw_demand", "smoothed_demand", "served_power")
+    raw_demand = _lane("raw")
+    smoothed_demand = _lane("smoother.values")
+    served_power = _lane("served")
+
+    @property
+    def vm_demand(self) -> float:
+        """The plain class's left-to-right sum, with the bound home VMs
+        (the ids with a plan row here) read straight off the lane, so
+        consolidation's pass over every VM touches no VM object."""
+        lane = self._fleet.vm_lane
+        if lane is None:
+            return ServerRuntime.vm_demand.fget(self)
+        view, row, vms = lane.view, lane.row, self.vms
+        total = 0
+        for vm_id in vms:
+            r = row.get(vm_id)
+            total += view[r] if r is not None else vms[vm_id].current_demand
+        return total
+
+
+class LaneThermal(TemperatureIntegrator):
+    """A server's thermal state on an array site, as views."""
+
+    _LANES = ("temperature", "peak", "violations")
+    temperature = _lane("temperature")
+    peak = _lane("peak")
+    violations = _lane("violations")
+
+
+class LaneSmoother(ExponentialSmoother):
+    """A server's Eq. 4 state on an array site: ``_value`` is the value
+    lane (shared with ``smoothed_demand``) while the primed lane is set,
+    else ``None``."""
+
+    _LANES = ("_value",)
+
+    @property
+    def _value(self) -> Optional[float]:
+        smoother = self._fleet.smoother
+        if smoother.primed.item(self._row):
+            return smoother.values.item(self._row)
+        return None
+
+    @_value.setter
+    def _value(self, value: Optional[float]) -> None:
+        smoother = self._fleet.smoother
+        if value is not None:
+            smoother.values[self._row] = value
+        smoother.primed[self._row] = value is not None
+
+
+class VmDemandLane:
+    """The demand lane of one site's home VMs, and the VM class that
+    reads it: ``sample`` holds each VM's demand by plan row (``row``
+    maps a vm_id to it), read through a memoryview, which yields Python
+    floats with no per-tick conversion."""
+
+    __slots__ = ("row", "sample", "view", "vm_class")
+
+    def __init__(self, row: Dict[int, int], vms: List[VM], away) -> None:
+        self.row = row
+        self.set_sample(
+            np.fromiter((vm.current_demand for vm in vms), float, len(vms))
+        )
+        #: The site's bound VM class; its instances read this lane.
+        self.vm_class = type("SiteVM", (LaneVM,), {"_lanes": self})
+        for vm, gone in zip(vms, away):
+            if not gone:
+                vm.__class__ = self.vm_class
+
+    def set_sample(self, sample: np.ndarray) -> None:
+        self.sample = sample
+        self.view = memoryview(sample)
+
+    def write(self, vm_id: int, value: float) -> None:
+        self.sample[self.row[vm_id]] = value
+
+    def bind(self, vm: VM) -> None:
+        """Make the plain home VM ``vm`` a view, its value moving into
+        the lane."""
+        self.write(vm.vm_id, vm.current_demand)
+        vm.__class__ = self.vm_class
+
+    @staticmethod
+    def unbind(vm: VM) -> None:
+        """Make the bound VM ``vm`` plain again, holding its value."""
+        vm.__dict__["current_demand"] = vm.current_demand
+        vm.__class__ = VM
+
+
+#: ``object``'s own ``__class__`` slot, which LaneVM's property shadows.
+_CLASS_SLOT = object.__dict__["__class__"]
+
+
+class LaneVM(VM):
+    """A home VM of an array site: ``current_demand`` is its row of the
+    site's :class:`VmDemandLane` (each site binds its own subclass).
+
+    A bound VM adds no attribute (its dict keeps a shadowed
+    ``current_demand`` entry, in field order), reports ``VM`` as its
+    ``__class__`` and reduces to a plain VM holding its current value,
+    so pickling (byte for byte), copying, ``==`` and ``repr`` see a
+    plain VM.
+    """
+
+    _lanes: VmDemandLane
+
+    @property
+    def __class__(self):
+        return VM
+
+    @__class__.setter
+    def __class__(self, cls) -> None:
+        _CLASS_SLOT.__set__(self, cls)
+
+    @property
+    def current_demand(self) -> float:
+        lanes = self._lanes
+        return lanes.view[lanes.row[self.vm_id]]
+
+    @current_demand.setter
+    def current_demand(self, value: float) -> None:
+        self._lanes.write(self.vm_id, value)
+
+    def __reduce_ex__(self, protocol):
+        plain = object.__new__(VM)
+        plain.__dict__.update(self.__dict__)
+        plain.current_demand = self.current_demand
+        return plain.__reduce_ex__(protocol)

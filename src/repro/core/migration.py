@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.binpack.ffdlr import ffdlr_pack
+from repro.binpack.ffdlr import _SLACK, ffdlr_pack
 from repro.binpack.items import Bin, Item
 from repro.core.config import WillowConfig
 from repro.core.state import NodeRuntime, ServerRuntime
@@ -304,14 +304,28 @@ class MigrationPlanner:
                         )
                         del pending[src_id]
                     continue
-                bins = [
-                    Bin(key=node_id, capacity=capacity[node_id])
+                targets = [
+                    (node_id, capacity[node_id])
                     for node_id in self._group_sorted_leaves[group.node_id]
                     if node_id in capacity and node_id not in pending
                 ]
-                if not bins:
+                if not targets:
                     continue
-                result = ffdlr_pack([item for _src, item in group_items], bins)
+                # FFDLR leaves an item larger than every bin unpacked
+                # and placing it changes nothing else, so such items
+                # stay pending without being offered.
+                largest = max(cap for _node_id, cap in targets)
+                offered = [
+                    item
+                    for _src, item in group_items
+                    if item.size <= largest + _SLACK
+                ]
+                if not offered:
+                    continue
+                bins = [
+                    Bin(key=node_id, capacity=cap) for node_id, cap in targets
+                ]
+                result = ffdlr_pack(offered, bins)
                 src_of = {item.key: src_id for src_id, item in group_items}
                 for bin_ in result.bins:
                     for item in bin_.contents:

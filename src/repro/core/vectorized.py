@@ -11,14 +11,17 @@ call per level however many sites tick together.  It is the only array
 tick in the package:
 
 * :class:`VectorizedWillowController` ticks a one-site segment over its
-  own fleet and flushes it after every tick, so its runtime objects stay
-  authoritative between ticks exactly like the scalar controller's.
+  own fleet.
 * :class:`~repro.federation.coordinator.FederationCoordinator` ticks
-  consecutive vectorized sites as one multi-site segment and writes the
-  objects only where scalar code reads them: the rows the planner and
-  priority serving read, and every object where a reader may walk them
-  all (consolidation, hooks, the rebalance, snapshots, the end of a
-  run).
+  consecutive vectorized sites as one multi-site segment.
+
+Either way every runtime object of the site is a view onto its lanes
+(:meth:`~repro.core.fleet.FleetState.bind`,
+:class:`~repro.core.fleet.VmDemandLane`): servers, their thermal
+integrators and smoothers, and the home VMs of a Poisson-sampled site.
+The tick writes lanes only, and the objects are current at every point
+a scalar reader can look -- inside the tick, in hooks, between runs --
+with nothing copied back.
 
 Everything decision-shaped stays on the runtime objects -- planners,
 consolidation, migration cost bookkeeping, metric hooks and the
@@ -44,8 +47,10 @@ from repro.core.controller import WillowController, _EPS
 from repro.core.deficits import power_imbalance
 from repro.core.events import Drop, MigrationCause
 from repro.core.fleet import (
+    _BLOCK_FIELDS,
     FederationFleet,
     FleetState,
+    VmDemandLane,
     build_fold_index,
     fold_segment_sums,
 )
@@ -176,25 +181,7 @@ class _Segment:
 
         # Block views over the shared arrays (basic slices, so per-site
         # code keeps seeing the same memory).
-        for name in (
-            "static_power",
-            "standby_power",
-            "slope",
-            "t_ambient",
-            "t_limit",
-            "c1",
-            "c2",
-            "decay_tick",
-            "decay_window",
-            "awake",
-            "asleep",
-            "waking",
-            "mig_cost",
-            "budget",
-            "temperature",
-            "raw",
-            "served",
-        ):
+        for name in _BLOCK_FIELDS:
             setattr(self, name, getattr(block, name)[sl])
         self.values = block.smoother_values[sl]
         self.primed = block.smoother_primed[sl]
@@ -251,8 +238,8 @@ class _Segment:
 
         # --- switch power as one shared array -------------------------
         # The allocation reserves and the per-tick switch recording read
-        # and write this array; the per-site ``_last_switch_power``
-        # dicts are flushed from it only at scalar sync points.
+        # and write this array; the switch recording also writes the
+        # per-site ``_last_switch_power`` dicts once per tick.
         self._sw_slices: List[slice] = []
         self._sw_meta: List[Tuple[list, list]] = []
         self._sw_pos: List[Dict[int, int]] = []
@@ -304,7 +291,6 @@ class _Segment:
         self._sw_static = np.concatenate(sw_static)
         self._sw_wpu = np.concatenate(sw_wpu)
         self._switch_power = np.concatenate(sw_power)
-        self._switch_dict_stale = False
         # Reserve fold: per level, each node's switch rows in the same
         # left-to-right order the scalar ``sum()`` walks them.
         sw_pos_of = dict(zip(self.controllers, self._sw_pos))
@@ -320,32 +306,6 @@ class _Segment:
                 np.asarray(rsizes, dtype=np.intp)
             )
 
-        # --- deferred-scatter bookkeeping -----------------------------
-        k = len(self.controllers)
-        self._dirty_servers = [False] * k
-        self._dirty_vms = [False] * k
-        self._demands: List[Optional[np.ndarray]] = [None] * k
-        self._plan_vms = [
-            list(ctrl.placement.vms) for ctrl in self.controllers
-        ]
-        self._peak = np.fromiter(
-            (
-                s.thermal.peak
-                for ctrl in self.controllers
-                for s in ctrl.fleet.servers
-            ),
-            float,
-            self.n,
-        )
-        self._viol = np.fromiter(
-            (
-                s.thermal.violations
-                for ctrl in self.controllers
-                for s in ctrl.fleet.servers
-            ),
-            np.int64,
-            self.n,
-        )
         # Per-site control-message id tuples, in the exact per-site
         # emission order (levels ascending for demand reports, levels
         # descending for budget grants).
@@ -383,115 +343,6 @@ class _Segment:
                     out.append(vm)
         return out
 
-    # --------------------------------------------------------------- sync
-    # Site ``i``'s objects lag its lanes while ``_dirty_servers[i]`` /
-    # ``_dirty_vms[i]`` is set.  Readers that may walk every object get
-    # the whole-site flushes; the planner and priority serving read a
-    # known set of rows and get exactly those (the ``_rows`` flushes).
-    # All are position-independent: the lanes always hold exactly what
-    # an eager tick would have written to the objects by the same
-    # point, so every scalar reader sees identical state.
-    def _flush_servers(self, i: int) -> None:
-        """Write all of site ``i``'s server lanes onto its runtimes."""
-        if not self._dirty_servers[i]:
-            return
-        self._dirty_servers[i] = False
-        self._write_servers(
-            self.controllers[i].fleet.servers, self.local_slices[i]
-        )
-
-    def _write_servers(self, servers, lanes) -> None:
-        """Write the lane values at ``lanes`` (a segment slice or row
-        array) onto ``servers``, which lists the same rows in order."""
-        raw = self.raw[lanes].tolist()
-        smoothed = self.values[lanes].tolist()
-        served = self.served[lanes].tolist()
-        temps = self.temperature[lanes].tolist()
-        peaks = self._peak[lanes].tolist()
-        violations = self._viol[lanes].tolist()
-        for j, server in enumerate(servers):
-            server.raw_demand = raw[j]
-            server.smoothed_demand = smoothed[j]
-            server.smoother._value = smoothed[j]
-            server.served_power = served[j]
-            thermal = server.thermal
-            thermal.temperature = temps[j]
-            thermal.peak = peaks[j]
-            thermal.violations = violations[j]
-
-    def _flush_vms(self, i: int) -> None:
-        """Write site ``i``'s home-VM demand objects from the last
-        sample.  Exported guests are skipped: they were refreshed
-        eagerly at sample time and may carry a deliberate stale value
-        (late-pair staleness) that must survive the flush."""
-        if not self._dirty_vms[i]:
-            return
-        self._dirty_vms[i] = False
-        demands = self._demands[i]
-        ctrl = self.controllers[i]
-        values = demands.tolist()
-        vms = self._plan_vms[i]
-        if ctrl._away_count:
-            away = ctrl._vm_away.tolist()
-            for r, vm in enumerate(vms):
-                if not away[r]:
-                    vm.current_demand = values[r]
-        else:
-            for vm, value in zip(vms, values):
-                vm.current_demand = value
-
-    def _flush_server_rows(self, i: int, rows: np.ndarray) -> None:
-        """Write the server lanes of site ``i``'s local ``rows`` only;
-        the site stays dirty, since its other rows still lag."""
-        if not self._dirty_servers[i]:
-            return
-        servers = self.controllers[i].fleet.servers
-        self._write_servers(
-            [servers[r] for r in rows.tolist()],
-            rows + int(self.row_base[i]),
-        )
-
-    def _flush_vm_rows(self, i: int, rows: np.ndarray) -> None:
-        """Write the home VMs hosted on site ``i``'s local ``rows``
-        from the last sample.  Guests on these rows are current
-        already: their home site refreshed them at sample time."""
-        if not self._dirty_vms[i]:
-            return
-        ctrl = self.controllers[i]
-        servers = ctrl.fleet.servers
-        plan_row = ctrl._vm_row
-        # A home VM in one of this site's VM dicts is at home; guests
-        # have no plan row.
-        picks = [
-            plan_row[vm_id]
-            for r in rows.tolist()
-            for vm_id in servers[r].vms
-            if vm_id in plan_row
-        ]
-        vms = self._plan_vms[i]
-        for k, value in zip(picks, self._demands[i][picks].tolist()):
-            vms[k].current_demand = value
-
-    def _flush_switch_dict(self) -> None:
-        if not self._switch_dict_stale:
-            return
-        self._switch_dict_stale = False
-        power = self._switch_power.tolist()
-        for i, ctrl in enumerate(self.controllers):
-            last = ctrl._last_switch_power
-            sl = self._sw_slices[i]
-            for switch_id, value in zip(
-                self._sw_meta[i][0], power[sl.start : sl.stop]
-            ):
-                last[switch_id] = value
-
-    def flush(self) -> None:
-        """Make every runtime object current."""
-        for i in range(len(self.controllers)):
-            self._flush_servers(i)
-            self._flush_vms(i)
-        self._flush_switch_dict()
-
     # ----------------------------------------------------------------- tick
     def tick(self, now: float) -> None:
         ctrls = self.controllers
@@ -526,28 +377,17 @@ class _Segment:
                 )
             ctrl._begin_tick(now)
 
-        # 1. sample every site's demand in site order.  The arrays stay
-        # authoritative; only exported guests (read as objects by their
-        # host sites) are refreshed eagerly, and late-pair guests get
-        # the stale value back (their home generator would not have run
-        # yet under site-major execution).  Sources other than the
-        # Poisson generator write the VM objects themselves and return
-        # no vector; their host sums are read off the objects.
+        # 1. sample every site's demand in site order.  Home VMs read
+        # the new sample through their demand lane; only exported guests
+        # (plain objects read by their host sites) are written, and
+        # late-pair guests get the stale value back (their home
+        # generator would not have run yet under site-major execution).
+        # Sources other than the Poisson generator write the VM objects
+        # themselves and return no vector; their host sums are read off
+        # the objects.
         late = self._late_pairs()
         stale_vals = [vm.current_demand for vm in late]
-        demands: List[Optional[np.ndarray]] = []
-        for i, ctrl in enumerate(ctrls):
-            sample = ctrl._sample_vm_demands()
-            demands.append(sample)
-            self._demands[i] = sample
-            self._dirty_vms[i] = sample is not None
-            if sample is not None and ctrl._away_count:
-                vms = self._plan_vms[i]
-                rows = np.nonzero(ctrl._vm_away)[0]
-                for r, value in zip(
-                    rows.tolist(), sample[rows].tolist()
-                ):
-                    vms[r].current_demand = value
+        demands = [ctrl._sample_vm_demands() for ctrl in ctrls]
         fresh_vals = [vm.current_demand for vm in late]
         for vm, stale in zip(late, stale_vals):
             vm.current_demand = stale
@@ -572,8 +412,6 @@ class _Segment:
             self.values, self.primed, self.alpha, raw, ~self.waking
         )
         self.raw[...] = raw
-        for i in range(len(ctrls)):
-            self._dirty_servers[i] = True
         self._aggregate_demands(now)
 
         # 3. the budget waterfall, one allocate_level call per level
@@ -600,17 +438,6 @@ class _Segment:
             deficient = self.awake[sl] & (raw[sl] > self.budget[sl] + _EPS)
             if not bool(deficient.any()):
                 continue
-            if ctrl.on_migration or ctrl.tracer.enabled:
-                # Migration hooks and trace records may read any server.
-                self._flush_servers(i)
-                self._flush_vms(i)
-            else:
-                # The planner reads the deficient servers (raw demand,
-                # budget, VMs and VM demands), and every move and drop
-                # comes off them; budgets are written eagerly.
-                rows = np.flatnonzero(deficient)
-                self._flush_server_rows(i, rows)
-                self._flush_vm_rows(i, rows)
             plan = ctrl._plan_demand_migrations(raw[sl], smoothed[sl])
             if plan is not None:
                 ctrl._execute_moves(plan.moves, MigrationCause.DEMAND, now)
@@ -626,11 +453,10 @@ class _Segment:
                 ctrl._tick_index > 0
                 and ctrl._tick_index % ctrl.config.eta2 == 0
             ):
-                # Consolidation reads and mutates the objects (it may
-                # flip sleep states and, on wake, reset a smoother
-                # lane), then gather() re-adopts them wholesale.
-                self._flush_servers(i)
-                self._flush_vms(i)
+                # Consolidation reads and writes the objects: a woken
+                # server's smoother reset lands in its lanes through
+                # the views, and gather() re-reads what it changed
+                # through methods (sleep states, migration costs).
                 n_migrations = len(ctrl.collector.migrations)
                 ctrl._consolidate(now)
                 moved[i] = (
@@ -638,7 +464,6 @@ class _Segment:
                     or len(ctrl.collector.migrations) > n_migrations
                 )
                 ctrl.fleet.gather()
-                self._dirty_servers[i] = False
             if moved[i]:
                 # Migrations rehomed VMs and charged costs mid-tick;
                 # refresh the per-host sums and the charged rows' cost
@@ -658,11 +483,6 @@ class _Segment:
         slow_rows = np.nonzero(self.awake & ~fast)[0]
         if len(slow_rows):
             # Priority serving reads the slow rows' VM objects.
-            slow_sites = self.row_site[slow_rows]
-            for i in np.unique(slow_sites).tolist():
-                self._flush_vm_rows(
-                    i, slow_rows[slow_sites == i] - self.row_base[i]
-                )
             available_list = available.tolist()
             for r in slow_rows.tolist():
                 i = int(self.row_site[r])
@@ -736,8 +556,8 @@ class _Segment:
         utilization = np.where(
             self.awake, np.minimum(served / self.slope, 1.0), 0.0
         )
-        np.maximum(self._peak, temps, out=self._peak)
-        self._viol += violations
+        np.maximum(self.peak, temps, out=self.peak)
+        self.violations += violations
         # One column chunk of samples per site.  The budget and awake
         # lanes change in later ticks, so the chunk gets a copy of the
         # budgets and the negated awake mask: a waking server samples
@@ -756,7 +576,6 @@ class _Segment:
                 budget[sl],
                 asleep[sl],
             )
-            self._dirty_servers[i] = True
 
         # 8. switch traffic and power.
         self._record_switches(now)
@@ -767,15 +586,9 @@ class _Segment:
                 now,
                 power_imbalance(raw[self.local_slices[i]], ctrl.fleet.budget),
             )
-        for i, ctrl in enumerate(ctrls):
-            if ctrl.on_tick:
-                # Hooks (checkpointers among them) read the objects.
-                self._flush_servers(i)
-                self._flush_vms(i)
-                self._flush_switch_dict()
-                for hook in ctrl.on_tick:
-                    hook(ctrl, ctrl._tick_index, now)
-                self._dirty_servers[i] = True
+        for ctrl in ctrls:
+            for hook in ctrl.on_tick:
+                hook(ctrl, ctrl._tick_index, now)
             ctrl._tick_index += 1
 
         # The segment is done reading: late-pair guests now carry the
@@ -835,10 +648,10 @@ class _Segment:
                 migration[pos[switch_id]] += extra
         power = self._sw_static + self._sw_wpu * (base + migration)
         self._switch_power = power
-        self._switch_dict_stale = True
         for i, ctrl in enumerate(self.controllers):
             sl = self._sw_slices[i]
             ids, levels = self._sw_meta[i]
+            ctrl._last_switch_power.update(zip(ids, power[sl].tolist()))
             ctrl.collector.switch_samples.append_columns(
                 now, ids, levels, base[sl], migration[sl], power[sl]
             )
@@ -967,11 +780,12 @@ class VectorizedWillowController(WillowController):
             )
         ordered = [self.servers[leaf.node_id] for leaf in self.tree.servers()]
         self.fleet = FleetState(ordered, self.config)
-        # One full gather seeds the arrays; after this the tick only
-        # re-reads what other actors mutate (sleep states and migration
-        # costs) -- budgets, temperatures and smoother lanes are written
-        # by the tick alone and scattered back to the objects.
+        # The seeding gather fills the sleep masks and cost lanes; after
+        # it the tick only re-reads what scalar code changes through
+        # methods (sleep states and migration costs).  Everything the
+        # tick writes lives in the lanes alone: the servers become views.
         self.fleet.gather()
+        self.fleet.bind()
         self._server_ids = [s.node.node_id for s in self.fleet.servers]
         #: row in the VM demand vector for each vm_id (plan order)
         self._vm_row: Dict[int, int] = {
@@ -989,6 +803,7 @@ class VectorizedWillowController(WillowController):
         self._away_count = 0
         self._foreign_vms: Dict[int, object] = {}
         self._foreign_rows: Dict[int, int] = {}
+        self._bind_vms()
         self._n_nodes = max(node.node_id for node in self.tree) + 1
         self._levels_up = self._build_level_specs()
 
@@ -1063,17 +878,26 @@ class VectorizedWillowController(WillowController):
             )
         return specs
 
+    def _bind_vms(self) -> None:
+        """Make the home VMs at home views onto a new demand lane
+        (``fleet.vm_lane``), when a Poisson generator samples them.  Any
+        other source writes the VM objects itself, and they stay
+        plain."""
+        self.fleet.vm_lane = None
+        if isinstance(self.demand_source, DemandGenerator):
+            self.fleet.vm_lane = VmDemandLane(
+                self._vm_row, self.placement.vms, self._vm_away.tolist()
+            )
+
     # ----------------------------------------------------------------- tick
     def _tick(self) -> None:
-        """One array tick as a one-site segment, flushed so the runtime
-        objects are current between ticks."""
+        """One array tick as a one-site segment."""
         if self._segment is None:
             self._segment = _Segment(
                 FederationFleet([self.fleet]),
                 [(self, 0, slice(0, self.fleet.n))],
             )
         self._segment.tick(self.env.now)
-        self._segment.flush()
 
     # ---------------------------------------------------------- migrations
     def _plan_demand_migrations(self, raw, smoothed):
@@ -1132,13 +956,22 @@ class VectorizedWillowController(WillowController):
     # -------------------------------------------------------------- demand
     def _sample_vm_demands(self) -> Optional[np.ndarray]:
         """One tick of demand.  A Poisson generator returns the flat
-        per-VM vector and leaves the VM objects to the segment's flush;
-        any other source writes the objects itself and returns ``None``."""
+        per-VM vector (plan order), which becomes the home VMs' demand
+        lane; VMs hosted away from home are plain, and written here.
+        Any other source writes the objects itself and returns
+        ``None``."""
         source = self.demand_source
-        if isinstance(source, DemandGenerator):
-            return source.sample_tick_array(write_objects=False)
-        source.sample_tick()
-        return None
+        if not isinstance(source, DemandGenerator):
+            source.sample_tick()
+            return None
+        sample = source.sample_tick_array(write_objects=False)
+        self.fleet.vm_lane.set_sample(sample)
+        if self._away_count:
+            vms = self.placement.vms
+            rows = np.flatnonzero(self._vm_away)
+            for r, value in zip(rows.tolist(), sample[rows].tolist()):
+                vms[r].current_demand = value
+        return sample
 
     def _host_demand_sums(self, vm_demands: Optional[np.ndarray]) -> np.ndarray:
         """Per-host VM demand sums, honouring cross-site hosting.
@@ -1184,6 +1017,8 @@ class VectorizedWillowController(WillowController):
     # ------------------------------------------------- federation hosting
     # A coordinator charges WAN migration costs on both endpoints right
     # after these hooks, so each one records its endpoint's cost row.
+    # A home VM leaving home becomes a plain object holding its value
+    # (its host site reads it as a guest), and a view again back home.
     def vm_departed(self, vm) -> None:
         host_row = self.fleet.index.get(vm.host_id)
         if host_row is not None:
@@ -1193,6 +1028,8 @@ class VectorizedWillowController(WillowController):
             if not self._vm_away[row]:
                 self._vm_away[row] = True
                 self._away_count += 1
+                if self.fleet.vm_lane is not None:
+                    self.fleet.vm_lane.unbind(vm)
         else:
             self._foreign_vms.pop(vm.vm_id, None)
             self._foreign_rows.pop(vm.vm_id, None)
@@ -1204,6 +1041,8 @@ class VectorizedWillowController(WillowController):
             if self._vm_away[row]:
                 self._vm_away[row] = False
                 self._away_count -= 1
+                if self.fleet.vm_lane is not None:
+                    self.fleet.vm_lane.bind(vm)
             self._vm_host_rows[row] = self.fleet.index[dst_node_id]
         else:
             self._foreign_vms[vm.vm_id] = vm
@@ -1234,14 +1073,14 @@ class VectorizedWillowController(WillowController):
         self._away_count = int(batched["away_count"])
         self._foreign_vms = dict(batched["foreign_vms"])
         self._foreign_rows = dict(batched["foreign_rows"])
-        # Re-seed every fleet array from the freshly restored objects;
-        # the next tick builds a fresh segment over them (the restored
-        # VM objects, thermal peaks and switch powers are new).  Raw
-        # demand is written by the tick, not gathered, but a federation
-        # rebalance reads it off the lanes before the next tick.
+        # The base restore wrote the view fields into the lanes; re-read
+        # what it set on plain attributes (sleep states, costs, budgets)
+        # and bind the restored VMs, which are new objects.  The next
+        # tick builds a fresh segment (the switch powers are new too).
         fleet = self.fleet
         fleet.gather()
-        fleet.raw[...] = [s.raw_demand for s in fleet.servers]
+        fleet.budget[...] = [s.budget for s in fleet.servers]
+        self._bind_vms()
         self._cost_rows = self._pending_cost_rows()
         self._segment = None
 

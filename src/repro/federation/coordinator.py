@@ -30,11 +30,10 @@ in the paper's idiom:
   (:class:`~repro.core.vectorized._Segment`) over one shared
   :class:`~repro.core.fleet.FederationFleet` block: tree levels of
   different sites concatenate into one fold / one ``allocate_level``
-  call per level, and the per-server and per-VM objects are written
-  from the arrays only where scalar code reads them (the planners,
-  priority serving, site hooks, the rebalance, snapshots, the end of
-  :meth:`FederationCoordinator.run`).  Rebalance candidates on those
-  sites are pre-screened on the arrays
+  call per level.  The sites' per-server and per-VM objects are views
+  onto the block's lanes, so hooks, the rebalance and snapshots read
+  current objects with nothing written back.  Rebalance candidates on
+  those sites are pre-screened on the arrays
   (:mod:`repro.federation.vectorized`).
 
 Equivalence contract (enforced by ``tests/test_federation.py``): a
@@ -265,9 +264,8 @@ class FederationCoordinator:
         #: Observer hooks run *between* ticks --
         #: ``hook(coordinator, completed_ticks)`` fires after every
         #: site's tick and clock advance, so a checkpoint taken here
-        #: needs no fixup (see :mod:`repro.checkpoint`).  Fused sites'
-        #: runtime objects may lag their arrays here: a hook that reads
-        #: them calls :meth:`flush` first (:meth:`snapshot_state` does).
+        #: needs no fixup (see :mod:`repro.checkpoint`).  Every site's
+        #: runtime objects are current here, fused sites' included.
         self.on_tick: List[Callable] = []
 
         self.tracer = tracer if tracer is not None else active_tracer()
@@ -321,8 +319,6 @@ class FederationCoordinator:
         self._vm_home: Dict[int, int] = {}
         self._plan: List[Union[_Segment, Site]] = []
         self.segments: List[_Segment] = []
-        #: site name -> (its segment, position inside it).
-        self._segment_of: Dict[str, Tuple[_Segment, int]] = {}
         for part in plan:
             if not isinstance(part, list):
                 self._plan.append(part)
@@ -334,8 +330,6 @@ class FederationCoordinator:
             )
             self.segments.append(segment)
             self._plan.append(segment)
-            for pos, i in enumerate(part):
-                self._segment_of[self.sites[i].name] = (segment, pos)
 
     def _index_vm_homes(self) -> None:
         """Fill the VM-home map from the placements (each site's home
@@ -357,16 +351,10 @@ class FederationCoordinator:
             raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
         for _ in range(n_ticks):
             self._tick()
-        self.flush()
         for site in self.sites:
             site.controller.tracer.flush()
         self.tracer.flush()
         return self
-
-    def flush(self) -> None:
-        """Write every fused site's runtime objects from its arrays."""
-        for segment in self.segments:
-            segment.flush()
 
     def _tick(self) -> None:
         tick = self._tick_index
@@ -695,23 +683,18 @@ class FederationCoordinator:
 
         Vectorized controllers get the array versions in
         :mod:`repro.federation.vectorized`, which read the fleet lanes
-        and then the VM objects of the servers they pick, so a fused
-        site's VM demands are written first.  Every other controller
-        gets the object walks above, which are also the array
-        versions' reference.
+        and then the VM objects of the servers they pick.  Every other
+        controller gets the object walks above, which are also the
+        array versions' reference.
         """
         if isinstance(site.controller, VectorizedWillowController):
-            entry = self._segment_of.get(site.name)
-            if entry is not None:
-                entry[0]._flush_vms(entry[1])
             return shed_candidates, preshed_candidates
         return self._shed_candidates, self._preshed_candidates
 
     def _bins_screen(self, site: Site) -> Callable:
         """The receiver screen for a transfer's destination ``site``,
         called as ``bins(site, wan_power)``.  The array version reads
-        only lanes and the runtimes the allocation writes eagerly, so
-        no VM object is written for it."""
+        only lanes and the runtimes the allocation writes eagerly."""
         if isinstance(site.controller, VectorizedWillowController):
             return destination_bins
         return self._destination_bins
@@ -826,11 +809,8 @@ class FederationCoordinator:
         state, in one structure: pickling it as a single payload
         preserves VM object identity across sites, so a VM hosted away
         from home is restored as *one* object referenced by both its
-        home placement and the hosting server's runtime.  Fused sites
-        are flushed first, so every controller snapshots current
-        objects.
+        home placement and the hosting server's runtime.
         """
-        self.flush()
         state = {
             "controller": type(self).__name__,
             "tick": self._tick_index,

@@ -46,6 +46,7 @@ budget-division core:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -138,6 +139,10 @@ class CoolingControl:
     charge_overhead: bool = True
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.outside_temp):
+            raise ValueError(
+                f"outside_temp must be finite, got {self.outside_temp}"
+            )
         if self.max_setpoint < self.nominal_setpoint:
             raise ValueError(
                 "max_setpoint must be >= nominal_setpoint, got "

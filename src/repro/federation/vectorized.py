@@ -9,10 +9,10 @@ coordinator asks the functions here, which screen the fleet lanes with
 the :mod:`repro.binpack.prescreen` kernels -- masks and exact-key
 argsorts pick donors and receivers -- and read per-server floats
 straight off the arrays.  Only the VM objects of the chosen servers are
-touched, and the coordinator writes those from the arrays first.
+touched; they are views onto the site's demand lane (or plain guests).
 
 Each function returns exactly what the coordinator's object walk of the
-same name returns on a flushed site: the same VMs, in the same order,
+same name returns on the same site: the same VMs, in the same order,
 with the same floats (``tests/test_federation_vectorized.py``).
 """
 

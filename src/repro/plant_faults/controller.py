@@ -36,6 +36,7 @@ outlive the plant state that justified them.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, FrozenSet, List, Mapping, Optional
 
 from repro.binpack.ffdlr import ffdlr_pack
@@ -96,6 +97,10 @@ class FaultTolerantWillowController(WillowController):
         recovery_margin_w: float = 5.0,
         **kwargs,
     ):
+        if not math.isfinite(outside_temp):
+            raise ValueError(
+                f"outside_temp must be finite, got {outside_temp}"
+            )
         super().__init__(tree, config, supply, placement, **kwargs)
         if config.device_classes is not None:
             raise ValueError(

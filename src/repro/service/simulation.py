@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
@@ -76,6 +77,10 @@ class ServiceSpec:
             raise ValueError("utilization must be in (0, 1]")
         if self.supply_factor <= 0:
             raise ValueError("supply_factor must be positive")
+        if not math.isfinite(self.outside_temp):
+            raise ValueError(
+                f"outside_temp must be finite, got {self.outside_temp}"
+            )
 
     def to_meta(self) -> Dict[str, Any]:
         payload = dataclasses.asdict(self)

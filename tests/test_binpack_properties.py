@@ -111,3 +111,42 @@ def test_packed_size_conserved(sizes):
     result = ffdlr_pack(items, bins)
     unpacked = sum(item.size for item in result.unpacked)
     assert result.packed_size + unpacked == pytest.approx(sum(sizes))
+
+
+@given(
+    sizes=sizes_strategy,
+    capacities=capacities_strategy,
+    extra=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5),
+    data=st.data(),
+)
+@settings(max_examples=150)
+def test_ffdlr_oversized_items_change_only_unpacked(
+    sizes, capacities, extra, data
+):
+    """Adding items larger than every bin (and every other item) changes
+    only ``unpacked``: the assignment and every bin's contents stay, and
+    the added items come first in ``unpacked``, largest first."""
+    top = max(max(capacities), max(sizes))
+    oversized = [top + 1e-6 + x for x in extra]
+    items = [Item(i, s) for i, s in enumerate(sizes)]
+    mixed = list(items)
+    for k, size in enumerate(oversized):
+        at = data.draw(st.integers(0, len(mixed)))
+        mixed.insert(at, Item(f"big{k}", size))
+
+    def pack(offered):
+        bins = [Bin(j, c) for j, c in enumerate(capacities)]
+        return ffdlr_pack(offered, bins)
+
+    base, more = pack(items), pack(mixed)
+    assert more.assignment == base.assignment
+    assert [[it.key for it in b.contents] for b in more.bins] == [
+        [it.key for it in b.contents] for b in base.bins
+    ]
+    n = len(oversized)
+    assert [it.size for it in more.unpacked[:n]] == sorted(
+        oversized, reverse=True
+    )
+    assert [it.key for it in more.unpacked[n:]] == [
+        it.key for it in base.unpacked
+    ]

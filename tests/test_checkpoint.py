@@ -40,6 +40,7 @@ from repro.checkpoint import (
 )
 from repro.cli import main
 from repro.core import WillowConfig, WillowController
+from repro.core.fleet import LaneVM
 from repro.core.vectorized import VectorizedWillowController
 from repro.power import constant_supply
 from repro.sim import RandomStreams
@@ -54,6 +55,7 @@ from repro.workload import (
     random_placement,
     scale_for_target_utilization,
 )
+from repro.workload.vm import VM
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -313,6 +315,61 @@ def test_resume_equals_straight_run(vectorized):
     expected = decision_digest(reference.collector)
     for snapshot_tick in (1, 13, 21):
         assert resume_digest(build, snapshot_tick, 30) == expected
+
+
+# ------------------------------------------------------- bound VM payloads
+def _bound_and_plain():
+    """A vectorized controller's bound home VMs after a few ticks, and
+    plain VMs with the same fields."""
+    controller = build_controller(seed=3, vectorized=True)
+    controller.run(5)
+    bound = controller.placement.vms
+    assert all(isinstance(vm, LaneVM) for vm in bound)
+    plain = [
+        VM(
+            vm_id=vm.vm_id,
+            app=vm.app,
+            host_id=vm.host_id,
+            current_demand=vm.current_demand,
+            state=vm.state,
+            host_history=list(vm.host_history),
+            last_migration_time=vm.last_migration_time,
+        )
+        for vm in bound
+    ]
+    assert any(vm.current_demand for vm in plain)
+    return bound, plain
+
+
+@pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+def test_bound_vms_pickle_as_plain_vms(protocol):
+    """A bound VM pickles to the same bytes as a plain VM with the same
+    fields -- alone and shared, as a snapshot holds them -- so
+    checkpoint payloads do not change."""
+    bound, plain = _bound_and_plain()
+    for b, p in zip(bound, plain):
+        assert pickle.dumps(b, protocol=protocol) == pickle.dumps(
+            p, protocol=protocol
+        )
+    shared = lambda vms: {"vms": vms, "by_id": {vm.vm_id: vm for vm in vms}}
+    assert pickle.dumps(shared(bound), protocol=protocol) == pickle.dumps(
+        shared(plain), protocol=protocol
+    )
+    restored = pickle.loads(pickle.dumps(bound[0], protocol=protocol))
+    assert type(restored) is VM
+    assert restored == plain[0]
+
+
+def test_bound_vms_compare_copy_and_print_as_plain():
+    bound, plain = _bound_and_plain()
+    assert bound == plain
+    assert [repr(vm) for vm in bound] == [repr(vm) for vm in plain]
+    for copier in (copy.copy, copy.deepcopy):
+        clone = copier(bound[0])
+        assert type(clone) is VM
+        assert clone == plain[0]
+    assert type(copy.deepcopy(bound)[1]) is VM
+    assert type(bound[0].current_demand) is float
 
 
 def test_checkpointer_cadence_and_resume(tmp_path):

@@ -166,6 +166,8 @@ USAGE_ERRORS = [
     (["--hot", "99"], "--hot exceeds server count"),
     (["--hot", "-2"], "--hot must be >= 0"),
     (["--p-min", "-5"], "--p-min: p_min must be >= 0, got -5.0"),
+    (["--p-min", "nan"], "--p-min: p_min must be finite, got nan"),
+    (["--p-min", "inf"], "--p-min: p_min must be finite, got inf"),
     (["--supply-dip", "0.5", "--dip-at", "-3"], "--dip-at must be >= 1"),
     (["--supply-dip", "0.5", "--dip-at", "0"], "--dip-at must be >= 1"),
     (["--supply-factor", "-1"],
@@ -200,6 +202,8 @@ USAGE_ERRORS = [
     (["resilience", "--cooling-events", "-1"],
      "--cooling-events must be >= 0"),
     (["resilience", "--trips", "-1"], "--trips must be >= 0"),
+    (["resilience", "--outside", "nan"],
+     "--outside: outside_temp must be finite, got nan"),
     (["federation", "--sites", "0"], "--sites must be >= 1"),
     (["federation", "--ticks", "0"], "--ticks must be >= 1"),
     (["federation", "--utilization", "0"], "--utilization must be in (0, 1]"),
@@ -219,6 +223,9 @@ USAGE_ERRORS = [
     (["federation", "--solar-peak", "-5"], "--solar-peak must be > 0"),
     (["federation", "--wan-cost", "-5"], "--wan-cost must be >= 0"),
     (["federation", "--wan-ticks", "-1"], "--wan-ticks must be >= 0"),
+    (["federation", "--policy", "predictive", "--horizon", "2", "--cooling",
+      "--outside-temp", "nan"],
+     "--outside-temp: outside_temp must be finite, got nan"),
     (["trace", "{tmp}/nope.trace"],
      "trace: no trace segments found for {tmp}/nope.trace"),
     (["serve", "{tmp}/a.jsonl", "--ticks", "0"], "--ticks must be >= 1"),
@@ -247,6 +254,12 @@ USAGE_ERRORS = [
      "serve: supply_factor must be positive"),
     (["serve", "{tmp}/a.jsonl", "--vms-per-server", "-1"],
      "serve: vms_per_server must be >= 0"),
+    (["serve", "{tmp}/a.jsonl", "--outside", "nan"],
+     "serve: outside_temp must be finite, got nan"),
+    (["serve", "{tmp}/a.jsonl", "--port", "99999"],
+     "--port must be in 0-65535"),
+    (["serve", "{tmp}/a.jsonl", "--port", "-1"],
+     "--port must be in 0-65535"),
     (["serve", "{tmp}/a.jsonl", "--load", "5", "--vms-per-server", "0"],
      "--load needs an initial fleet (--vms-per-server > 0)"),
     (["serve", "{tmp}/a.jsonl", "--recover"],

@@ -52,6 +52,27 @@ def test_validation(kwargs):
         WillowConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "delta_d",
+        "alpha",
+        "p_min",
+        "migration_cost_power",
+        "migration_traffic_factor",
+        "consolidation_threshold",
+        "circuit_limit",
+        "thermal_window",
+    ],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_floats_rejected(name, value):
+    """NaN slips through an ``x < 0`` test; every float field refuses
+    non-finite values outright."""
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        WillowConfig(**{name: value})
+
+
 def test_resolved_thermal_window_default_calibration():
     config = WillowConfig()
     window = config.resolved_thermal_window()

@@ -316,3 +316,48 @@ class TestDistributedVsFlatMatching:
         # On average the locality preference costs < 10 % of the shed
         # demand in extra drops (FFDLR's bound keeps both near-optimal).
         assert float(np.mean(extra_drops)) < 0.10 * mean_shed
+
+
+class TestOversizePrescreen:
+    """An item larger than every bin of its group is never offered to
+    FFDLR (it could not be packed, and leaving it out changes nothing
+    else), and a group left with no item makes no FFDLR call."""
+
+    @staticmethod
+    def plan_counting(config, monkeypatch, shed, capacity=50.0):
+        import repro.core.migration as migration
+
+        calls = []
+        real = migration.ffdlr_pack
+
+        def counting(items, bins):
+            calls.append(sorted(item.size for item in items))
+            return real(items, bins)
+
+        monkeypatch.setattr(migration, "ffdlr_pack", counting)
+        tree, servers, internals = build_cluster(config)
+        s00, *others = [servers[leaf.node_id] for leaf in tree.servers()]
+        load(s00, shed, start_id=0)
+        for k, server in enumerate(others):
+            load(server, [10.0], start_id=10 * (k + 1))
+        overhead = config.p_min + config.migration_cost_power
+        budgets = {s00.node.name: 60.0}
+        for server in others:
+            budgets[server.node.name] = server.raw_demand + overhead + capacity
+        set_budgets(servers, internals, budgets)
+        return MigrationPlanner(tree, config).plan(servers, internals), calls
+
+    def test_group_of_oversized_items_makes_no_call(self, config, monkeypatch):
+        plan, calls = self.plan_counting(config, monkeypatch, [100.0, 90.0])
+        assert calls == []
+        assert plan.moves == []
+        assert sorted(vm.current_demand for vm, _node in plan.dropped) == [
+            90.0,
+            100.0,
+        ]
+
+    def test_oversized_items_stay_pending(self, config, monkeypatch):
+        plan, calls = self.plan_counting(config, monkeypatch, [100.0, 40.0])
+        assert calls == [[40.0]]
+        assert [move.vm.current_demand for move in plan.moves] == [40.0]
+        assert [vm.current_demand for vm, _node in plan.dropped] == [100.0]

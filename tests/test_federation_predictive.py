@@ -289,6 +289,9 @@ class TestCoolingActuation:
             CoolingSetpoint(site="a", base_ambient=99.0)
         with pytest.raises(ValueError):
             CoolingControl(nominal_setpoint=30.0, max_setpoint=25.0)
+        for outside in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="outside_temp must be"):
+                CoolingControl(outside_temp=outside)
 
     def test_cooling_rejected_for_vectorized_sites(self):
         specs = [

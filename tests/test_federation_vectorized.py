@@ -9,9 +9,11 @@ site in the mix.  Consecutive vectorized sites tick fused in one array
 segment, and cross-site WAN costs must reach the segment's cost rows
 through the hosting hooks.  A single-site neutral federation is
 additionally bit-exact with the per-site vectorized controller (nothing
-reorders a sum across sites).  Also covered here: the sync contract
-(objects current after every ``run``, whole-site flushes and gathers
-only where a reader may walk every object), the
+reorders a sum across sites).  Also covered here: the views contract
+(every runtime object of an array site reads its lanes -- after every
+``run``, across runs and inside hooks -- a tick that no scalar reader
+needs touches no view, and whole-site gathers run only where a reader
+may change every object), the
 :mod:`repro.binpack.prescreen` kernels against their scalar reference
 loops, the array rebalance pre-screens against the coordinator's object
 walks, and the :class:`~repro.core.fleet.FederationFleet` view-aliasing
@@ -26,9 +28,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.binpack.prescreen import deficient_order, destination_order
-from repro.core.controller import _EPS, run_willow
+from repro.control_plane import run_distributed
+from repro.core.config import WillowConfig
+from repro.core.controller import run_willow
 from repro.core.events import MigrationCause
-from repro.core.fleet import FleetState
+from repro.core.fleet import (
+    FleetState,
+    LaneServerRuntime,
+    LaneSmoother,
+    LaneThermal,
+    LaneVM,
+)
+from repro.core.state import ServerRuntime
 from repro.core.vectorized import VectorizedWillowController, _Segment
 from repro.federation import (
     FederationCoordinator,
@@ -43,11 +54,22 @@ from repro.federation.vectorized import (
     shed_candidates,
 )
 from repro.plant_faults import random_plant_schedule
-from repro.plant_faults.controller import FaultTolerantWillowController
+from repro.plant_faults.controller import (
+    FaultTolerantWillowController,
+    run_resilient,
+)
 from repro.power import Battery, renewable_supply
-from repro.service.simulation import decision_digest
-from repro.topology import build_paper_simulation
+from repro.power.smoothing import ExponentialSmoother
+from repro.power.supply import constant_supply
+from repro.service.simulation import (
+    LiveSimulation,
+    ServiceSpec,
+    decision_digest,
+)
+from repro.thermal.model import TemperatureIntegrator
+from repro.topology import build_balanced, build_paper_simulation
 from repro.workload import BurstyDemandGenerator
+from repro.workload.vm import VM
 
 RTOL = 1e-12
 TICKS = 96
@@ -335,7 +357,7 @@ class TestSegmentPartitioning:
 class TestArrayPrescreens:
     """At every rebalance of a fused federation, the array pre-screens
     return exactly what the coordinator's object walks return on the
-    flushed site: the same VMs in the same order, the same floats."""
+    same site: the same VMs in the same order, the same floats."""
 
     @staticmethod
     def _items(items):
@@ -358,7 +380,6 @@ class TestArrayPrescreens:
         compared = []
 
         def compare_then_execute(transfer, now):
-            coordinator.flush()
             src = coordinator.site(transfer.src)
             dst = coordinator.site(transfer.dst)
             watts = transfer.watts
@@ -411,51 +432,116 @@ def sync_federation(seed=1, utilization=0.4):
     )
 
 
+def steady_federation(seed=1):
+    """Three fused sites provisioned at 1.2x capacity with 16 VMs per
+    server: most ticks have no deficient or slow row, like the
+    benchmark's fleet-steady at a smaller scale."""
+    limit = WillowConfig().circuit_limit
+    specs = []
+    for i in range(3):
+        tree = build_balanced((2, 4, 4))
+        specs.append(
+            SiteSpec(
+                name=f"site{i}",
+                tree=tree,
+                supply=constant_supply(1.2 * len(tree.servers()) * limit),
+                target_utilization=0.6,
+                vms_per_server=16,
+                seed=seed + i,
+            )
+        )
+    return build_federation(
+        specs, n_ticks=SYNC_TICKS, policy="proportional", vectorized=True
+    )
+
+
+def assert_reads_lanes(ctrl, servers, vms):
+    """``servers`` and ``vms`` (a site's rows, in plan order) read the
+    site's lanes: the fleet lanes, and the home VMs' latest sample.  A
+    VM away from home is plain and holds the same sample value, which
+    its home site wrote when it sampled."""
+    fleet = ctrl.fleet
+    values = fleet.smoother.values
+    for attr, got, lane in (
+        ("raw", [s.raw_demand for s in servers], fleet.raw),
+        ("served", [s.served_power for s in servers], fleet.served),
+        ("smoothed", [s.smoothed_demand for s in servers], values),
+        ("smoother", [s.smoother._value for s in servers], values),
+        ("temp", [s.thermal.temperature for s in servers], fleet.temperature),
+        ("peak", [s.thermal.peak for s in servers], fleet.peak),
+        ("violations", [s.thermal.violations for s in servers],
+         fleet.violations),
+    ):
+        assert got == lane.tolist(), attr
+    sample = ctrl.fleet.vm_lane.sample.tolist()
+    away = ctrl._vm_away.tolist()
+    for r, vm in enumerate(vms):
+        assert isinstance(vm, LaneVM) is not away[r], vm.vm_id
+        assert vm.current_demand == sample[r], vm.vm_id
+
+
 def assert_objects_current(coordinator):
-    """Every fused site's objects hold exactly its lanes."""
+    """Every fused site's objects hold exactly its lanes, and a full
+    re-read of the objects reproduces every lane the tick kept."""
     for segment in coordinator.segments:
         for i, ctrl in enumerate(segment.controllers):
             sl = segment.local_slices[i]
             servers = ctrl.fleet.servers
             name = coordinator.sites[segment.global_idx[i]].name
-            smoothed = segment.values[sl].tolist()
-            for attr, got, lanes in (
-                ("raw", [s.raw_demand for s in servers], segment.raw),
-                ("served", [s.served_power for s in servers], segment.served),
-                (
-                    "temperature",
-                    [s.thermal.temperature for s in servers],
-                    segment.temperature,
-                ),
-                ("peak", [s.thermal.peak for s in servers], segment._peak),
-                (
-                    "violations",
-                    [s.thermal.violations for s in servers],
-                    segment._viol,
-                ),
-            ):
-                assert got == lanes[sl].tolist(), (name, attr)
-            assert [s.smoothed_demand for s in servers] == smoothed, name
-            assert [s.smoother._value for s in servers] == smoothed, name
-            demands = segment._demands[i].tolist()
-            away = ctrl._vm_away.tolist()
-            for k, vm in enumerate(segment._plan_vms[i]):
-                if not away[k]:
-                    assert vm.current_demand == demands[k], vm.vm_id
-            # A full re-read of the objects reproduces the lanes the
-            # tick kept row by row.
+            assert_reads_lanes(ctrl, servers, ctrl.placement.vms)
+            # The objects show what the tick recorded for them.
+            samples = ctrl.collector.server_samples
+            n = len(servers)
+            assert [s.raw_demand for s in servers] == samples.column(
+                "demand"
+            )[-n:], name
+            assert [
+                s.thermal.temperature for s in servers
+            ] == samples.column("temperature")[-n:], name
             scratch = FleetState(servers, ctrl.config)
-            scratch.gather_sleep()
-            scratch.gather_costs()
-            for lane in ("awake", "asleep", "waking", "mig_cost"):
+            scratch.gather()
+            for lane in (
+                "awake", "asleep", "waking", "mig_cost", "budget",
+                "temperature", "peak", "violations", "raw", "served",
+            ):
                 assert np.array_equal(
-                    getattr(scratch, lane), getattr(ctrl.fleet, lane)
+                    getattr(scratch, lane), getattr(segment, lane)[sl]
+                ), (name, lane)
+            for lane in ("values", "primed"):
+                assert np.array_equal(
+                    getattr(scratch.smoother, lane),
+                    getattr(ctrl.fleet.smoother, lane),
                 ), (name, lane)
 
 
+def count_view_accesses(monkeypatch, counter):
+    """Count every read and write of a lane-backed attribute."""
+    for cls, names in (
+        (LaneServerRuntime, LaneServerRuntime._LANES + ("vm_demand",)),
+        (LaneThermal, LaneThermal._LANES),
+        (LaneSmoother, LaneSmoother._LANES),
+        (LaneVM, ("current_demand",)),
+    ):
+        for name in names:
+            view = cls.__dict__[name]
+
+            def get(obj, _view=view):
+                counter[0] += 1
+                return _view.fget(obj)
+
+            def set(obj, value, _view=view):
+                counter[0] += 1
+                _view.fset(obj, value)
+
+            monkeypatch.setattr(
+                cls, name, property(get, set if view.fset else None)
+            )
+
+
 class TestSyncContract:
-    """Fused sites sync their objects row by row inside a tick, and in
-    full only where a reader may walk every object."""
+    """Every runtime object of a fused site is a view onto its lanes:
+    current after every ``run``, across runs and inside hooks, with
+    nothing written back."""
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -467,17 +553,139 @@ class TestSyncContract:
             coordinator.run(1)
             assert_objects_current(coordinator)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_references_held_across_runs_read_their_lanes(self, k):
+        """Server and VM references taken before ``run(k)`` read the
+        lanes after it: binding keeps object identity."""
+        coordinator = sync_federation()
+        controllers = [s.controller for s in coordinator.sites]
+        for _ in range(SYNC_TICKS // k):
+            held = [
+                (ctrl, list(ctrl.fleet.servers), list(ctrl.placement.vms))
+                for ctrl in controllers
+            ]
+            coordinator.run(k)
+            for ctrl, servers, vms in held:
+                assert_reads_lanes(ctrl, servers, vms)
+        assert coordinator.cross_migrations
+
+    def test_hooks_read_current_objects(self):
+        """Site and coordinator ``on_tick`` hooks read current objects,
+        with no call to make them so (``on_migration`` hooks: below)."""
+        coordinator = sync_federation()
+        seen = {"tick": 0, "coordinator": 0}
+
+        def servers_current(controller):
+            fleet = controller.fleet
+            servers = fleet.servers
+            # What this tick just recorded for each server.
+            samples = controller.collector.server_samples
+            n = len(servers)
+            assert [s.raw_demand for s in servers] == samples.column(
+                "demand"
+            )[-n:]
+            assert [
+                s.thermal.temperature for s in servers
+            ] == samples.column("temperature")[-n:]
+            assert [
+                s.smoothed_demand for s in servers
+            ] == fleet.smoother.values.tolist()
+            assert [s.served_power for s in servers] == fleet.served.tolist()
+            sample = controller.fleet.vm_lane.sample.tolist()
+            for r, vm in enumerate(controller.placement.vms):
+                if isinstance(vm, LaneVM):
+                    assert vm.current_demand == sample[r]
+
+        def on_tick(controller, tick, now):
+            servers_current(controller)
+            seen["tick"] += 1
+
+        def coordinator_hook(coord, completed):
+            for site in coord.sites:
+                assert_reads_lanes(
+                    site.controller,
+                    site.controller.fleet.servers,
+                    site.controller.placement.vms,
+                )
+            seen["coordinator"] += 1
+
+        for site in coordinator.sites:
+            site.controller.on_tick.append(on_tick)
+        coordinator.on_tick.append(coordinator_hook)
+        coordinator.run(SYNC_TICKS)
+        assert seen["tick"] == len(coordinator.sites) * SYNC_TICKS
+        assert seen["coordinator"] == SYNC_TICKS
+
+    def test_migration_hook_reads_current_servers(self):
+        """An ``on_migration`` hook may read any server object, and the
+        planner's moves see current objects everywhere."""
+        coordinator = sync_federation()
+        causes = []
+
+        def hook(controller, record):
+            fleet = controller.fleet
+            servers = fleet.servers
+            assert [s.raw_demand for s in servers] == fleet.raw.tolist()
+            assert [
+                s.smoothed_demand for s in servers
+            ] == fleet.smoother.values.tolist()
+            assert [s.served_power for s in servers] == fleet.served.tolist()
+            assert [
+                s.thermal.temperature for s in servers
+            ] == fleet.temperature.tolist()
+            causes.append(record.cause)
+
+        for site in coordinator.sites:
+            site.controller.on_migration.append(hook)
+        coordinator.run(SYNC_TICKS)
+        assert MigrationCause.DEMAND in causes
+
+    def test_vm_away_and_home_again(self):
+        """A home VM moved to another site is a plain object holding its
+        home sample; moved back, it reads its home lane again."""
+        coordinator = sync_federation()
+        coordinator.run(3)
+        home, host = coordinator.sites[0], coordinator.sites[1]
+        ctrl = home.controller
+        vm = next(
+            vm
+            for vm in ctrl.placement.vms
+            if vm.vm_id in ctrl.servers[vm.host_id].vms
+        )
+        row = ctrl._vm_row[vm.vm_id]
+        src_node = vm.host_id
+        dst_node = next(iter(host.controller.servers))
+
+        def move(src_site, src, dst_site, dst):
+            coordinator._move_vm(
+                vm, src_site, src, dst_site, dst,
+                coordinator._tick_index * coordinator.delta_d,
+                src_deficit=1.0, dst_surplus=1.0,
+            )
+
+        assert isinstance(vm, LaneVM)
+        move(home, src_node, host, dst_node)
+        assert type(vm) is VM
+        for _ in range(3):
+            coordinator.run(1)
+            assert type(vm) is VM
+            assert vm.current_demand == ctrl.fleet.vm_lane.sample.item(row)
+        # The host's planner may have moved the guest meanwhile.
+        move(host, vm.host_id, home, src_node)
+        assert isinstance(vm, LaneVM)
+        coordinator.run(1)
+        assert vm.current_demand == ctrl.fleet.vm_lane.sample.item(row)
+        assert vm in ctrl.servers[src_node].vms.values()
+
     def test_whole_site_syncs_only_where_every_object_is_read(
         self, monkeypatch
     ):
-        """No hooks, no tracer: whole-site flushes run at the end of
-        each ``run()``, on consolidation ticks and (VMs only) in the
-        rebalance's shed screen on a transfer's source site; sleep and
-        cost lanes are re-read only on the rows some actor changed."""
-        coordinator = sync_federation()
+        """No hooks, no tracer: sleep and cost lanes are re-read in full
+        only after consolidation, otherwise only on the rows some actor
+        changed; and a tick with no deficient, slow or consolidating row
+        reads or writes no lane-backed attribute."""
         context = []
-        whole = []
-        rows_read = {"servers": 0, "vms": 0, "sleep": 0, "costs": 0}
+        rows_read = {"sleep": 0, "costs": 0}
 
         def within(owner, name, label):
             original = getattr(owner, name)
@@ -492,49 +700,8 @@ class TestSyncContract:
             monkeypatch.setattr(owner, name, wrapper)
 
         within(_Segment, "tick", "tick")
-        within(FederationCoordinator, "flush", "run end")
         within(FederationCoordinator, "_rebalance", "rebalance")
         within(FleetState, "gather", "gather")
-
-        def record_whole(name, dirty):
-            original = getattr(_Segment, name)
-
-            def wrapper(self, i):
-                if getattr(self, dirty)[i]:
-                    whole.append(
-                        (
-                            name,
-                            context[-1],
-                            self.controllers[i]._tick_index,
-                            coordinator.sites[self.global_idx[i]].name,
-                        )
-                    )
-                return original(self, i)
-
-            monkeypatch.setattr(_Segment, name, wrapper)
-
-        record_whole("_flush_servers", "_dirty_servers")
-        record_whole("_flush_vms", "_dirty_vms")
-
-        flush_server_rows = _Segment._flush_server_rows
-
-        def server_rows(self, i, rows):
-            sl = self.local_slices[i]
-            deficient = self.awake[sl] & (
-                self.raw[sl] > self.budget[sl] + _EPS
-            )
-            assert deficient[rows].all()
-            rows_read["servers"] += len(rows)
-            return flush_server_rows(self, i, rows)
-
-        monkeypatch.setattr(_Segment, "_flush_server_rows", server_rows)
-        flush_vm_rows = _Segment._flush_vm_rows
-
-        def vm_rows(self, i, rows):
-            rows_read["vms"] += len(rows)
-            return flush_vm_rows(self, i, rows)
-
-        monkeypatch.setattr(_Segment, "_flush_vm_rows", vm_rows)
 
         def refuse_whole(name):
             original = getattr(FleetState, name)
@@ -571,62 +738,85 @@ class TestSyncContract:
         monkeypatch.setattr(FleetState, "gather_sleep_rows", read_sleep)
         monkeypatch.setattr(FleetState, "gather_cost_rows", read_costs)
 
-        # Three-tick runs: a rebalance inside a run finds its sites'
-        # VMs dirty, one on a run's first tick finds them flushed.
-        runs = SYNC_TICKS // 3
-        for _ in range(runs):
+        coordinator = sync_federation()
+        for _ in range(SYNC_TICKS // 3):
             coordinator.run(3)
-
-        eta2 = coordinator.sites[0].config.eta2
-        sources = {
-            (tick, transfer.src)
-            for tick, transfers in coordinator.transfer_log
-            for transfer in transfers
-        }
-        for name, where, tick, site in whole:
-            if where == "tick":
-                assert tick > 0 and tick % eta2 == 0, (name, tick)
-            elif where == "rebalance":
-                # Only the shed screens read VM objects; the receiver
-                # screen reads lanes.
-                assert name == "_flush_vms"
-                assert (tick, site) in sources, (tick, site)
-            else:
-                assert where == "run end", (name, where)
-        assert any(where == "rebalance" for _n, where, _t, _s in whole)
-        # Every run ends with one flush of each site's servers (its VMs
-        # are clean already after a consolidation tick).
-        assert sum(
-            n == "_flush_servers" and w == "run end" for n, w, _t, _s in whole
-        ) == len(coordinator.sites) * runs
-        # The federation exercises every per-row path: deficits, slow
-        # rows, wakes and charged costs, plus cross-site moves.
+        # The federation exercises every per-row path: wakes and
+        # charged costs, plus cross-site moves.
         assert all(rows_read.values()), rows_read
         assert coordinator.cross_migrations
 
-    def test_migration_hook_reads_current_servers(self):
-        """An ``on_migration`` hook may read any server object, so its
-        site is flushed in full before the planner."""
-        coordinator = sync_federation()
-        causes = []
+        # The views guard, on a provisioned federation.
+        readers = set()
 
-        def hook(controller, record):
-            fleet = controller.fleet
-            servers = fleet.servers
-            assert [s.raw_demand for s in servers] == fleet.raw.tolist()
-            assert [
-                s.smoothed_demand for s in servers
-            ] == fleet.smoother.values.tolist()
-            assert [s.served_power for s in servers] == fleet.served.tolist()
-            assert [
-                s.thermal.temperature for s in servers
-            ] == fleet.temperature.tolist()
-            causes.append(record.cause)
+        def reader(name):
+            original = getattr(VectorizedWillowController, name)
 
-        for site in coordinator.sites:
-            site.controller.on_migration.append(hook)
-        coordinator.run(SYNC_TICKS)
-        assert MigrationCause.DEMAND in causes
+            def wrapper(*args, **kwargs):
+                readers.add(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(VectorizedWillowController, name, wrapper)
+
+        reader("_plan_demand_migrations")  # some row is deficient
+        reader("_serve_scalar")  # some row is served slowly
+        reader("_consolidate")
+        accesses = [0]
+        count_view_accesses(monkeypatch, accesses)
+        tick = _Segment.tick
+        clean = []
+
+        def counted_tick(self, now):
+            readers.clear()
+            accesses[0] = 0
+            tick(self, now)
+            if not readers:
+                clean.append(accesses[0])
+            else:
+                assert accesses[0] > 0, readers
+
+        monkeypatch.setattr(_Segment, "tick", counted_tick)
+        steady = steady_federation()
+        steady.run(SYNC_TICKS)
+        assert len(clean) > SYNC_TICKS // 2
+        assert clean == [0] * len(clean)
+
+
+class TestScalarObjectsStayPlain:
+    """Only array sites bind: the scalar controllers' runtime objects
+    are the plain classes, so the specification path pays nothing."""
+
+    @staticmethod
+    def assert_plain(controller):
+        for server in controller.servers.values():
+            assert type(server) is ServerRuntime
+            assert type(server.thermal) is TemperatureIntegrator
+            assert type(server.smoother) is ExponentialSmoother
+        for vm in controller.placement.vms:
+            assert type(vm) is VM
+
+    def test_scalar_controllers(self):
+        scalar, _ = run_willow(n_ticks=10, seed=3)
+        self.assert_plain(scalar)
+        faulty, _ = run_resilient(n_ticks=10, seed=3)
+        self.assert_plain(faulty)
+        distributed, _ = run_distributed(n_ticks=10, seed=3)
+        self.assert_plain(distributed)
+        live = LiveSimulation(ServiceSpec(branching=(2, 2)))
+        for _ in range(3):
+            live.step()
+        self.assert_plain(live.controller)
+
+    def test_scalar_sites_of_a_fused_federation(self):
+        coordinator = build_federation(
+            make_specs(n_sites=3), n_ticks=TICKS, vectorized=True
+        )
+        coordinator.run(8)
+        self.assert_plain(coordinator.sites[1].controller)
+        array = coordinator.sites[0].controller
+        assert all(
+            isinstance(s, LaneServerRuntime) for s in array.servers.values()
+        )
 
 
 class TestFederationFleetAliasing:

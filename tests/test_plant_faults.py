@@ -406,6 +406,11 @@ class TestSensorFaults:
             assert believed <= server.hard_cap() + 1e-9
         _assert_safe(collector)
 
+    def test_non_finite_outside_temperature_rejected(self):
+        for outside in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="outside_temp must be"):
+                run_resilient(n_ticks=1, outside_temp=outside)
+
     def test_validator_config_validation(self):
         with pytest.raises(ValueError):
             SensorValidatorConfig(max_rate=0.0)

@@ -116,6 +116,12 @@ def test_spec_meta_round_trip():
     assert ServiceSpec.from_meta(json.loads(json.dumps(spec.to_meta()))) == spec
 
 
+def test_spec_rejects_non_finite_outside_temperature():
+    for outside in (float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="outside_temp must be fin"):
+            ServiceSpec(outside_temp=outside)
+
+
 def test_mutable_supply():
     supply = MutableSupply(100.0)
     assert supply.at(0.0) == supply.at(99.0) == 100.0
