@@ -563,18 +563,23 @@ def bench_gym(quick: bool = False) -> dict:
     the proportional arm -- identical decisions and physics, so the
     difference is exactly the env's observation/reward plumbing
     (statuses, K-step forecasts, metric cursors).  Build and warm-up
-    are untimed on both paths.  ``benchmarks/test_bench_gym.py`` guards
+    are untimed on both paths.  Times are medians over 15 raw/env
+    pairs interleaved window by window, and the overhead is the median
+    of the per-pair ratios.  ``benchmarks/test_bench_gym.py`` guards
     the overhead at <= 10%.
     """
     from repro.federation.coordinator import build_federation
     from repro.gym.env import GymConfig, WillowFedEnv
 
-    # The overhead is a ratio of two wall-clock timings in the ~0.1 s
-    # range, so best-of-N with interleaved raw/env rollouts (noise hits
-    # both paths alike) is what keeps the number stable on shared
-    # runners.
+    # The overhead is a ratio of two wall-clock timings of 0.1-1 s on
+    # shared runners, where the host's speed moves a rollout by tens of
+    # percent within a second, so a ratio of two best-of-N times is
+    # noise.  Each pair advances a raw and an env rollout in lock step,
+    # one supply window (~10 ms) at a time, alternating which side runs
+    # first, so a speed shift hits both sides of a pair alike; the
+    # median of the per-pair ratios discards the pairs a shift split.
     windows = 23 if quick else 46
-    repeats = 5 if quick else 4
+    pairs = 15
     site_counts = (2,) if quick else (2, 4)
     rows = []
     for n_sites in site_counts:
@@ -582,8 +587,8 @@ def bench_gym(quick: bool = False) -> dict:
             n_sites=n_sites, windows=windows, action_mode="policy"
         )
         arm = config.policy_arms.index("proportional")
-        best_raw = best_env = float("inf")
-        for _ in range(repeats):
+        raw_s, env_s = [], []
+        for k in range(pairs):
             env = WillowFedEnv(config)
             env.reset(seed=17)
             raw = build_federation(
@@ -593,27 +598,29 @@ def bench_gym(quick: bool = False) -> dict:
                 margin=config.margin,
             )
             raw.run(raw.eta1)  # warm-up parity with reset()
-            t0 = time.perf_counter()
-            raw.run(windows * raw.eta1)
-            best_raw = min(best_raw, time.perf_counter() - t0)
-
-            env = WillowFedEnv(config)
-            env.reset(seed=17)
-            t0 = time.perf_counter()
-            truncated = False
-            while not truncated:
-                _obs, _r, _t, truncated, _info = env.step(arm)
-            best_env = min(best_env, time.perf_counter() - t0)
+            steps = (lambda: raw.run(raw.eta1), lambda: env.step(arm))
+            spent = [0.0, 0.0]  # raw, env
+            for w in range(windows):
+                first = (k + w) % 2
+                for side in (first, 1 - first):
+                    t0 = time.perf_counter()
+                    steps[side]()
+                    spent[side] += time.perf_counter() - t0
+            raw_s.append(spent[0])
+            env_s.append(spent[1])
+        ratio = float(np.median(np.array(env_s) / np.array(raw_s)))
+        raw_t = float(np.median(raw_s))
+        env_t = float(np.median(env_s))
         ticks = windows * 4
         rows.append(
             {
                 "n_sites": int(n_sites),
                 "windows": int(windows),
                 "ticks": int(ticks),
-                "raw_ms_per_tick": best_raw / ticks * 1e3,
-                "env_ms_per_tick": best_env / ticks * 1e3,
-                "env_ms_per_step": best_env / windows * 1e3,
-                "overhead_pct": (best_env / best_raw - 1.0) * 100.0,
+                "raw_ms_per_tick": raw_t / ticks * 1e3,
+                "env_ms_per_tick": env_t / ticks * 1e3,
+                "env_ms_per_step": env_t / windows * 1e3,
+                "overhead_pct": (ratio - 1.0) * 100.0,
             }
         )
     return {"steps": rows}

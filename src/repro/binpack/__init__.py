@@ -15,14 +15,10 @@ consolidation.
   and worst-fit comparators.
 * :mod:`repro.binpack.exact` -- exhaustive optima for small instances
   (test oracle for the FFDLR bound).
-* :mod:`repro.binpack.prescreen` -- array pre-screening (masks and
-  argsort orderings) for the federation's shed/repack candidate
-  search.
 """
 
 from repro.binpack.items import Bin, Item, PackResult
 from repro.binpack.ffdlr import ffdlr_pack, ffd_bin_count
-from repro.binpack.prescreen import deficient_order, destination_order
 from repro.binpack.baselines import (
     best_fit_decreasing,
     first_fit,
@@ -36,8 +32,6 @@ __all__ = [
     "Item",
     "PackResult",
     "best_fit_decreasing",
-    "deficient_order",
-    "destination_order",
     "feasible_exact",
     "ffd_bin_count",
     "ffdlr_pack",

@@ -292,25 +292,7 @@ class WillowController:
                 - server.migration_cost_demand,
                 0.0,
             )
-            # Serve VMs in priority order (lower priority value first)
-            # so higher QoS classes degrade last; unserved watts are
-            # recorded per VM for per-class accounting.
-            served = 0.0
-            for vm in sorted(
-                server.vms.values(), key=lambda v: (v.app.priority, v.vm_id)
-            ):
-                if vm.current_demand <= 0:
-                    continue
-                grant = min(vm.current_demand, available - served)
-                grant = max(grant, 0.0)
-                unserved = vm.current_demand - grant
-                if unserved > _EPS:
-                    self.collector.record_drop(
-                        Drop(now, server.node.node_id, vm.vm_id, unserved)
-                    )
-                    self._dropped_since_consolidation += unserved
-                served += grant
-            server.served_power = served
+            server.served_power = self._serve_vms(server, available, now)
 
         # 7. thermal update and per-server sample.
         for server in self.servers.values():
@@ -341,6 +323,36 @@ class WillowController:
             hook(self, self._tick_index, now)
 
         self._tick_index += 1
+
+    # ------------------------------------------------------------- serving
+    def _serve_vms(
+        self, server: ServerRuntime, available: float, now: float
+    ) -> float:
+        """Serve ``server``'s VMs from ``available`` watts; return the
+        watts served.
+
+        VMs are served in priority order (lower priority value first)
+        so higher QoS classes degrade last; unserved watts are recorded
+        per VM for per-class accounting.  Each demand is read once: on
+        an array site it is a view onto the site's demand lane.
+        """
+        served = 0.0
+        for vm in sorted(
+            server.vms.values(), key=lambda v: (v.app.priority, v.vm_id)
+        ):
+            demand = vm.current_demand
+            if demand <= 0:
+                continue
+            grant = min(demand, available - served)
+            grant = max(grant, 0.0)
+            unserved = demand - grant
+            if unserved > _EPS:
+                self.collector.record_drop(
+                    Drop(now, server.node.node_id, vm.vm_id, unserved)
+                )
+                self._dropped_since_consolidation += unserved
+            served += grant
+        return served
 
     # ------------------------------------------------ plant-fault hooks
     def _begin_tick(self, now: float) -> None:

@@ -278,11 +278,11 @@ class FederationFleet:
     buffers and *rebinds* each site's arrays (and its
     :class:`~repro.power.smoothing.VectorSmoother` lanes) to basic
     slices of the block.  Basic slicing shares memory, so per-site code
-    (gathers, the rebalance pre-screens, the bound runtime objects,
-    which look their lane up on every access) keeps working unchanged
-    while the array tick's sweeps -- demand, Eq. 4 smoothing, Eq. 2/3
-    thermal, serving -- run once over the whole block.  A single-site
-    block is how
+    (gathers, and the bound runtime objects, which look their lane up
+    on every access and so serve the rebalance's object walks) keeps
+    working unchanged while the array tick's sweeps -- demand, Eq. 4
+    smoothing, Eq. 2/3 thermal, serving -- run once over the whole
+    block.  A single-site block is how
     :class:`~repro.core.vectorized.VectorizedWillowController` ticks.
 
     Sites may differ in ``alpha`` (per-lane array, bit-identical to the

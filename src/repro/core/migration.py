@@ -27,6 +27,7 @@ The planner turns per-server deficits into a set of VM moves:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from repro.binpack.ffdlr import _SLACK, ffdlr_pack
@@ -134,20 +135,25 @@ class MigrationPlanner:
         """Choose whole VMs to move off a deficient server.
 
         Sheds largest-demand VMs first until the remaining demand fits
-        under ``budget - P_min`` (or no VMs remain).
+        under ``budget - P_min`` (or no VMs remain).  Each demand is
+        read once (on an array site it is a view onto a lane); the
+        sort is stable under ``reverse``, so ties keep ``server.vms``
+        order.
         """
         goal = max(server.budget - self.config.p_min, 0.0)
         remaining = server.raw_demand
         items: List[Item] = []
-        for vm in sorted(
-            server.vms.values(), key=lambda v: v.current_demand, reverse=True
+        for demand, vm in sorted(
+            [(vm.current_demand, vm) for vm in server.vms.values()],
+            key=itemgetter(0),
+            reverse=True,
         ):
             if remaining <= goal + _EPS:
                 break
-            if vm.current_demand <= 0:
+            if demand <= 0:
                 continue
-            items.append(Item(key=vm.vm_id, size=vm.current_demand, payload=vm))
-            remaining -= vm.current_demand
+            items.append(Item(key=vm.vm_id, size=demand, payload=vm))
+            remaining -= demand
         return items
 
     # -- planning ---------------------------------------------------------------

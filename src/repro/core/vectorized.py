@@ -487,7 +487,7 @@ class _Segment:
             for r in slow_rows.tolist():
                 i = int(self.row_site[r])
                 ctrl = ctrls[i]
-                served[r] = ctrl._serve_scalar(
+                served[r] = ctrl._serve_vms(
                     ctrl.fleet.servers[r - int(self.row_base[i])],
                     available_list[r],
                     now,
@@ -1090,27 +1090,6 @@ class VectorizedWillowController(WillowController):
         return {
             r for r, s in enumerate(self.fleet.servers) if s._pending_costs
         }
-
-    # ------------------------------------------------------------- serving
-    def _serve_scalar(self, server, available: float, now: float) -> float:
-        """The scalar controller's per-VM priority serving loop, for
-        servers whose budget cannot cover their full demand."""
-        served = 0.0
-        for vm in sorted(
-            server.vms.values(), key=lambda v: (v.app.priority, v.vm_id)
-        ):
-            if vm.current_demand <= 0:
-                continue
-            grant = min(vm.current_demand, available - served)
-            grant = max(grant, 0.0)
-            unserved = vm.current_demand - grant
-            if unserved > _EPS:
-                self.collector.record_drop(
-                    Drop(now, server.node.node_id, vm.vm_id, unserved)
-                )
-                self._dropped_since_consolidation += unserved
-            served += grant
-        return served
 
     # ------------------------------------------------------ migrations
     def _execute_moves(

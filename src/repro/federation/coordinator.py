@@ -32,9 +32,9 @@ in the paper's idiom:
   different sites concatenate into one fold / one ``allocate_level``
   call per level.  The sites' per-server and per-VM objects are views
   onto the block's lanes, so hooks, the rebalance and snapshots read
-  current objects with nothing written back.  Rebalance candidates on
-  those sites are pre-screened on the arrays
-  (:mod:`repro.federation.vectorized`).
+  current objects with nothing written back.  The rebalance's shed and
+  receiver screens are therefore one set of object walks for every
+  site, scalar, fault-tolerant or fused.
 
 Equivalence contract (enforced by ``tests/test_federation.py``): a
 federation of one site under the ``neutral`` policy reproduces the
@@ -68,11 +68,6 @@ from repro.federation.predictive import (
     SiteForecast,
 )
 from repro.federation.site import Site, SiteSpec, build_site
-from repro.federation.vectorized import (
-    destination_bins,
-    preshed_candidates,
-    shed_candidates,
-)
 from repro.trace.tracer import Tracer, active_tracer
 from repro.workload.generator import DemandGenerator
 
@@ -85,6 +80,16 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+
+
+def _largest_first(server) -> List[Tuple[float, int, object]]:
+    """``server``'s VMs as ``(demand, vm_id, vm)``, largest demand
+    first and vm id breaking ties.  Each demand is read once: on an
+    array site it is a view onto the site's demand lane."""
+    return sorted(
+        [(vm.current_demand, vm.vm_id, vm) for vm in server.vms.values()],
+        key=lambda t: (-t[0], t[1]),
+    )
 
 
 @dataclass(frozen=True)
@@ -575,29 +580,22 @@ class FederationCoordinator:
             deficit = server.raw_demand - server.budget
             goal = max(server.budget - config.p_min, 0.0)
             remaining = server.raw_demand
-            for vm in sorted(
-                server.vms.values(),
-                key=lambda v: (-v.current_demand, v.vm_id),
-            ):
+            for demand, vm_id, vm in _largest_first(server):
                 if remaining <= goal + _EPS or remaining_directive <= _EPS:
                     break
-                if vm.current_demand <= 0:
+                if demand <= 0:
                     continue
-                if vm.current_demand > remaining_directive + _EPS:
+                if demand > remaining_directive + _EPS:
                     continue  # would overshoot the directive
                 out.append(
                     (
                         server.node.node_id,
                         deficit,
-                        Item(
-                            key=vm.vm_id,
-                            size=vm.current_demand,
-                            payload=vm,
-                        ),
+                        Item(key=vm_id, size=demand, payload=vm),
                     )
                 )
-                remaining -= vm.current_demand
-                remaining_directive -= vm.current_demand
+                remaining -= demand
+                remaining_directive -= demand
         return out
 
     def _preshed_candidates(
@@ -626,28 +624,21 @@ class FederationCoordinator:
         for server in candidates:
             if remaining_directive <= _EPS:
                 break
-            for vm in sorted(
-                server.vms.values(),
-                key=lambda v: (-v.current_demand, v.vm_id),
-            ):
+            for demand, vm_id, vm in _largest_first(server):
                 if remaining_directive <= _EPS:
                     break
-                if vm.current_demand <= 0:
+                if demand <= 0:
                     continue
-                if vm.current_demand > remaining_directive + _EPS:
+                if demand > remaining_directive + _EPS:
                     continue  # would overshoot the directive
                 out.append(
                     (
                         server.node.node_id,
                         watts,
-                        Item(
-                            key=vm.vm_id,
-                            size=vm.current_demand,
-                            payload=vm,
-                        ),
+                        Item(key=vm_id, size=demand, payload=vm),
                     )
                 )
-                remaining_directive -= vm.current_demand
+                remaining_directive -= demand
         return out
 
     def _destination_bins(self, site: Site, wan_power: float) -> List[Bin]:
@@ -665,52 +656,28 @@ class FederationCoordinator:
             server = controller.servers[node_id]
             if not server.is_awake:
                 continue
-            if server.raw_demand > server.budget + _EPS:
+            raw, budget = server.raw_demand, server.budget
+            if raw > budget + _EPS:
                 continue
             if planner._squeezed(server, controller.internals):
                 continue
-            capacity = (
-                server.budget - server.raw_demand - config.p_min - wan_power
-            )
+            capacity = budget - raw - config.p_min - wan_power
             if capacity > _EPS:
                 bins.append(Bin(key=node_id, capacity=capacity))
         return bins
 
-    def _screens(self, site: Site) -> Tuple[Callable, Callable]:
-        """The shed screens for a transfer's source ``site``:
-        ``(shed, preshed)``, called as ``shed(site, watts)`` and
-        ``preshed(site, watts)``.
-
-        Vectorized controllers get the array versions in
-        :mod:`repro.federation.vectorized`, which read the fleet lanes
-        and then the VM objects of the servers they pick.  Every other
-        controller gets the object walks above, which are also the
-        array versions' reference.
-        """
-        if isinstance(site.controller, VectorizedWillowController):
-            return shed_candidates, preshed_candidates
-        return self._shed_candidates, self._preshed_candidates
-
-    def _bins_screen(self, site: Site) -> Callable:
-        """The receiver screen for a transfer's destination ``site``,
-        called as ``bins(site, wan_power)``.  The array version reads
-        only lanes and the runtimes the allocation writes eagerly."""
-        if isinstance(site.controller, VectorizedWillowController):
-            return destination_bins
-        return self._destination_bins
-
     def _execute_transfer(self, transfer: Transfer, now: float) -> None:
         src_site = self._by_name[transfer.src]
         dst_site = self._by_name[transfer.dst]
-        shed, preshed = self._screens(src_site)
-        items = (preshed if transfer.preemptive else shed)(
-            src_site, transfer.watts
+        shed = (
+            self._preshed_candidates
+            if transfer.preemptive
+            else self._shed_candidates
         )
+        items = shed(src_site, transfer.watts)
         if not items:
             return
-        bins = self._bins_screen(dst_site)(
-            dst_site, self._wan_cost(dst_site)[0]
-        )
+        bins = self._destination_bins(dst_site, self._wan_cost(dst_site)[0])
         if not bins:
             return
         src_of = {

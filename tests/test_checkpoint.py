@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import (
@@ -697,20 +697,27 @@ fused_resume_cases = st.tuples(
     st.integers(0, 10_000),  # seed
     st.floats(0.35, 0.5),  # utilization
     st.integers(1, 35),  # snapshot tick
+    st.sampled_from(["proportional", "predictive"]),  # policy
 )
+#: Predictive at horizon 4 shifts load ahead of the crunch here, so the
+#: pre-emptive shed runs on fused sites.
+PREEMPTIVE_CASE = (0, 0.35, 17, "predictive")
 
 
 @settings(max_examples=10, deadline=None)
+@example(case=PREEMPTIVE_CASE)
 @given(case=fused_resume_cases)
 def test_fused_federation_resume_bit_exact_for_any_configuration(case):
     """Three fused array sites on anti-correlated solar, so VMs cross
     sites in both directions (and guests of a later site are served a
     tick stale): resuming a snapshot at any tick reproduces every
-    site's decisions and the cross-site moves."""
+    site's decisions and the cross-site moves, under the reactive
+    proportional policy and the predictive one (horizon 4), whose
+    pre-emptive transfers shed from sites with no deficit yet."""
     from repro.federation import SiteSpec, build_federation
     from repro.power import renewable_supply
 
-    seed, utilization, snapshot_tick = case
+    seed, utilization, snapshot_tick, policy = case
     total = 36
 
     def build():
@@ -730,13 +737,23 @@ def test_fused_federation_resume_bit_exact_for_any_configuration(case):
             for i in range(3)
         ]
         return build_federation(
-            specs, n_ticks=total, policy="proportional", vectorized=True
+            specs,
+            n_ticks=total,
+            policy=policy,
+            horizon=4 if policy == "predictive" else 0,
+            vectorized=True,
         )
 
     reference = build()
     assert [seg.global_idx for seg in reference.segments] == [[0, 1, 2]]
     reference.run(total)
     assert reference.cross_migrations
+    if case == PREEMPTIVE_CASE:
+        assert any(
+            transfer.preemptive
+            for _tick, transfers in reference.transfer_log
+            for transfer in transfers
+        )
 
     first = build()
     first.run(snapshot_tick)

@@ -13,11 +13,11 @@ reorders a sum across sites).  Also covered here: the views contract
 (every runtime object of an array site reads its lanes -- after every
 ``run``, across runs and inside hooks -- a tick that no scalar reader
 needs touches no view, and whole-site gathers run only where a reader
-may change every object), the
-:mod:`repro.binpack.prescreen` kernels against their scalar reference
-loops, the array rebalance pre-screens against the coordinator's object
-walks, and the :class:`~repro.core.fleet.FederationFleet` view-aliasing
-invariants the fused tick relies on.
+may change every object), and the
+:class:`~repro.core.fleet.FederationFleet` view-aliasing invariants the
+fused tick relies on.  The rebalance's shed and receiver screens are the
+coordinator's object walks on every site, so the equivalence contract
+covers them, and the views contract keeps what they read current.
 """
 
 import copy
@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.binpack.prescreen import deficient_order, destination_order
 from repro.control_plane import run_distributed
 from repro.core.config import WillowConfig
 from repro.core.controller import run_willow
@@ -47,11 +46,6 @@ from repro.federation import (
     SiteSpec,
     build_federation,
     run_federation,
-)
-from repro.federation.vectorized import (
-    destination_bins,
-    preshed_candidates,
-    shed_candidates,
 )
 from repro.plant_faults import random_plant_schedule
 from repro.plant_faults.controller import (
@@ -352,59 +346,6 @@ class TestSegmentPartitioning:
         assert coordinator.fed_fleet.n == sum(
             s.controller.fleet.n for s in coordinator.sites
         )
-
-
-class TestArrayPrescreens:
-    """At every rebalance of a fused federation, the array pre-screens
-    return exactly what the coordinator's object walks return on the
-    same site: the same VMs in the same order, the same floats."""
-
-    @staticmethod
-    def _items(items):
-        return [
-            (node, deficit, item.key, item.size, id(item.payload))
-            for node, deficit, item in items
-        ]
-
-    @pytest.mark.parametrize("policy", sorted(set(POLICIES) - {"neutral"}))
-    def test_array_screens_match_object_walks(self, policy):
-        coordinator = build_federation(
-            make_specs(n_sites=3, fault_site=False),
-            n_ticks=TICKS,
-            policy=policy,
-            horizon=3 if policy == "predictive" else 0,
-            vectorized=True,
-        )
-        assert [seg.global_idx for seg in coordinator.segments] == [[0, 1, 2]]
-        execute = coordinator._execute_transfer
-        compared = []
-
-        def compare_then_execute(transfer, now):
-            src = coordinator.site(transfer.src)
-            dst = coordinator.site(transfer.dst)
-            watts = transfer.watts
-            for array, walk in (
-                (shed_candidates, coordinator._shed_candidates),
-                (preshed_candidates, coordinator._preshed_candidates),
-            ):
-                got = self._items(array(src, watts))
-                assert got == self._items(walk(src, watts))
-                compared.append(len(got))
-            wan_power = coordinator._wan_cost(dst)[0]
-            got_bins = [
-                (b.key, b.capacity) for b in destination_bins(dst, wan_power)
-            ]
-            assert got_bins == [
-                (b.key, b.capacity)
-                for b in coordinator._destination_bins(dst, wan_power)
-            ]
-            compared.append(len(got_bins))
-            execute(transfer, now)
-
-        coordinator._execute_transfer = compare_then_execute
-        coordinator.run(TICKS)
-        assert coordinator.cross_migrations
-        assert sum(1 for n in compared if n) > 10
 
 
 # ---------------------------------------------------------- sync contract
@@ -759,7 +700,7 @@ class TestSyncContract:
             monkeypatch.setattr(VectorizedWillowController, name, wrapper)
 
         reader("_plan_demand_migrations")  # some row is deficient
-        reader("_serve_scalar")  # some row is served slowly
+        reader("_serve_vms")  # some row is served slowly
         reader("_consolidate")
         accesses = [0]
         count_view_accesses(monkeypatch, accesses)
@@ -853,52 +794,3 @@ class TestFederationFleetAliasing:
         obs = np.full(fleets[0].n, 123.0)
         fleets[0].smoother.update(obs, mask=np.ones(fleets[0].n, dtype=bool))
         assert np.all(block.smoother_values[: fleets[0].n] == 123.0)
-
-
-# ------------------------------------------------------- prescreen kernels
-class TestPrescreenKernels:
-    EPS = 1e-9
-
-    def test_deficient_order_matches_sorted(self):
-        rng = np.random.default_rng(5)
-        n = 40
-        raw = rng.uniform(50.0, 150.0, n)
-        budget = rng.uniform(50.0, 150.0, n)
-        awake = rng.random(n) > 0.2
-        node_ids = rng.permutation(n) + 100
-        rows = deficient_order(awake, raw, budget, node_ids, self.EPS)
-        ref = sorted(
-            (
-                i
-                for i in range(n)
-                if awake[i] and raw[i] > budget[i] + self.EPS
-            ),
-            key=lambda i: (budget[i] - raw[i], node_ids[i]),
-        )
-        assert rows.tolist() == ref
-
-    def test_destination_order_matches_scalar_screen(self):
-        rng = np.random.default_rng(6)
-        n = 40
-        raw = rng.uniform(50.0, 150.0, n)
-        budget = rng.uniform(50.0, 150.0, n)
-        awake = rng.random(n) > 0.2
-        squeezed = rng.random(n) > 0.7
-        node_ids = rng.permutation(n) + 7
-        capacity = budget - raw - 5.0 - 2.0
-        order, caps = destination_order(
-            awake, raw, budget, squeezed, capacity, node_ids, self.EPS
-        )
-        ref = sorted(
-            (
-                i
-                for i in range(n)
-                if awake[i]
-                and not raw[i] > budget[i] + self.EPS
-                and not squeezed[i]
-                and capacity[i] > self.EPS
-            ),
-            key=lambda i: node_ids[i],
-        )
-        assert order.tolist() == ref
-        assert caps.tolist() == [capacity[i] for i in ref]
