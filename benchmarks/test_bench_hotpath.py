@@ -97,3 +97,44 @@ def test_kernel_baseline_not_regressed(baseline, fresh):
             f"kernel {key} is {row['vectorized_us_per_iter']:.1f} us vs "
             f"recorded {recorded[key]:.1f} us"
         )
+
+
+def test_demand_block_is_narrow_and_seeded_in_one_pass(monkeypatch):
+    """Deterministic, not timed: a 4,096-VM generator on the paper's
+    catalog keeps one byte per VM-tick in its block, and its first
+    tick creates every VM stream without a ``SeedSequence``."""
+    import numpy as np
+
+    from repro.sim import RandomStreams
+    from repro.workload import (
+        SIMULATION_APPS,
+        DemandGenerator,
+        random_placement,
+    )
+
+    streams = RandomStreams(7)
+    plan = random_placement(
+        list(range(256)), SIMULATION_APPS, streams["placement"],
+        vms_per_server=16,
+    )
+    generator = DemandGenerator(plan, streams)
+    seed_sequences = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        seed_sequences.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    generator.sample_tick_array()
+
+    n_vms = len(plan.vms)
+    assert n_vms == 4096
+    assert len(streams) == n_vms + 1  # the placement stream, and one per VM
+    assert seed_sequences == []
+    for vm in plan.vms:
+        seed = streams[f"demand/vm-{vm.vm_id}"].bit_generator.seed_seq
+        assert not isinstance(seed, real)
+    block = generator._block
+    assert block.nbytes == n_vms * block.shape[0]
+    assert block.shape == (256, n_vms)

@@ -568,7 +568,9 @@ class WillowController:
                 hook(self, record)
 
     # ------------------------------------------------------ consolidation
-    def _consolidate(self, now: float) -> None:
+    def _consolidate(self, now: float) -> List[ServerRuntime]:
+        """Run the η₂ consolidation plan; return the servers it put to
+        sleep or began to wake."""
         total_demand = sum(s.raw_demand for s in self.servers.values())
         plan = self.consolidation_planner.plan(
             self.servers,
@@ -578,13 +580,16 @@ class WillowController:
             total_demand=total_demand,
         )
         self._execute_moves(plan.moves, MigrationCause.CONSOLIDATION, now)
+        changed = []
         for server in plan.to_sleep:
             if not server.vms:  # all moves executed; drain complete
                 server.sleep()
+                changed.append(server)
         for server in plan.to_wake:
             if not self._may_wake(server):
                 continue
             server.begin_wake()
+            changed.append(server)
             # Prime the demand forecast with the unserved demand the
             # server is being woken to absorb: budgets derive from
             # smoothed demand, so without this the woken server would
@@ -601,6 +606,7 @@ class WillowController:
             server.smoother.reset(initial=forecast)
             server.smoothed_demand = forecast
         self._dropped_since_consolidation = 0.0
+        return changed
 
     # ------------------------------------------------------------ switches
     def _record_switches(self, now: float) -> None:

@@ -188,20 +188,15 @@ class FleetState:
             _bind(server.smoother, LaneSmoother, self, row)
 
     # -------------------------------------------------------------- gather
-    def gather(self) -> None:
-        """Re-read every sleep mask and pending migration-cost lane from
-        the objects: the state that scalar code (consolidation, wake-ups,
-        migrations, restores) changes through methods, not views."""
-        self.gather_sleep()
-        self.gather_costs()
-
-    def gather_sleep(self) -> None:
-        """Refresh every sleep-state mask."""
-        self.gather_sleep_rows(range(self.n))
-
-    def gather_costs(self) -> None:
-        """Refresh every pending migration-cost lane."""
-        self.gather_cost_rows(range(self.n))
+    def gather(self, rows=None) -> None:
+        """Re-read the sleep masks and pending migration-cost lanes of
+        ``rows`` (row indices; every row by default) from the objects:
+        the state that scalar code (consolidation, wake-ups, migrations,
+        restores) changes through methods, not views."""
+        if rows is None:
+            rows = range(self.n)
+        self.gather_sleep_rows(rows)
+        self.gather_cost_rows(rows)
 
     def gather_sleep_rows(self, rows) -> None:
         """Refresh the sleep-state masks of ``rows`` (row indices)."""

@@ -455,15 +455,17 @@ class _Segment:
             ):
                 # Consolidation reads and writes the objects: a woken
                 # server's smoother reset lands in its lanes through
-                # the views, and gather() re-reads what it changed
-                # through methods (sleep states, migration costs).
+                # the views, and gather() re-reads the rows whose sleep
+                # state it changed through methods.  Its moves charged
+                # costs on rows in _cost_rows, re-read below.
                 n_migrations = len(ctrl.collector.migrations)
-                ctrl._consolidate(now)
+                changed = ctrl._consolidate(now)
                 moved[i] = (
                     moved[i]
                     or len(ctrl.collector.migrations) > n_migrations
                 )
-                ctrl.fleet.gather()
+                index = ctrl.fleet.index
+                ctrl.fleet.gather([index[s.node.node_id] for s in changed])
             if moved[i]:
                 # Migrations rehomed VMs and charged costs mid-tick;
                 # refresh the per-host sums and the charged rows' cost

@@ -647,6 +647,8 @@ class FederationCoordinator:
         Same screening as the intra-site matcher: awake, not deficient,
         not squeezed by the unidirectional rule; capacity is the
         surplus minus ``P_min`` and the WAN cost the move will charge.
+        A server without capacity is skipped before the squeeze rule's
+        ancestor walk.
         """
         config = site.config
         controller = site.controller
@@ -659,11 +661,12 @@ class FederationCoordinator:
             raw, budget = server.raw_demand, server.budget
             if raw > budget + _EPS:
                 continue
+            capacity = budget - raw - config.p_min - wan_power
+            if not capacity > _EPS:
+                continue
             if planner._squeezed(server, controller.internals):
                 continue
-            capacity = budget - raw - config.p_min - wan_power
-            if capacity > _EPS:
-                bins.append(Bin(key=node_id, capacity=capacity))
+            bins.append(Bin(key=node_id, capacity=capacity))
         return bins
 
     def _execute_transfer(self, transfer: Transfer, now: float) -> None:

@@ -391,24 +391,26 @@ class WillowFedEnv:
         delta_d = coordinator.delta_d
         vector = dict.fromkeys(REWARD_COMPONENTS, 0.0)
         for i, site in enumerate(coordinator.sites):
+            # The new tail of each column, in row order.
             drops = site.collector.drops
-            new_drops = drops[self._drop_cursor[i] :]
+            dropped = drops.column("power", self._drop_cursor[i])
             self._drop_cursor[i] = len(drops)
-            vector["dropped"] += sum(d.power for d in new_drops) * delta_d
+            vector["dropped"] += sum(dropped) * delta_d
 
             samples = site.collector.server_samples
-            new_samples = samples[self._sample_cursor[i] :]
+            start = self._sample_cursor[i]
             self._sample_cursor[i] = len(samples)
-            energy = sum(s.power for s in new_samples) * delta_d
+            energy = sum(samples.column("power", start)) * delta_d
             vector["energy"] += energy
             if window_start is not None:
                 vector["carbon"] += energy * site.carbon_at(window_start)
             t_limit = site.config.thermal.t_limit
+            temperatures = samples.column("temperature", start)
             vector["violations"] += sum(
-                1 for s in new_samples if s.temperature > t_limit + 1e-9
+                1 for t in temperatures if t > t_limit + 1e-9
             )
-            if new_samples:
-                self._peak_temps[i] = max(s.temperature for s in new_samples)
+            if temperatures:
+                self._peak_temps[i] = max(temperatures)
 
         migrations = coordinator.cross_migrations
         for migration in migrations[self._migration_cursor :]:

@@ -124,13 +124,18 @@ class RecordTable:
             for k in range(width)
         )
 
-    def column(self, name: str) -> list:
-        """One field's values in row order, as Python objects."""
+    def column(self, name: str, start: int = 0) -> list:
+        """One field's values in row order from row ``start`` on, as
+        Python objects."""
         k = self.fields.index(name)
+        i = bisect_right(self._ends, start)
+        begin = self._ends[i - 1] if i else 0
         out: list = []
-        for n, columns in self._chunks:
-            out += _values(columns[k], 0, n)
-        out += self._tail[k :: len(self.fields)]
+        for n, columns in islice(self._chunks, i, None):
+            out += _values(columns[k], max(start - begin, 0), n)
+            begin += n
+        width = len(self.fields)
+        out += self._tail[k + max(start - begin, 0) * width :: width]
         return out
 
     def _rows(self, start: int, stop: int) -> Iterator:

@@ -276,12 +276,20 @@ class DemandGenerator:
 
     Draws are *block-prefetched*: every ``block_size`` ticks each VM
     stream emits its next ``block_size`` Poisson values in one call, and
-    ``sample_tick`` consumes one column of the buffer per tick.  Because
+    ``sample_tick`` consumes one tick of the block.  Because
     ``Generator.poisson(lam, size=k)`` advances a stream exactly like
     ``k`` successive scalar draws, the per-(seed, VM) demand sequence is
     bit-identical to unbatched sampling while the per-tick cost drops to
-    a single vector slice (see docs/performance.md for the contract).
+    a single vector read (see docs/performance.md for the contract).
+
+    The block is stored tick-major, ``(block_size, n_vms)``, so a tick
+    reads one contiguous row, in the narrowest unsigned dtype that holds
+    its draws: uint8 for the paper's catalog, widened (never wrapped)
+    when a draw does not fit.
     """
+
+    #: VMs whose draws are staged in the int64 scratch at a time.
+    FILL_CHUNK = 256
 
     def __init__(
         self,
@@ -295,18 +303,39 @@ class DemandGenerator:
         self.plan = plan
         self.streams = streams
         self._block_size = int(block_size)
-        self._buffer: np.ndarray | None = None  # (n_vms, block) raw draws
+        self._block: np.ndarray | None = None  # (block, n_vms) raw draws
         self._cursor = 0
+        # Per plan row, the VM's stream and mean, for the vm ids in
+        # ``_row_ids``; rebuilt when the plan's VMs change.
+        self._row_ids: List[int] = []
+        self._rows: List[tuple] = []
+
+    def _draw_rows(self) -> List[tuple]:
+        """``(stream, mean)`` per plan row, creating missing streams in
+        one pass (:meth:`RandomStreams.many`)."""
+        vms = self.plan.vms
+        ids = [vm.vm_id for vm in vms]
+        if ids != self._row_ids:
+            streams = self.streams.many([f"demand/vm-{i}" for i in ids])
+            self._rows = list(zip(streams, [vm.app.mean_power for vm in vms]))
+            self._row_ids = ids
+        return self._rows
 
     def _refill(self) -> None:
-        n = len(self.plan.vms)
-        if self._buffer is None or self._buffer.shape[0] != n:
-            self._buffer = np.empty((n, self._block_size), dtype=np.int64)
-        for row, vm in enumerate(self.plan.vms):
-            stream = self.streams[f"demand/vm-{vm.vm_id}"]
-            self._buffer[row] = stream.poisson(
-                vm.app.mean_power, size=self._block_size
-            )
+        rows = self._draw_rows()
+        n, size = len(rows), self._block_size
+        block = self._block
+        if block is None or block.shape[1] != n:
+            block = np.empty((size, n), dtype=np.uint8)
+        scratch = np.empty((min(self.FILL_CHUNK, n), size), dtype=np.int64)
+        for lo in range(0, n, self.FILL_CHUNK):
+            chunk = rows[lo : lo + self.FILL_CHUNK]
+            for j, (stream, mean) in enumerate(chunk):
+                scratch[j] = stream.poisson(mean, size=size)
+            draws = scratch[: len(chunk)]
+            block = _widened(block, int(draws.max()))
+            block[:, lo : lo + len(chunk)] = draws.T
+        self._block = block
         self._cursor = 0
 
     def sample_tick_array(self, write_objects: bool = True) -> np.ndarray:
@@ -319,9 +348,9 @@ class DemandGenerator:
         ``write_objects=False`` to skip the per-VM scatter and flush the
         objects themselves only when scalar code needs them.
         """
-        if self._buffer is None or self._cursor >= self._block_size:
+        if self._block is None or self._cursor >= self._block_size:
             self._refill()
-        draws = self._buffer[:, self._cursor]
+        draws = self._block[self._cursor]
         self._cursor += 1
         demands = draws.astype(float) * self.plan.scale
         if write_objects:
@@ -353,10 +382,16 @@ class DemandGenerator:
         The buffer must travel with the RNG states: the per-VM streams
         have already advanced past the whole block, so resuming without
         the unconsumed draws would skip up to ``block_size`` ticks of
-        demand.
+        demand.  It is stored VM-major, as a C-contiguous
+        ``(n_vms, block_size)`` int64 array, whatever the in-memory
+        layout.
         """
         return {
-            "buffer": None if self._buffer is None else self._buffer.copy(),
+            "buffer": (
+                None
+                if self._block is None
+                else self._block.T.astype(np.int64, order="C")
+            ),
             "cursor": self._cursor,
             "block_size": self._block_size,
         }
@@ -369,5 +404,19 @@ class DemandGenerator:
                 f"generator was built with {self._block_size}"
             )
         buffer = state["buffer"]
-        self._buffer = None if buffer is None else np.array(buffer, dtype=np.int64)
+        self._block = None
+        if buffer is not None:
+            draws = np.asarray(buffer, dtype=np.int64)
+            if draws.size and int(draws.min()) < 0:
+                raise ValueError("demand buffer holds negative draws")
+            top = int(draws.max()) if draws.size else 0
+            self._block = draws.T.astype(np.min_scalar_type(top), order="C")
         self._cursor = int(state["cursor"])  # type: ignore[arg-type]
+
+
+def _widened(block: np.ndarray, top: int) -> np.ndarray:
+    """``block``, or a copy in a wider unsigned dtype when ``top`` (a
+    non-negative draw) does not fit its dtype."""
+    if top <= np.iinfo(block.dtype).max:
+        return block
+    return block.astype(np.min_scalar_type(top))

@@ -621,12 +621,13 @@ class TestSyncContract:
     def test_whole_site_syncs_only_where_every_object_is_read(
         self, monkeypatch
     ):
-        """No hooks, no tracer: sleep and cost lanes are re-read in full
-        only after consolidation, otherwise only on the rows some actor
-        changed; and a tick with no deficient, slow or consolidating row
-        reads or writes no lane-backed attribute."""
+        """No hooks, no tracer: a tick never re-reads the sleep and cost
+        lanes in full, only on the rows some actor changed (after
+        consolidation, the servers it slept or woke); and a tick with no
+        deficient, slow or consolidating row reads or writes no
+        lane-backed attribute."""
         context = []
-        rows_read = {"sleep": 0, "costs": 0}
+        rows_read = {"sleep": 0, "costs": 0, "consolidated": 0}
 
         def within(owner, name, label):
             original = getattr(owner, name)
@@ -640,21 +641,18 @@ class TestSyncContract:
 
             monkeypatch.setattr(owner, name, wrapper)
 
+        gather = FleetState.gather
+
+        def gather_rows(self, rows=None):
+            if "tick" in context:
+                assert rows is not None, "whole-site gather in a tick"
+                rows_read["consolidated"] += len(rows)
+            return gather(self, rows)
+
+        monkeypatch.setattr(FleetState, "gather", gather_rows)
         within(_Segment, "tick", "tick")
         within(FederationCoordinator, "_rebalance", "rebalance")
         within(FleetState, "gather", "gather")
-
-        def refuse_whole(name):
-            original = getattr(FleetState, name)
-
-            def wrapper(self):
-                assert context and context[-1] == "gather", name
-                return original(self)
-
-            monkeypatch.setattr(FleetState, name, wrapper)
-
-        refuse_whole("gather_sleep")
-        refuse_whole("gather_costs")
         sleep_rows = FleetState.gather_sleep_rows
         cost_rows = FleetState.gather_cost_rows
 
@@ -682,8 +680,8 @@ class TestSyncContract:
         coordinator = sync_federation()
         for _ in range(SYNC_TICKS // 3):
             coordinator.run(3)
-        # The federation exercises every per-row path: wakes and
-        # charged costs, plus cross-site moves.
+        # The federation exercises every per-row path: wakes, charged
+        # costs and consolidation's sleeps, plus cross-site moves.
         assert all(rows_read.values()), rows_read
         assert coordinator.cross_migrations
 

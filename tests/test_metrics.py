@@ -239,6 +239,8 @@ class TestRecordTable:
             expected = [_field(table, row, k) for row in rows]
             assert column == expected
             assert [type(v) for v in column] == [type(v) for v in expected]
+            start = data.draw(st.integers(0, len(rows) + 2))
+            assert table.column(field_name, start) == expected[start:]
 
         for clone in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
             assert clone == table

@@ -53,29 +53,70 @@ def test_seed_must_be_int():
         RandomStreams("not-an-int")
 
 
+#: UTF-8 lengths 4..8 cover every padding length (4, 3, 2, 1 NULs);
+#: "grüße" pads by its character count, not its byte count.
+PINNED_NAMES = ("abcd", "vm-12", "demand", "vm-1234", "grüße")
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32 + 5, 2**70 + 3])
 def test_stream_derivation_is_pinned(seed):
     """Each stream is seeded by ``SeedSequence([seed, *padded name
     bytes])`` -- the list form, whatever the implementation hands
-    NumPy -- so every recorded run keeps its demand sequence."""
-    # UTF-8 lengths 4..8 cover every padding length (4, 3, 2, 1 NULs);
-    # the last name pads by its character count, not its byte count.
-    for name in ("abcd", "vm-12", "demand", "vm-1234", "grüße"):
+    NumPy -- so every recorded run keeps its demand sequence.  The
+    batch path (``many``) creates the same streams, hashing names of
+    one entropy length together and mixed lengths in one call."""
+    names = PINNED_NAMES + ("vm-9", "vm-10")
+    batch = RandomStreams(seed).many(names)
+    for k, name in enumerate(names):
         padded = name.encode("utf-8") + b"\x00" * (4 - len(name) % 4 or 4)
         reference = np.random.default_rng(
             np.random.SeedSequence([seed, *padded])
         )
-        stream = RandomStreams(seed)[name]
-        assert (
-            stream.bit_generator.state == reference.bit_generator.state
-        ), name
-        assert np.array_equal(stream.random(4), reference.random(4)), name
+        single = RandomStreams(seed)[name]
+        for stream in (single, batch[k]):
+            assert (
+                stream.bit_generator.state == reference.bit_generator.state
+            ), name
+        draws = reference.random(4)
+        assert np.array_equal(single.random(4), draws), name
+        assert np.array_equal(batch[k].random(4), draws), name
+
+
+def test_batch_keeps_request_order_and_existing_streams():
+    """Mixed single-name and batch creation lists streams in request
+    order, and a batch call returns, never recreates, an existing
+    stream."""
+    streams = RandomStreams(4)
+    held = streams["b"]
+    _ = held.random(3)
+    state = held.bit_generator.state
+    got = streams.many(["a", "b", "c", "a"])
+    assert got[1] is held and got[0] is got[3]
+    assert held.bit_generator.state == state
+    _ = streams["d"]
+    streams.many(["e", "c"])
+    assert list(streams.state_dict()["streams"]) == ["b", "a", "c", "d", "e"]
+    assert streams.many([]) == []
+
+
+def test_load_state_dict_creates_missing_streams_in_snapshot_order():
+    source = RandomStreams(8)
+    source.many(["x", "y"])
+    _ = source["z"].random(2)
+    target = RandomStreams(8)
+    held = target["y"]
+    target.load_state_dict(source.state_dict())
+    assert target["y"] is held
+    assert list(target.state_dict()["streams"]) == ["y", "x", "z"]
+    assert target.state_dict() == source.state_dict()
 
 
 def test_negative_seed_rejected_on_first_stream():
     streams = RandomStreams(-3)
     with pytest.raises(ValueError):
         streams["x"]
+    with pytest.raises(ValueError):
+        streams.many(["x"])
 
 
 def test_fork_changes_streams_deterministically():

@@ -1,7 +1,11 @@
 """Tests for applications, VMs, demand generation and traces."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import RandomStreams
 from repro.workload import (
@@ -162,6 +166,123 @@ class TestDemandGenerator:
             totals.append(sum(generator.sample_tick().values()))
         expected = sum(vm.app.mean_power for vm in plan.vms) * plan.scale
         assert np.mean(totals) == pytest.approx(expected, rel=0.05)
+
+
+#: An app whose Poisson draws exceed 255: they do not fit uint8.
+WIDE_APP = AppType("wide", 400.0)
+
+
+def _block_plan(seed, n_servers, apps, vms_per_server=2):
+    streams = RandomStreams(seed)
+    plan = random_placement(
+        list(range(n_servers)), apps, streams["placement"],
+        vms_per_server=vms_per_server,
+    )
+    plan.scale = 1.7
+    return plan, streams
+
+
+def _vm_major_block(seed, plan, block_size):
+    """The prefetched block in the checkpoint's VM-major layout: row
+    ``r`` is VM ``r``'s next ``block_size`` draws, ``(n_vms, block)``
+    int64."""
+    streams = RandomStreams(seed)
+    return np.stack(
+        [
+            streams[f"demand/vm-{vm.vm_id}"].poisson(
+                vm.app.mean_power, size=block_size
+            )
+            for vm in plan.vms
+        ]
+    )
+
+
+class TestDemandBlock:
+    """The tick-major narrow block draws exactly what unbatched sampling
+    draws, and checkpoints in the VM-major int64 layout."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        block_size=st.integers(1, 300),
+        refills=st.integers(1, 2),
+        extra=st.integers(0, 5),
+        chunk=st.integers(1, 9),
+        wide=st.booleans(),
+    )
+    def test_tick_major_block_equals_unbatched_sampling(
+        self, seed, block_size, refills, extra, chunk, wide
+    ):
+        apps = list(SIMULATION_APPS) + ([WIDE_APP] if wide else [])
+        plan_a, streams_a = _block_plan(seed, 3, apps)
+        plan_b, streams_b = _block_plan(seed, 3, apps)
+        blocked = DemandGenerator(plan_a, streams_a, block_size=block_size)
+        blocked.FILL_CHUNK = chunk  # fill across several chunks
+        single = DemandGenerator(plan_b, streams_b, block_size=1)
+        # The reference: one scalar draw per VM and tick, no block.
+        plan_r, streams_r = _block_plan(seed, 3, apps)
+        reference = [
+            (streams_r[f"demand/vm-{vm.vm_id}"], vm.app.mean_power)
+            for vm in plan_r.vms
+        ]
+        biggest = 0
+        for _ in range(refills * block_size + extra):
+            draws = [int(stream.poisson(mean)) for stream, mean in reference]
+            expected = np.array(draws, dtype=float) * plan_r.scale
+            np.testing.assert_array_equal(blocked.sample_tick_array(), expected)
+            np.testing.assert_array_equal(single.sample_tick_array(), expected)
+            biggest = max(biggest, *draws)
+        block = blocked._block
+        assert block.shape == (block_size, len(plan_a.vms))  # tick-major
+        assert block.dtype.kind == "u"
+        if biggest > 255:
+            # Widened, so the wide draws arrived whole.
+            assert block.dtype.itemsize > 1
+        else:
+            assert block.dtype == np.uint8
+
+    @pytest.mark.parametrize("apps", [SIMULATION_APPS, [WIDE_APP]])
+    def test_mid_block_state_is_the_vm_major_int64_block(self, apps):
+        block_size, consumed = 16, 5
+        plan, streams = _block_plan(9, 4, apps)
+        generator = DemandGenerator(plan, streams, block_size=block_size)
+        for _ in range(consumed):
+            generator.sample_tick_array()
+        state = generator.state_dict()
+        expected = _vm_major_block(9, plan, block_size)
+        buffer = state["buffer"]
+        assert buffer.dtype == np.int64 and buffer.flags.c_contiguous
+        np.testing.assert_array_equal(buffer, expected)
+        assert state["cursor"] == consumed
+        # The same checkpoint bytes as that VM-major array.
+        assert pickle.dumps(buffer, pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+            expected, pickle.HIGHEST_PROTOCOL
+        )
+
+        # A fresh generator resumes the same demands, across a refill.
+        resumed_plan, resumed_streams = _block_plan(9, 4, apps)
+        resumed = DemandGenerator(
+            resumed_plan, resumed_streams, block_size=block_size
+        )
+        resumed_streams.load_state_dict(
+            pickle.loads(pickle.dumps(streams.state_dict()))
+        )
+        resumed.load_state_dict(pickle.loads(pickle.dumps(state)))
+        for _ in range(2 * block_size):
+            np.testing.assert_array_equal(
+                resumed.sample_tick_array(), generator.sample_tick_array()
+            )
+
+    def test_load_state_dict_refuses_negative_draws(self):
+        plan, streams = _block_plan(1, 2, SIMULATION_APPS)
+        generator = DemandGenerator(plan, streams, block_size=4)
+        state = {
+            "buffer": -np.ones((len(plan.vms), 4), dtype=np.int64),
+            "cursor": 0,
+            "block_size": 4,
+        }
+        with pytest.raises(ValueError, match="negative"):
+            generator.load_state_dict(state)
 
 
 class TestDemandTrace:
