@@ -138,3 +138,82 @@ def test_demand_block_is_narrow_and_seeded_in_one_pass(monkeypatch):
     block = generator._block
     assert block.nbytes == n_vms * block.shape[0]
     assert block.shape == (256, n_vms)
+
+
+def test_array_site_budgets_and_screens_stay_on_lanes(monkeypatch):
+    """Deterministic, not timed: on a 4,096-server array site an
+    allocation tick makes no ``set_budget`` call for a server row (the
+    budgets are lanes, written as arrays), and a planning tick with at
+    most two deficient servers reads ``budget_reduced`` through no
+    server object (the squeeze screen reads the flag lane)."""
+    import gc
+
+    from repro.core.config import WillowConfig
+    from repro.core.controller import build_willow
+    from repro.core.fleet import LaneServerRuntime
+    from repro.core.state import NodeRuntime, ServerRuntime
+    from repro.core.vectorized import VectorizedWillowController
+    from repro.power.supply import constant_supply
+    from repro.topology import build_balanced
+
+    limit = WillowConfig().circuit_limit
+    controller = build_willow(
+        VectorizedWillowController,
+        tree=build_balanced((4, 16, 64)),
+        supply=constant_supply(1.2 * 4096 * limit),
+        target_utilization=0.55,
+        seed=7,
+        vms_per_server=16,
+    )
+    assert len(controller.servers) == 4096
+    calls = {"server": 0, "node": 0, "budget_reduced": 0}
+
+    def count_calls(owner, key):
+        original = owner.__dict__["set_budget"]
+
+        def set_budget(self, budget):
+            calls[key] += 1
+            original(self, budget)
+
+        monkeypatch.setattr(owner, "set_budget", set_budget)
+
+    count_calls(ServerRuntime, "server")
+    count_calls(NodeRuntime, "node")
+    flag = LaneServerRuntime.budget_reduced
+
+    def read_flag(self):
+        calls["budget_reduced"] += 1
+        return flag.fget(self)
+
+    monkeypatch.setattr(
+        LaneServerRuntime, "budget_reduced", property(read_flag, flag.fset)
+    )
+    deficient = []
+    plan = VectorizedWillowController._plan_demand_migrations
+
+    def planning(self, raw, smoothed, mask):
+        deficient.append(int(mask.sum()))
+        return plan(self, raw, smoothed, mask)
+
+    monkeypatch.setattr(
+        VectorizedWillowController, "_plan_demand_migrations", planning
+    )
+
+    allocation_ticks = small_planning_ticks = 0
+    for tick in range(12):
+        calls.update(server=0, node=0, budget_reduced=0)
+        deficient.clear()
+        controller.run(1)
+        if tick % controller.config.eta1 == 0:
+            allocation_ticks += 1
+            assert calls["node"], "no allocation ran"
+            assert calls["server"] == 0, (tick, calls)
+        if deficient and deficient[0] <= 2:
+            small_planning_ticks += 1
+            assert calls["budget_reduced"] == 0, (tick, deficient, calls)
+    assert allocation_ticks == 3
+    assert small_planning_ticks
+    # The fleet is cyclic garbage worth a ~0.25 s full collection: take
+    # it now rather than inside a later wall-clock guard's timed runs.
+    del controller
+    gc.collect()

@@ -15,12 +15,19 @@ the testbed sets the threshold at 20 % utilization (Sec. V-C5).  Every
 Waking is the inverse: when drops persist while a sleeping server
 exists and the root has budget headroom for its static floor, one
 server per consolidation round begins its (slow) S3/S4 resume.
+
+The planner finds its candidates and receivers through three screens
+(:meth:`ConsolidationPlanner._starved`,
+:meth:`~ConsolidationPlanner._drain_candidates`,
+:meth:`~ConsolidationPlanner._receive_capacity`), which walk every
+server here; an array site answers them from its lanes, and
+:meth:`ConsolidationPlanner.plan` stays the one matching pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.binpack.ffdlr import ffdlr_pack
 from repro.binpack.items import Bin, Item
@@ -56,6 +63,41 @@ class ConsolidationPlanner:
         overhead = self.config.p_min + self.config.migration_cost_power
         return max(surplus - overhead, 0.0)
 
+    # -- screens ---------------------------------------------------------
+    def _starved(
+        self, servers: Dict[int, ServerRuntime], floor: float
+    ) -> List[ServerRuntime]:
+        """Awake servers budgeted below ``floor - eps``, in fleet order."""
+        return [
+            s
+            for s in servers.values()
+            if s.is_awake and s.budget < floor - _EPS
+        ]
+
+    def _drain_candidates(
+        self, servers: Dict[int, ServerRuntime], limit: float
+    ) -> List[ServerRuntime]:
+        """Awake servers whose ``vm_demand`` is at most ``limit``, in
+        fleet order."""
+        return [
+            s
+            for s in servers.values()
+            if s.is_awake and s.vm_demand <= limit
+        ]
+
+    def _receive_capacity(
+        self,
+        servers: Dict[int, ServerRuntime],
+        floor: Optional[float] = None,
+    ) -> Dict[int, float]:
+        """Receive capacity by node id of every awake server (budgeted
+        at ``floor`` or more, when given), in fleet order."""
+        return {
+            s.node.node_id: self._target_capacity(s)
+            for s in servers.values()
+            if s.is_awake and (floor is None or s.budget >= floor)
+        }
+
     def plan(
         self,
         servers: Dict[int, ServerRuntime],
@@ -86,18 +128,9 @@ class ConsolidationPlanner:
         floor = config.server_model.static_power
         if config.consolidation_enabled and deficit_regime:
             starved = sorted(
-                (
-                    s
-                    for s in servers.values()
-                    if s.is_awake and s.budget < floor - _EPS
-                ),
-                key=lambda s: s.vm_demand,
+                self._starved(servers, floor), key=lambda s: s.vm_demand
             )
-            capacity: Dict[int, float] = {
-                s.node.node_id: self._target_capacity(s)
-                for s in servers.values()
-                if s.is_awake and s.budget >= floor
-            }
+            capacity = self._receive_capacity(servers, floor)
             for candidate in starved:
                 if not candidate.vms:
                     plan.to_sleep.append(candidate)
@@ -139,22 +172,13 @@ class ConsolidationPlanner:
             # their sleep time in Fig. 7.  Within a zone, drain the
             # least-loaded first.
             candidates = sorted(
-                (
-                    s
-                    for s in servers.values()
-                    if s.is_awake
-                    and s.vm_demand <= threshold_power + _EPS
-                ),
+                self._drain_candidates(servers, threshold_power + _EPS),
                 key=lambda s: (-s.thermal_params.t_ambient, s.vm_demand),
             )
             draining: set = set()
             # Residual receive-capacity per potential target; mutated as
             # earlier drains land so later candidates see the truth.
-            capacity: Dict[int, float] = {
-                s.node.node_id: self._target_capacity(s)
-                for s in servers.values()
-                if s.is_awake
-            }
+            capacity = self._receive_capacity(servers)
             extra_load: Dict[int, float] = {}
             for candidate in candidates:
                 # A server that received load from an earlier drain this

@@ -571,13 +571,12 @@ class WillowController:
     def _consolidate(self, now: float) -> List[ServerRuntime]:
         """Run the η₂ consolidation plan; return the servers it put to
         sleep or began to wake."""
-        total_demand = sum(s.raw_demand for s in self.servers.values())
         plan = self.consolidation_planner.plan(
             self.servers,
             self.internals,
             recent_dropped_power=self._dropped_since_consolidation,
             root_budget=self.root_budget,
-            total_demand=total_demand,
+            total_demand=self._total_demand(),
         )
         self._execute_moves(plan.moves, MigrationCause.CONSOLIDATION, now)
         changed = []
@@ -607,6 +606,11 @@ class WillowController:
             server.smoothed_demand = forecast
         self._dropped_since_consolidation = 0.0
         return changed
+
+    def _total_demand(self) -> float:
+        """This tick's raw wall demand over every server, summed in
+        fleet order."""
+        return sum(s.raw_demand for s in self.servers.values())
 
     # ------------------------------------------------------------ switches
     def _record_switches(self, now: float) -> None:

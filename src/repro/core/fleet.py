@@ -159,6 +159,8 @@ class FleetState:
         self.waking = np.zeros(n, dtype=bool)
         self.mig_cost = np.zeros(n)
         self.budget = lane(s.budget for s in servers)
+        self.previous_budget = lane(s.previous_budget for s in servers)
+        self.budget_reduced = lane((s.budget_reduced for s in servers), bool)
         self.temperature = lane(s.thermal.temperature for s in servers)
         self.peak = lane(s.thermal.peak for s in servers)
         self.violations = lane(
@@ -166,6 +168,11 @@ class FleetState:
         )
         self.raw = lane(s.raw_demand for s in servers)
         self.served = lane(s.served_power for s in servers)
+        #: Per-host VM demand sums, written by the array tick after it
+        #: samples (and again after migrations rehome VMs).  Summed in
+        #: plan order, so a row may differ from the server's dict-order
+        #: ``vm_demand`` in the last bits.
+        self.vm_sums = np.zeros(n)
         # ExponentialSmoother keeps None until primed; mirror that into
         # the (value, primed) lane pair.
         self.smoother = VectorSmoother(config.alpha, n)
@@ -258,11 +265,14 @@ _BLOCK_FIELDS = (
     "waking",
     "mig_cost",
     "budget",
+    "previous_budget",
+    "budget_reduced",
     "temperature",
     "peak",
     "violations",
     "raw",
     "served",
+    "vm_sums",
 )
 
 
@@ -349,12 +359,23 @@ def _bind(obj, cls, fleet: FleetState, row: int) -> None:
 
 
 class LaneServerRuntime(ServerRuntime):
-    """A server of an array site: demands and served power are views."""
+    """A server of an array site: demands, served power and budgets are
+    views (``set_budget`` works through them unchanged)."""
 
-    _LANES = ("raw_demand", "smoothed_demand", "served_power")
+    _LANES = (
+        "raw_demand",
+        "smoothed_demand",
+        "served_power",
+        "budget",
+        "previous_budget",
+        "budget_reduced",
+    )
     raw_demand = _lane("raw")
     smoothed_demand = _lane("smoother.values")
     served_power = _lane("served")
+    budget = _lane("budget")
+    previous_budget = _lane("previous_budget")
+    budget_reduced = _lane("budget_reduced")
 
     @property
     def vm_demand(self) -> float:

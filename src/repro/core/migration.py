@@ -210,12 +210,10 @@ class MigrationPlanner:
 
         # Pending items grouped by source server id.
         pending: Dict[int, List[Item]] = {}
-        sources: Dict[int, ServerRuntime] = {}
         for server in deficient:
             items = self._shed_items(server)
             if items:
                 pending[server.node.node_id] = items
-                sources[server.node.node_id] = server
 
         # Affinity pre-pass: offer each shed VM to the eligible server
         # hosting its heaviest IPC peer before generic matching.

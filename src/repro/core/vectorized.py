@@ -27,6 +27,9 @@ Everything decision-shaped stays on the runtime objects -- planners,
 consolidation, migration cost bookkeeping, metric hooks and the
 collector see exactly the scalar controller's interfaces, and
 ``Tracer`` frames carry the scalar controller's records in its order.
+The planners' per-server screens (deficient and squeezed rows, receive
+capacities, consolidation candidates) read the lanes instead, so a
+planning pass reads the objects of only the rows it picks.
 Numerical results match the scalar path bit-for-bit until the first
 migration re-orders a per-host demand sum, and to ``rtol=1e-12`` after
 that (see docs/performance.md for the precise contract and
@@ -43,9 +46,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.consolidation import ConsolidationPlanner
 from repro.core.controller import WillowController, _EPS
 from repro.core.deficits import power_imbalance
-from repro.core.events import Drop, MigrationCause
+from repro.core.events import MigrationCause
 from repro.core.fleet import (
     _BLOCK_FIELDS,
     FederationFleet,
@@ -67,6 +71,12 @@ __all__ = ["VectorizedWillowController"]
 #: the vectorized fast path, so borderline budget/demand ties resolve
 #: exactly as in the scalar controller.
 _SERVE_MARGIN = 1e-6
+
+#: How far, relative to the bound, a row of the host-sum lane (summed in
+#: plan order) may sit from its server's dict-order ``vm_demand``.  Each
+#: order's rounding error is below ``n * 2**-53`` of the sum of its ``n``
+#: non-negative demands, far inside this for any VM count a server holds.
+_HOST_SUM_RTOL = 1e-9
 
 
 @dataclass
@@ -100,9 +110,15 @@ class _SegLevel:
         "reserve_valid",
         "capacity_mode",
         "capacity_mask",
+        "inner_pos",
+        "inner_runtimes",
     )
 
-    def __init__(self, parts: List[Tuple[object, _LevelSpec]], node_offsets):
+    def __init__(
+        self,
+        parts: List[Tuple[object, _LevelSpec]],
+        node_offsets,
+    ):
         # parts: [(controller, per-site _LevelSpec)] in segment order.
         self.parts = parts
         node_ids = []
@@ -129,6 +145,19 @@ class _SegLevel:
             )
         self.node_gidx = np.concatenate(node_ids)
         self.child_gidx = np.concatenate(child_ids)
+        # Internal children (their positions in the level) take their
+        # budgets through set_budget; servers take theirs on the lanes
+        # once every level is allocated.
+        inner_pos: List[int] = []
+        self.inner_runtimes = []
+        k = 0
+        for _ctrl, spec in parts:
+            for child, runtime in zip(spec.child_nodes, spec.child_runtimes):
+                if not child.is_leaf:
+                    inner_pos.append(k)
+                    self.inner_runtimes.append(runtime)
+                k += 1
+        self.inner_pos = np.array(inner_pos, dtype=np.intp)
         all_sizes = np.concatenate(sizes).astype(np.intp)
         self.pad_idx, self.valid = build_fold_index(all_sizes)
         self.alloc_index = LevelIndex(
@@ -198,7 +227,6 @@ class _Segment:
         self._budget_buf = np.zeros(total)
         self._demand_buf = np.zeros(total)
         self._served_buf = np.zeros(total)
-        self._vm_sums = np.zeros(self.n)
         self.server_gidx = np.concatenate(
             [
                 self.node_offsets[ctrl] + ctrl.fleet.node_ids
@@ -393,7 +421,7 @@ class _Segment:
             vm.current_demand = stale
 
         # 2. per-host sums, raw wall demand and Eq. 4 over the block.
-        vm_sums = self._vm_sums
+        vm_sums = self.vm_sums
         for i, ctrl in enumerate(ctrls):
             vm_sums[self.local_slices[i]] = ctrl._host_demand_sums(demands[i])
         raw = np.where(
@@ -419,7 +447,6 @@ class _Segment:
         # and segment members share the base cadence rule).
         if ctrls[0]._allocation_due():
             self._allocate_budgets(now)
-            self.budget[...] = self._budget_buf[self.server_gidx]
         for i, ctrl in enumerate(ctrls):
             if ctrl.tracer.enabled:
                 sl = self.local_slices[i]
@@ -432,23 +459,40 @@ class _Segment:
                     ctrl.tracer.record_demand(sid, r, s, b)
 
         # 4. per-site demand migrations (planner state is per site).
+        # Unmatched deficits go into one column chunk per site-tick; a
+        # traced site also puts each of them into its frame.
         moved = [False] * len(ctrls)
+        deficient = self.awake & (raw > self.budget + _EPS)
         for i, ctrl in enumerate(ctrls):
             sl = self.local_slices[i]
-            deficient = self.awake[sl] & (raw[sl] > self.budget[sl] + _EPS)
-            if not bool(deficient.any()):
+            if not bool(deficient[sl].any()):
                 continue
-            plan = ctrl._plan_demand_migrations(raw[sl], smoothed[sl])
-            if plan is not None:
-                ctrl._execute_moves(plan.moves, MigrationCause.DEMAND, now)
-                moved[i] = bool(plan.moves)
-                for vm, node in plan.dropped:
-                    ctrl.collector.record_unmatched(
-                        Drop(now, node.node_id, vm.vm_id, vm.current_demand)
-                    )
+            plan = ctrl._plan_demand_migrations(
+                raw[sl], smoothed[sl], deficient[sl]
+            )
+            ctrl._execute_moves(plan.moves, MigrationCause.DEMAND, now)
+            moved[i] = bool(plan.moves)
+            if not plan.dropped:
+                continue
+            vms, nodes = zip(*plan.dropped)
+            node_ids = [node.node_id for node in nodes]
+            vm_ids = [vm.vm_id for vm in vms]
+            powers = [vm.current_demand for vm in vms]
+            collector = ctrl.collector
+            collector.unmatched_deficits.append_columns(
+                now, node_ids, vm_ids, powers
+            )
+            if collector.tracer.enabled:
+                for row in zip(node_ids, vm_ids, powers):
+                    collector.tracer.record_unmatched(*row)
 
         # 5. per-site consolidation on each site's own eta2 cadence.
         for i, ctrl in enumerate(ctrls):
+            sl = self.local_slices[i]
+            if moved[i]:
+                # Demand migrations rehomed VMs: refresh the per-host
+                # sums, which consolidation screens and serving reads.
+                vm_sums[sl] = ctrl._host_demand_sums(demands[i])
             if (
                 ctrl._tick_index > 0
                 and ctrl._tick_index % ctrl.config.eta2 == 0
@@ -460,19 +504,14 @@ class _Segment:
                 # costs on rows in _cost_rows, re-read below.
                 n_migrations = len(ctrl.collector.migrations)
                 changed = ctrl._consolidate(now)
-                moved[i] = (
-                    moved[i]
-                    or len(ctrl.collector.migrations) > n_migrations
-                )
+                if len(ctrl.collector.migrations) > n_migrations:
+                    vm_sums[sl] = ctrl._host_demand_sums(demands[i])
+                    moved[i] = True
                 index = ctrl.fleet.index
                 ctrl.fleet.gather([index[s.node.node_id] for s in changed])
             if moved[i]:
-                # Migrations rehomed VMs and charged costs mid-tick;
-                # refresh the per-host sums and the charged rows' cost
-                # lanes before serving.
-                vm_sums[self.local_slices[i]] = ctrl._host_demand_sums(
-                    demands[i]
-                )
+                # Migrations charged costs mid-tick: re-read the charged
+                # rows' cost lanes before serving.
                 ctrl.fleet.gather_cost_rows(sorted(ctrl._cost_rows))
 
         # 6. serve power within budget across the whole block; throttle
@@ -712,24 +751,31 @@ class _Segment:
                 parent_budget, weights, child_caps, index=level.alloc_index
             )
             budgets[level.child_gidx] = allocations
-            allocation_list = allocations.tolist()
-            k = 0
-            for ctrl, spec in level.parts:
-                for runtime in spec.child_runtimes:
-                    runtime.set_budget(allocation_list[k])
-                    k += 1
+            for runtime, allocation in zip(
+                level.inner_runtimes, allocations[level.inner_pos].tolist()
+            ):
+                runtime.set_budget(allocation)
             self._trace_allocations(
                 level,
-                allocation_list,
+                allocations,
                 weights,
                 child_caps,
                 parent_budget,
                 reserves,
             )
+        self._set_server_budgets(budgets[self.server_gidx])
         for i, ctrl in enumerate(self.controllers):
             ctrl.collector.messages.append_columns(
                 now, self._down_ids[i], False
             )
+
+    def _set_server_budgets(self, budgets: np.ndarray) -> None:
+        """:meth:`ServerRuntime.set_budget` for every server of the
+        segment (``budgets`` in row order), as array assignments on
+        their budget lanes."""
+        self.previous_budget[...] = self.budget
+        self.budget[...] = budgets
+        self.budget_reduced[...] = budgets < self.previous_budget - 1e-9
 
     def _trace_allocations(
         self, level, allocations, weights, caps, parent_budget, reserves
@@ -738,6 +784,7 @@ class _Segment:
         scalar controller's per-node order."""
         if not any(ctrl.tracer.enabled for ctrl, _spec in level.parts):
             return
+        allocations = allocations.tolist()
         seg = level.alloc_index.seg.tolist()
         weight_list = np.asarray(weights).tolist()
         cap_list = caps.tolist()
@@ -768,6 +815,52 @@ class _Segment:
             g0 += len(spec.nodes)
 
 
+def _target_capacities(budget, raw, config) -> np.ndarray:
+    """The planners' ``_target_capacity`` over lanes: surplus minus the
+    ``P_min`` margin and the migration cost, floored at zero."""
+    overhead = config.p_min + config.migration_cost_power
+    return np.maximum((budget - raw) - overhead, 0.0)
+
+
+class _LaneConsolidationPlanner(ConsolidationPlanner):
+    """The η₂ planner of an array site: its screens read the site's
+    lanes, so a pass reads the objects of the rows that pass them only.
+    :meth:`ConsolidationPlanner.plan` does the rest unchanged."""
+
+    def __init__(self, tree, config, fleet: FleetState):
+        super().__init__(tree, config)
+        self.fleet = fleet
+
+    def _servers(self, mask: np.ndarray) -> list:
+        servers = self.fleet.servers
+        return [servers[r] for r in np.flatnonzero(mask).tolist()]
+
+    def _starved(self, servers, floor):
+        fleet = self.fleet
+        return self._servers(fleet.awake & (fleet.budget < floor - _EPS))
+
+    def _drain_candidates(self, servers, limit):
+        # A superset screen on the host sums, then the exact test on
+        # the rows that pass it.
+        fleet = self.fleet
+        bound = limit + abs(limit) * _HOST_SUM_RTOL
+        return [
+            s
+            for s in self._servers(fleet.awake & (fleet.vm_sums <= bound))
+            if s.vm_demand <= limit
+        ]
+
+    def _receive_capacity(self, servers, floor=None):
+        fleet = self.fleet
+        rows = fleet.awake
+        if floor is not None:
+            rows = rows & (fleet.budget >= floor)
+        capacity = _target_capacities(
+            fleet.budget[rows], fleet.raw[rows], self.config
+        )
+        return dict(zip(fleet.node_ids[rows].tolist(), capacity.tolist()))
+
+
 class VectorizedWillowController(WillowController):
     """Drop-in replacement for :class:`WillowController` whose tick is
     a one-site :class:`_Segment`.  Same constructor, same metrics, same
@@ -788,6 +881,9 @@ class VectorizedWillowController(WillowController):
         # tick writes lives in the lanes alone: the servers become views.
         self.fleet.gather()
         self.fleet.bind()
+        self.consolidation_planner = _LaneConsolidationPlanner(
+            self.tree, self.config, self.fleet
+        )
         self._server_ids = [s.node.node_id for s in self.fleet.servers]
         #: row in the VM demand vector for each vm_id (plan order)
         self._vm_row: Dict[int, int] = {
@@ -902,36 +998,28 @@ class VectorizedWillowController(WillowController):
         self._segment.tick(self.env.now)
 
     # ---------------------------------------------------------- migrations
-    def _plan_demand_migrations(self, raw, smoothed):
+    def _plan_demand_migrations(self, raw, smoothed, deficient_mask):
         """Array pre-screen + the planner's matching stage.
 
         Replicates :meth:`MigrationPlanner.plan`'s per-server loops
-        (deficient detection, the unidirectional squeeze rule, target
-        capacity computation) as array expressions, then hands the
-        results to :meth:`MigrationPlanner.plan_prescreened`.  Returns
-        ``None`` when no awake server is over budget (the planner would
-        return an empty plan).
+        (the unidirectional squeeze rule, target capacity computation)
+        as array expressions over the lanes, then hands the results to
+        :meth:`MigrationPlanner.plan_prescreened`.  ``deficient_mask``
+        marks the awake over-budget rows (the tick computed it); only
+        those rows' objects are read.
         """
         fleet = self.fleet
-        deficient_mask = fleet.awake & (raw > fleet.budget + _EPS)
-        if not bool(deficient_mask.any()):
-            return None
         squeezed = self._squeezed_mask(smoothed)
-        overhead = (
-            self.config.p_min + self.config.migration_cost_power
-        )
-        cap = np.maximum((fleet.budget - raw) - overhead, 0.0)
+        cap = _target_capacities(fleet.budget, raw, self.config)
         eligible = (
             fleet.awake & ~deficient_mask & ~squeezed & (cap > _EPS)
         )
-        cap_list = cap.tolist()
-        capacity = {
-            fleet.servers[i].node.node_id: cap_list[i]
-            for i in np.nonzero(eligible)[0].tolist()
-        }
+        capacity = dict(
+            zip(fleet.node_ids[eligible].tolist(), cap[eligible].tolist())
+        )
+        servers = fleet.servers
         deficient = [
-            fleet.servers[i]
-            for i in np.nonzero(deficient_mask)[0].tolist()
+            servers[i] for i in np.flatnonzero(deficient_mask).tolist()
         ]
         return self.migration_planner.plan_prescreened(
             self.servers, deficient, capacity
@@ -948,12 +1036,12 @@ class VectorizedWillowController(WillowController):
                 runtime.budget_reduced
                 and runtime.smoothed_demand > runtime.budget + _EPS
             )
-        reduced = np.fromiter(
-            (s.budget_reduced for s in fleet.servers), bool, fleet.n
-        )
-        return (reduced & (smoothed > fleet.budget + _EPS)) | flags[
-            self._anc_matrix
-        ].any(axis=1)
+        own = fleet.budget_reduced & (smoothed > fleet.budget + _EPS)
+        return own | flags[self._anc_matrix].any(axis=1)
+
+    def _total_demand(self) -> float:
+        # The raw lane is in fleet order, which is the servers dict's.
+        return sum(self.fleet.raw.tolist())
 
     # -------------------------------------------------------------- demand
     def _sample_vm_demands(self) -> Optional[np.ndarray]:
@@ -1076,12 +1164,10 @@ class VectorizedWillowController(WillowController):
         self._foreign_vms = dict(batched["foreign_vms"])
         self._foreign_rows = dict(batched["foreign_rows"])
         # The base restore wrote the view fields into the lanes; re-read
-        # what it set on plain attributes (sleep states, costs, budgets)
-        # and bind the restored VMs, which are new objects.  The next
-        # tick builds a fresh segment (the switch powers are new too).
-        fleet = self.fleet
-        fleet.gather()
-        fleet.budget[...] = [s.budget for s in fleet.servers]
+        # what it set on plain attributes (sleep states, costs) and bind
+        # the restored VMs, which are new objects.  The next tick builds
+        # a fresh segment (the switch powers are new too).
+        self.fleet.gather()
         self._bind_vms()
         self._cost_rows = self._pending_cost_rows()
         self._segment = None

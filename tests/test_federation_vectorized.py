@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.control_plane import run_distributed
 from repro.core.config import WillowConfig
+from repro.core.consolidation import ConsolidationPlanner
 from repro.core.controller import run_willow
 from repro.core.events import MigrationCause
 from repro.core.fleet import (
@@ -39,7 +40,11 @@ from repro.core.fleet import (
     LaneVM,
 )
 from repro.core.state import ServerRuntime
-from repro.core.vectorized import VectorizedWillowController, _Segment
+from repro.core.vectorized import (
+    VectorizedWillowController,
+    _LaneConsolidationPlanner,
+    _Segment,
+)
 from repro.federation import (
     FederationCoordinator,
     POLICIES,
@@ -54,7 +59,7 @@ from repro.plant_faults.controller import (
 )
 from repro.power import Battery, renewable_supply
 from repro.power.smoothing import ExponentialSmoother
-from repro.power.supply import constant_supply
+from repro.power.supply import constant_supply, step_supply
 from repro.service.simulation import (
     LiveSimulation,
     ServiceSpec,
@@ -624,8 +629,9 @@ class TestSyncContract:
         """No hooks, no tracer: a tick never re-reads the sleep and cost
         lanes in full, only on the rows some actor changed (after
         consolidation, the servers it slept or woke); and a tick with no
-        deficient, slow or consolidating row reads or writes no
-        lane-backed attribute."""
+        deficient or slow row, and no consolidation pass that screens in
+        a row or wakes a server, reads or writes no lane-backed
+        attribute."""
         context = []
         rows_read = {"sleep": 0, "costs": 0, "consolidated": 0}
 
@@ -699,18 +705,43 @@ class TestSyncContract:
 
         reader("_plan_demand_migrations")  # some row is deficient
         reader("_serve_vms")  # some row is served slowly
-        reader("_consolidate")
+        # A consolidation pass reads the objects of the rows its lane
+        # screens pass, and of a server it wakes; a pass with neither
+        # leaves its tick clean.
+        screened = _LaneConsolidationPlanner._servers
+
+        def screen_rows(self, mask):
+            rows = screened(self, mask)
+            if rows:
+                readers.add("consolidation screen")
+            return rows
+
+        monkeypatch.setattr(_LaneConsolidationPlanner, "_servers", screen_rows)
+        plan = ConsolidationPlanner.plan
+        passes = [0]
+
+        def consolidation_plan(self, *args, **kwargs):
+            passes[0] += 1
+            result = plan(self, *args, **kwargs)
+            if result.to_wake:
+                readers.add("consolidation wake")
+            return result
+
+        monkeypatch.setattr(ConsolidationPlanner, "plan", consolidation_plan)
         accesses = [0]
         count_view_accesses(monkeypatch, accesses)
         tick = _Segment.tick
         clean = []
+        quiet_passes = [0]
 
         def counted_tick(self, now):
             readers.clear()
             accesses[0] = 0
+            before = passes[0]
             tick(self, now)
             if not readers:
                 clean.append(accesses[0])
+                quiet_passes[0] += passes[0] - before
             else:
                 assert accesses[0] > 0, readers
 
@@ -719,6 +750,128 @@ class TestSyncContract:
         steady.run(SYNC_TICKS)
         assert len(clean) > SYNC_TICKS // 2
         assert clean == [0] * len(clean)
+        # Consolidation passes ran, and those that screened in no row
+        # read no view.
+        assert passes[0] and quiet_passes[0]
+
+
+BUDGET_FIELDS = ("budget", "previous_budget", "budget_reduced")
+STEP_TICKS = 30
+
+
+def step_federation(case, vectorized):
+    """Three sites whose supply steps down to ``fraction`` of the
+    servers' circuit ratings at ``down`` (a tick later per site) and
+    back up at ``up``: budgets fall, flags set, and then rise again."""
+    seed, utilization, fraction, down, up, _snapshot = case
+    limit = WillowConfig().circuit_limit
+    specs = []
+    for i in range(3):
+        tree = build_balanced((2, 4, 4))
+        full = len(tree.servers()) * limit
+        specs.append(
+            SiteSpec(
+                name=f"site{i}",
+                tree=tree,
+                supply=step_supply(
+                    [(0.0, full), (down + i, fraction * full), (up + i, full)]
+                ),
+                target_utilization=utilization,
+                seed=seed + i,
+            )
+        )
+    return build_federation(
+        specs, n_ticks=STEP_TICKS, policy="proportional", vectorized=vectorized
+    )
+
+
+def set_budgets_one_by_one(coordinator):
+    """Make every segment of ``coordinator`` give its servers their
+    budgets through ``ServerRuntime.set_budget``, one object at a time:
+    the scalar arithmetic, applied through the views."""
+    for segment in coordinator.segments:
+        servers = [s for c in segment.controllers for s in c.fleet.servers]
+
+        def one_by_one(budgets, servers=servers):
+            for server, budget in zip(servers, budgets.tolist()):
+                ServerRuntime.set_budget(server, budget)
+
+        segment._set_server_budgets = one_by_one
+
+
+class TestBudgetLanes:
+    """Server budgets of an array site live in lanes (``budget``,
+    ``previous_budget``, ``budget_reduced``) that the allocation writes
+    as arrays, with ``ServerRuntime.set_budget``'s arithmetic."""
+
+    @staticmethod
+    def budgets(coordinator):
+        return [
+            {
+                nid: tuple(getattr(s, name) for name in BUDGET_FIELDS)
+                for nid, s in site.controller.servers.items()
+            }
+            for site in coordinator.sites
+        ]
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        case=st.tuples(
+            st.integers(0, 10_000),  # seed
+            st.floats(0.35, 0.6),  # utilization
+            st.floats(0.4, 0.8),  # supply fraction after the step down
+            st.integers(2, 10),  # step-down tick
+            st.integers(12, 22),  # step-up tick
+            st.integers(1, STEP_TICKS - 1),  # snapshot tick
+        )
+    )
+    def test_budget_lanes_match_scalar_twins(self, case):
+        """Against two twins, after every tick and across a snapshot
+        and restore: the same fused federation giving its servers their
+        budgets one ``set_budget`` call at a time, bit for bit; and the
+        federation on scalar site controllers, bit for bit until the
+        first migration (after which sums may add in another order;
+        see the module docstring).  The lane squeeze screen equals the
+        planner's per-server rule throughout."""
+        snapshot = case[-1]
+        fused = step_federation(case, vectorized=True)
+        twin = step_federation(case, vectorized=True)
+        set_budgets_one_by_one(twin)
+        scalar = step_federation(case, vectorized=False)
+        assert fused.segments and not scalar.segments
+        reduced = 0
+        for tick in range(STEP_TICKS):
+            if tick == snapshot:
+                before = self.budgets(fused)
+                state = copy.deepcopy(fused.snapshot_state())
+                fused = step_federation(case, vectorized=True)
+                fused.restore_state(state)
+                assert self.budgets(fused) == before
+            for coordinator in (fused, twin, scalar):
+                coordinator.run(1)
+            budgets = self.budgets(fused)
+            assert budgets == self.budgets(twin), tick
+            if not any(
+                site.collector.migrations for site in scalar.sites
+            ) and not scalar.cross_migrations:
+                assert budgets == self.budgets(scalar), tick
+            for site in fused.sites:
+                ctrl = site.controller
+                assert all(
+                    isinstance(s, LaneServerRuntime)
+                    for s in ctrl.servers.values()
+                )
+                planner, fleet = ctrl.migration_planner, ctrl.fleet
+                assert ctrl._squeezed_mask(
+                    fleet.smoother.values
+                ).tolist() == [
+                    planner._squeezed(s, ctrl.internals)
+                    for s in fleet.servers
+                ]
+            reduced += sum(
+                flag for site in budgets for _b, _p, flag in site.values()
+            )
+        assert reduced
 
 
 class TestScalarObjectsStayPlain:

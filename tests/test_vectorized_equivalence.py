@@ -138,6 +138,89 @@ class TestCalmRunBitExact:
             assert np.array_equal(a, b), f"{attr} differs bit-wise"
 
 
+class TestConsolidationScreenAtTheBound:
+    """The η₂ screens of an array site read the host-sum lane, summed in
+    plan order, while the scalar test sums ``vm_demand`` in dict order.
+    Two servers hold VMs whose two sums straddle the drain bound
+    ``consolidation_threshold * slope + 1e-9`` by one ulp: the array site
+    must drain exactly the servers the scalar controller drains."""
+
+    #: Plan-order demands: the dict-order (reversed) sum of ``DRAINED``
+    #: is exactly the bound and its plan-order sum one ulp above it;
+    #: ``KEPT`` is the other way round.
+    DRAINED = (14.759, 20.885, 17.399, 30.957000001000004)
+    KEPT = (10.263, 26.749, 15.187, 31.80100000100001)
+    OTHER = 40.0
+
+    def _build(self, vectorized):
+        from repro.core.controller import WillowController, build_willow
+        from repro.topology import build_balanced
+
+        controller = build_willow(
+            VectorizedWillowController if vectorized else WillowController,
+            tree=build_balanced((2, 4)),
+            seed=5,
+        )
+        servers = list(controller.servers.values())
+        plan = controller.placement.vms
+        demand = {vm.vm_id: self.OTHER for vm in plan}
+        for server, values in (
+            (servers[0], self.DRAINED),
+            (servers[1], self.KEPT),
+        ):
+            hosted = [vm for vm in plan if vm.host_id == server.node.node_id]
+            assert len(hosted) == len(values)
+            demand.update(
+                (vm.vm_id, value) for vm, value in zip(hosted, values)
+            )
+            # Dict order is the reverse of plan order, as after moves.
+            server.vms = {vm.vm_id: vm for vm in reversed(hosted)}
+        source = controller.demand_source
+        if vectorized:
+            sample = np.array([demand[vm.vm_id] for vm in plan])
+            source.sample_tick_array = lambda write_objects=True: sample.copy()
+        else:
+
+            def sample_tick():
+                for vm in plan:
+                    vm.current_demand = demand[vm.vm_id]
+
+            source.sample_tick = sample_tick
+        return controller, servers
+
+    def test_array_site_drains_what_the_scalar_controller_drains(self):
+        scalar, scalar_servers = self._build(vectorized=False)
+        array, array_servers = self._build(vectorized=True)
+        config = array.config
+        threshold = config.consolidation_threshold
+        bound = threshold * config.server_model.slope + 1e-9
+        eta2 = config.eta2
+        scalar.run(eta2)
+        array.run(eta2)
+        # Before the pass: the lane and the dict-order sums straddle it.
+        drained, kept = array_servers[0], array_servers[1]
+        lane = array.fleet.vm_sums
+        assert drained.vm_demand <= bound < lane[0]
+        assert lane[1] <= bound < kept.vm_demand
+        assert not scalar.collector.migrations
+
+        scalar.run(1)
+        array.run(1)
+
+        def moves(controller):
+            return [
+                (m.vm_id, m.src_id, m.dst_id)
+                for m in controller.collector.migrations
+            ]
+
+        assert moves(array) == moves(scalar)
+        assert [s.is_awake for s in array_servers] == [
+            s.is_awake for s in scalar_servers
+        ]
+        assert not drained.is_awake and not drained.vms
+        assert kept.is_awake and len(kept.vms) == len(self.KEPT)
+
+
 class TestVectorizedControllerGuards:
     def test_device_classes_rejected(self):
         from repro.devices import STANDARD_DEVICES
