@@ -59,9 +59,13 @@ bench:
 	$(PYTHON) -m repro.cli bench
 
 ## Tier-1 tests + a smoke-sized perf run (same JSON schema) in one go.
+## The smoke JSON goes to a temporary directory: the committed
+## BENCH_*.json stay the baseline that the guards below compare against.
 bench-smoke:
 	$(PYTHON) -m pytest tests/ -x -q
-	$(PYTHON) -m repro.cli bench --quick --out .
+	@set -e; dir=$$(mktemp -d); \
+	$(PYTHON) -m repro.cli bench --quick --out $$dir; \
+	rm -rf $$dir
 
 ## Regression guard against the recorded BENCH_tick.json.
 bench-guard:

@@ -51,7 +51,7 @@ def fresh():
 def test_batched_federation_beats_scalar_loop(fresh):
     for row in fresh["scaling"]:
         assert row["speedup"] > 1.0, (
-            f"batched federation no longer beats the per-site scalar "
+            f"fused federation no longer beats the per-site scalar "
             f"loop ({row['workload']}, n={row['n_servers']}): "
             f"{row['speedup']:.2f}x"
         )
@@ -69,16 +69,16 @@ def test_steady_state_speedup_keeps_floor(fresh):
 
 def test_batched_tick_not_regressed_vs_baseline(baseline, fresh):
     recorded = {
-        (row["workload"], row["n_servers"]): row["batched_ms_per_tick"]
+        (row["workload"], row["n_servers"]): row["fused_ms_per_tick"]
         for row in baseline.get("scaling", [])
     }
     for row in fresh["scaling"]:
         key = (row["workload"], row["n_servers"])
         if key not in recorded:
             continue
-        assert row["batched_ms_per_tick"] <= recorded[key] * _SLOWDOWN_TOLERANCE, (
-            f"batched federation tick at {key} is "
-            f"{row['batched_ms_per_tick']:.3f} ms vs recorded "
+        assert row["fused_ms_per_tick"] <= recorded[key] * _SLOWDOWN_TOLERANCE, (
+            f"fused federation tick at {key} is "
+            f"{row['fused_ms_per_tick']:.3f} ms vs recorded "
             f"{recorded[key]:.3f} ms (> {_SLOWDOWN_TOLERANCE}x slower)"
         )
 
@@ -100,7 +100,7 @@ def test_recorded_frontier_hits_realtime_at_10k(baseline):
 
 
 def test_fresh_frontier_row_is_realtime(fresh):
-    # Even the quick-sized frontier row (a ~2k-server batched build)
+    # Even the quick-sized frontier row (a ~2k-server fused build)
     # must tick far inside the realtime budget on any machine.
     for row in fresh["frontier"]:
         assert row["realtime_ok"], (

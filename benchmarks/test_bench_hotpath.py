@@ -6,7 +6,8 @@ bench``).  Tolerances are deliberately generous -- CI machines and
 laptops differ by integer factors -- so only a genuine regression
 (vectorized path slower than scalar, or an order-of-magnitude slowdown
 against the recording) fails.  Skips when no baseline has been
-recorded.
+recorded.  Every timed number the guards read is a median over the
+harness sampler's pairs, and every speedup a median of per-pair ratios.
 """
 
 import json
@@ -33,7 +34,7 @@ def fresh():
     from repro.benchmarks.harness import bench_kernels, bench_tick
 
     return {
-        "end_to_end": bench_tick(sizes=(64,), ticks=100, repeats=2),
+        "end_to_end": bench_tick(sizes=(64,), ticks=100),
         "kernels": bench_kernels(sizes=(64,), iters=100),
     }
 

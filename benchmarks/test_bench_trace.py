@@ -10,7 +10,8 @@ runner, so the disabled bound uses the deterministic model from
 guard check times the per-tick record count of an enabled run (itself
 an upper bound on guarded sites), as a fraction of the traced-off tick.
 The enabled modes get generous wall-clock bounds like the hot-path
-guard in ``test_bench_hotpath.py``.
+guard in ``test_bench_hotpath.py``, on the median of per-pair ratios of
+runs advanced in lock step (15 windows of 4 ticks each).
 """
 
 import json
@@ -34,7 +35,7 @@ _JSONL_OVERHEAD_PCT = 100.0
 def fresh():
     from repro.benchmarks.harness import bench_trace
 
-    rows = bench_trace(n_servers=64, ticks=60, repeats=2)
+    rows = bench_trace(ticks=60)
     return {row["mode"]: row for row in rows}
 
 

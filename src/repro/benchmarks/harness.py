@@ -1,55 +1,44 @@
 """Hot-path benchmark harness: end-to-end ticks, kernels, sweep scaling.
 
-Three suites, each writing machine-readable JSON so CI and the
-regression guard (``benchmarks/test_bench_hotpath.py``) can compare
-runs:
+Every timed number comes from one sampler, :func:`_sample`.  A side of a
+comparison is a generator: the code before its first ``yield`` builds
+it, and each resumption advances it one window.  Each of the ``PAIRS``
+pairs collects garbage, builds every side untimed, then advances the
+sides in lock step, rotating which side goes first, and records the
+time of each window, so a shift in the host's speed hits every side of
+a pair alike.  A timed row reports the median over the pairs with the
+IQR beside it (``<key>_iqr``), and every ratio (speedup, overhead) is
+the median of the per-pair ratios, which discards the pairs that a
+shift split.  A controller window is ``WINDOW_TICKS`` ticks, one
+Delta_S supply window: each holds one allocation tick, and a traced run
+flushes its tracer once a window, not once a tick.
+
+The suites write machine-readable JSON that the regression guards
+(``benchmarks/test_bench_*.py``) compare against:
 
 ``bench_tick``
     Full controller runs, scalar vs. vectorized, at several fleet
-    sizes; reports ms/tick and the speedup ratio.  This is the honest
-    end-to-end number: both paths share the planners, consolidation and
-    metrics code, so the ratio is bounded by the non-vectorized
-    remainder (Amdahl), not by the kernels.
-
+    sizes.  This is the honest end-to-end number: both paths share the
+    planners, consolidation and metrics code, so the ratio is bounded
+    by the non-vectorized remainder (Amdahl), not by the kernels.
 ``bench_kernels``
     The four vectorized kernels in isolation, each against the scalar
-    loop it replaced: Eq. 4 smoothing, Eq. 2 thermal step, proportional
-    budget division across a tree level, and Poisson demand sampling
-    (per-draw vs. block-prefetched streams).  These are where the
-    vectorization pays >= 5x at 64+ servers.
-
+    loop it replaced.
 ``bench_sweep_scaling``
     The paper's utilization sweep over a process pool at increasing
-    worker counts; reports wall-clock and parallel efficiency.
-
+    worker counts.
 ``bench_trace``
-    Tracing overhead: ms/tick with tracing off (the default), enabled
-    into a null sink (frame-building cost alone), and enabled into a
-    rotating JSONL file (full serialization cost).  Also emits a
-    deterministic model row for the *disabled* cost -- the measured
-    nanoseconds of one ``tracer.enabled`` guard check times the guarded
-    sites actually hit per tick -- which is what the regression guard
-    (``benchmarks/test_bench_trace.py``) bounds at <= 2% of a tick,
-    immune to wall-clock noise on shared CI runners.
-
+    Tracing overhead (off, null sink, JSONL file) and the deterministic
+    model of the *disabled* cost that CI bounds.
 ``bench_federation``
-    Multi-site scaling: scalar site controllers vs. fused array sites
-    (``vectorized=True``: one shared :class:`~repro.core.fleet.
-    FederationFleet` block, one array tick across all sites) at
-    512-2048 servers, plus a churny solar row (honest Amdahl: planner
-    and FFDLR stay scalar) and fused-only frontier rows at 10k
-    (realtime check against ``delta_d``) and 100k servers
-    (feasibility).  Build and first-tick costs (demand-stream init +
-    the 256-tick Poisson prefetch) are reported separately from the
-    steady-state tick.
-
+    Scalar site controllers vs. fused array sites, and fused-only
+    frontier rows at 10k servers (realtime check against ``delta_d``)
+    and 100k servers (feasibility).
+``bench_gym``
+    The gym env step against the raw coordinator tick.
 ``bench_service``
-    Live-mode ingest: a load generator drives the JSON-lines gateway
-    over loopback TCP while the live runner ticks the embedded
-    controller on the wall clock at the paper's Delta_d = 1 s.  Reports
-    sustained accepted events/sec, p99 ingest (queue) latency, and the
-    worst tick's work time against the Delta_d budget; the audit log is
-    replayed afterwards and the bit-exact parity verdict is recorded.
+    Live-mode ingest at the paper's Delta_d = 1 s, timed by the live
+    runner's own report.
 
 Run via ``python -m repro.cli bench`` (or ``python benchmarks/harness.py``),
 which writes ``BENCH_tick.json`` and ``BENCH_sweep.json``.
@@ -59,11 +48,13 @@ merges it into an existing ``BENCH_tick.json``.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import time
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -94,87 +85,138 @@ FEDERATION_SITE_SHAPES: Dict[int, Sequence[int]] = {
     4096: (16, 16, 16),
 }
 
+#: Pairs per timed row: enough that the IQR of a guarded ratio sits well
+#: inside its bound on a noisy 2-vCPU host.
+PAIRS = 15
 
-def _best_of(fn, repeats: int) -> float:
-    """Best-of-N wall clock (seconds) -- robust against machine noise."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+#: Ticks per controller window: one Delta_S (eta1 = 4) supply window.
+WINDOW_TICKS = 4
+
+#: Iterations per kernel window.
+KERNEL_WINDOW = 10
+
+#: Disabled ``tracer.enabled`` checks per window of the guard timing.
+GUARD_CHECKS = 50_000
+
+#: Fleet size of the tracing suite (vectorized tick).
+TRACE_SERVERS = 64
+
+
+def _sample(sides: Sequence[Callable[[], Iterator]], windows: int) -> np.ndarray:
+    """The one timing loop: seconds per window, shaped (pair, side,
+    window).  The side that goes first rotates from window to window
+    and from pair to pair."""
+    n = len(sides)
+    seconds = np.empty((PAIRS, n, windows))
+    for pair in range(PAIRS):
+        gc.collect()
+        runs = [side() for side in sides]
+        for run in runs:
+            next(run)  # build, untimed
+        for window in range(windows):
+            for k in range(n):
+                i = (pair + window + k) % n
+                t0 = time.perf_counter()
+                next(runs[i])
+                seconds[pair, i, window] = time.perf_counter() - t0
+        del runs  # free this pair's sides before the next collection
+    return seconds
+
+
+def _repeat(step, *args) -> Iterator:
+    """A built side whose every window calls ``step(*args)``."""
+    while True:
+        yield
+        step(*args)
+
+
+def _stat(key: str, per_pair) -> dict:
+    """``{key: median, key_iqr: IQR}`` over per-pair values."""
+    q1, median, q3 = np.percentile(per_pair, (25, 50, 75))
+    return {key: float(median), f"{key}_iqr": float(q3 - q1)}
 
 
 # -------------------------------------------------------------- end-to-end
-def _run_once(
-    n_servers: int, ticks: int, vectorized: bool, seed: int = 11, tracer=None
-):
+def _controller(n_servers: int, vectorized: bool, tracer=None) -> Iterator:
+    """A side: a seeded steady-state controller, one window a step."""
     from repro.core.config import WillowConfig
-    from repro.core.controller import run_willow
+    from repro.core.controller import WillowController, build_willow
+    from repro.core.vectorized import VectorizedWillowController
     from repro.power.supply import constant_supply
     from repro.topology.builders import build_balanced
 
     config = WillowConfig()
-    tree = build_balanced(FLEET_SHAPES[n_servers])
-    supply = constant_supply(0.7 * n_servers * config.circuit_limit)
-    run_willow(
-        tree=tree,
+    controller = build_willow(
+        VectorizedWillowController if vectorized else WillowController,
+        tree=build_balanced(FLEET_SHAPES[n_servers]),
         config=config,
-        supply=supply,
+        supply=constant_supply(0.7 * n_servers * config.circuit_limit),
         target_utilization=0.7,
-        n_ticks=ticks,
-        seed=seed,
-        vectorized=vectorized,
+        seed=11,
         tracer=tracer,
     )
+    yield from _repeat(controller.run, WINDOW_TICKS)
 
 
 def bench_tick(
     sizes: Sequence[int] = (18, 64, 256),
     ticks: int = 300,
-    repeats: int = 3,
 ) -> List[dict]:
     """Scalar vs. vectorized full-run ms/tick per fleet size."""
+    windows = ticks // WINDOW_TICKS
+    ticks = windows * WINDOW_TICKS
     rows = []
     for n in sizes:
-        scalar = _best_of(lambda: _run_once(n, ticks, False), repeats)
-        vector = _best_of(lambda: _run_once(n, ticks, True), repeats)
+        seconds = _sample(
+            [partial(_controller, n, False), partial(_controller, n, True)],
+            windows,
+        ).sum(axis=2)
+        ms = seconds / ticks * 1e3
         rows.append(
             {
                 "n_servers": int(n),
                 "ticks": int(ticks),
-                "scalar_ms_per_tick": scalar / ticks * 1e3,
-                "vectorized_ms_per_tick": vector / ticks * 1e3,
-                "speedup": scalar / vector,
+                **_stat("scalar_ms_per_tick", ms[:, 0]),
+                **_stat("vectorized_ms_per_tick", ms[:, 1]),
+                **_stat("speedup", seconds[:, 0] / seconds[:, 1]),
             }
         )
     return rows
 
 
 # ----------------------------------------------------------------- kernels
-def _kernel_smoothing(n: int, iters: int) -> dict:
-    from repro.power.smoothing import ExponentialSmoother, VectorSmoother
+# Each returns its (scalar, vectorized) sides over fresh state; a window
+# is KERNEL_WINDOW iterations.
+def _kernel_smoothing(n: int, iters: int):
+    from repro.power.smoothing import ExponentialSmoother, smooth_lanes
 
     rng = np.random.default_rng(0)
-    observations = rng.uniform(50.0, 400.0, size=(iters, n))
-    scalars = [ExponentialSmoother(0.5, initial=200.0) for _ in range(n)]
-    vector = VectorSmoother(0.5, n)
-    vector.update(np.full(n, 200.0))
+    windows = rng.uniform(50.0, 400.0, size=(iters, n)).reshape(
+        -1, KERNEL_WINDOW, n
+    )
 
-    def scalar_pass():
-        for row in observations:
-            values = row.tolist()
-            for smoother, obs in zip(scalars, values):
-                smoother.update(obs)
+    def scalar():
+        smoothers = [ExponentialSmoother(0.5, initial=200.0) for _ in range(n)]
+        yield
+        for block in windows:
+            for row in block:
+                for smoother, obs in zip(smoothers, row.tolist()):
+                    smoother.update(obs)
+            yield
 
-    def vector_pass():
-        for row in observations:
-            vector.update(row)
+    def vector():
+        values = np.full(n, 200.0)
+        primed = np.ones(n, dtype=bool)
+        yield
+        for block in windows:
+            for row in block:
+                smooth_lanes(values, primed, 0.5, row)
+            yield
 
-    return _kernel_row("smoothing", n, iters, scalar_pass, vector_pass)
+    return scalar, vector
 
 
-def _kernel_thermal(n: int, iters: int) -> dict:
+def _kernel_thermal(n: int, iters: int):
     from repro.thermal.model import (
         ThermalParams,
         temperature_after,
@@ -183,34 +225,37 @@ def _kernel_thermal(n: int, iters: int) -> dict:
 
     params = ThermalParams()
     rng = np.random.default_rng(1)
-    powers = rng.uniform(100.0, 420.0, size=(iters, n))
+    windows = rng.uniform(100.0, 420.0, size=(iters, n)).reshape(
+        -1, KERNEL_WINDOW, n
+    )
     decay = float(np.exp(-params.c2 * 1.0))
 
-    def scalar_pass():
+    def scalar():
         temps = [30.0] * n
-        for row in powers:
-            values = row.tolist()
-            temps = [
-                temperature_after(params, t, p, 1.0)
-                for t, p in zip(temps, values)
-            ]
+        yield
+        for block in windows:
+            for row in block:
+                temps = [
+                    temperature_after(params, t, p, 1.0)
+                    for t, p in zip(temps, row.tolist())
+                ]
+            yield
 
-    def vector_pass():
+    def vector():
         temps = np.full(n, 30.0)
-        for row in powers:
-            temps = temperature_step_arrays(
-                temps,
-                row,
-                t_ambient=params.t_ambient,
-                c1=params.c1,
-                c2=params.c2,
-                decay=decay,
-            )
+        yield
+        for block in windows:
+            for row in block:
+                temps = temperature_step_arrays(
+                    temps, row, t_ambient=params.t_ambient, c1=params.c1,
+                    c2=params.c2, decay=decay,
+                )
+            yield
 
-    return _kernel_row("thermal_step", n, iters, scalar_pass, vector_pass)
+    return scalar, vector
 
 
-def _kernel_budget(n: int, iters: int) -> dict:
+def _kernel_budget(n: int, iters: int):
     from repro.power.budget import LevelIndex, allocate_level, allocate_proportional
 
     group_size = 8
@@ -222,69 +267,75 @@ def _kernel_budget(n: int, iters: int) -> dict:
     weights = rng.uniform(0.0, 300.0, size=(iters, n_children))
     caps = np.full(n_children, 420.0)
     totals = rng.uniform(100.0, 2500.0, size=(iters, n_groups))
+    windows = np.arange(iters).reshape(-1, KERNEL_WINDOW).tolist()
 
-    def scalar_pass():
-        for k in range(iters):
-            for g, start in enumerate(offsets):
-                allocate_proportional(
-                    float(totals[k, g]),
-                    weights[k, start : start + group_size],
-                    caps[start : start + group_size],
-                )
+    def scalar():
+        yield
+        for block in windows:
+            for k in block:
+                for g, start in enumerate(offsets):
+                    allocate_proportional(
+                        float(totals[k, g]),
+                        weights[k, start : start + group_size],
+                        caps[start : start + group_size],
+                    )
+            yield
 
-    def vector_pass():
-        for k in range(iters):
-            allocate_level(totals[k], weights[k], caps, index=index)
+    def vector():
+        yield
+        for block in windows:
+            for k in block:
+                allocate_level(totals[k], weights[k], caps, index=index)
+            yield
 
-    return _kernel_row("budget_allocation", n, iters, scalar_pass, vector_pass)
+    return scalar, vector
 
 
-def _kernel_sampling(n: int, iters: int) -> dict:
+def _kernel_sampling(n: int, iters: int):
     from repro.sim import RandomStreams
-    from repro.workload import (
-        SIMULATION_APPS,
-        DemandGenerator,
-        random_placement,
-    )
+    from repro.workload import SIMULATION_APPS, DemandGenerator, random_placement
 
-    def make(block_size):
+    def side(block_size):
         streams = RandomStreams(3)
         plan = random_placement(
             list(range(n)), SIMULATION_APPS, streams["placement"]
         )
-        return DemandGenerator(plan, streams, block_size=block_size)
+        generator = DemandGenerator(plan, streams, block_size=block_size)
+        while True:
+            yield
+            for _ in range(KERNEL_WINDOW):
+                generator.sample_tick_array()
 
-    unbatched = make(1)  # one stream.poisson call per VM per tick
-    batched = make(256)
-
-    def scalar_pass():
-        for _ in range(iters):
-            unbatched.sample_tick_array()
-
-    def vector_pass():
-        for _ in range(iters):
-            batched.sample_tick_array()
-
-    return _kernel_row("demand_sampling", n, iters, scalar_pass, vector_pass)
+    # One stream.poisson call per VM per tick, against block prefetch.
+    return partial(side, 1), partial(side, 256)
 
 
-def _kernel_row(name, n, iters, scalar_pass, vector_pass, repeats=3) -> dict:
-    scalar = _best_of(scalar_pass, repeats)
-    vector = _best_of(vector_pass, repeats)
+_KERNELS = (
+    ("smoothing", _kernel_smoothing),
+    ("thermal_step", _kernel_thermal),
+    ("budget_allocation", _kernel_budget),
+    ("demand_sampling", _kernel_sampling),
+)
+
+
+def _kernel_row(name, n, iters, scalar_us, vector_us) -> dict:
     return {
         "kernel": name,
         "n_servers": int(n),
         "iters": int(iters),
-        "scalar_us_per_iter": scalar / iters * 1e6,
-        "vectorized_us_per_iter": vector / iters * 1e6,
-        "speedup": scalar / vector,
+        **_stat("scalar_us_per_iter", scalar_us),
+        **_stat("vectorized_us_per_iter", vector_us),
+        **_stat("speedup", scalar_us / vector_us),
     }
 
 
 def bench_kernels(
     sizes: Sequence[int] = (64, 256), iters: int = 400
 ) -> List[dict]:
-    """Isolated kernel timings, scalar loop vs. array op, per size.
+    """Isolated kernel timings, scalar loop vs. array op, per size: Eq. 4
+    smoothing, the Eq. 2 thermal step, proportional budget division
+    across a tree level, and Poisson demand sampling (per-draw vs.
+    block-prefetched streams), all eight sides in lock step.
 
     Besides the four individual kernels, emits one ``combined`` row per
     size: the summed per-tick cost of all four, scalar vs. vectorized.
@@ -293,26 +344,18 @@ def bench_kernels(
     even where a single small kernel (e.g. 64-lane smoothing, where
     NumPy call overhead is comparable to the loop it replaces) does not.
     """
+    iters -= iters % KERNEL_WINDOW
     rows = []
     for n in sizes:
-        per_size = [
-            _kernel_smoothing(n, iters),
-            _kernel_thermal(n, iters),
-            _kernel_budget(n, iters),
-            _kernel_sampling(n, iters),
-        ]
-        rows.extend(per_size)
-        scalar = sum(r["scalar_us_per_iter"] for r in per_size)
-        vector = sum(r["vectorized_us_per_iter"] for r in per_size)
+        sides = [side for _name, make in _KERNELS for side in make(n, iters)]
+        us = _sample(sides, iters // KERNEL_WINDOW).sum(axis=2) / iters * 1e6
+        scalar, vector = us[:, 0::2], us[:, 1::2]
+        for k, (name, _make) in enumerate(_KERNELS):
+            rows.append(_kernel_row(name, n, iters, scalar[:, k], vector[:, k]))
         rows.append(
-            {
-                "kernel": "combined",
-                "n_servers": int(n),
-                "iters": int(iters),
-                "scalar_us_per_iter": scalar,
-                "vectorized_us_per_iter": vector,
-                "speedup": scalar / vector,
-            }
+            _kernel_row(
+                "combined", n, iters, scalar.sum(axis=1), vector.sum(axis=1)
+            )
         )
     return rows
 
@@ -325,7 +368,8 @@ def bench_sweep_scaling(
     """Wall-clock of the 9-point paper sweep at several worker counts.
 
     Disables the disk cache and clears the in-process memo before every
-    measurement, so each row times real simulation work.  Worker counts
+    sweep, so each window times real simulation work; the serial sweep
+    and every pool size are the sides of one sample.  Worker counts
     beyond the machine's core count are skipped -- on a single-core box
     only the serial row is recorded (process fan-out cannot help there,
     and timing it anyway would just document scheduler thrash).
@@ -333,51 +377,43 @@ def bench_sweep_scaling(
     import os
 
     from repro.experiments import cache
-
-    cpus = os.cpu_count() or 1
-    if worker_counts is None:
-        worker_counts = (1, 2, 4, 8)
-    worker_counts = [w for w in worker_counts if w <= cpus]
     from repro.experiments.common import PAPER_UTILIZATIONS
     from repro.experiments.paper_sweep import run_sweep
     from repro.experiments.parallel import run_sweep_parallel
 
-    cache.set_enabled(False)
-    rows = []
-    try:
-        run_sweep.cache_clear()
-        t0 = time.perf_counter()
-        run_sweep(PAPER_UTILIZATIONS, n_ticks=n_ticks)
-        serial = time.perf_counter() - t0
-        rows.append(
-            {
-                "workers": 1,
-                "n_points": len(PAPER_UTILIZATIONS),
-                "seconds": serial,
-                "speedup": 1.0,
-                "efficiency": 1.0,
-            }
-        )
-        for workers in worker_counts:
-            if workers <= 1:
-                continue
+    cpus = os.cpu_count() or 1
+    if worker_counts is None:
+        worker_counts = (1, 2, 4, 8)
+    counts = [1] + [w for w in worker_counts if 1 < w <= cpus]
+
+    def sweep(workers: int):
+        while True:
+            yield
             run_sweep.cache_clear()
-            t0 = time.perf_counter()
-            run_sweep_parallel(
-                PAPER_UTILIZATIONS, n_ticks=n_ticks, workers=workers
-            )
-            elapsed = time.perf_counter() - t0
-            rows.append(
-                {
-                    "workers": int(workers),
-                    "n_points": len(PAPER_UTILIZATIONS),
-                    "seconds": elapsed,
-                    "speedup": serial / elapsed,
-                    "efficiency": serial / elapsed / workers,
-                }
-            )
+            if workers == 1:
+                run_sweep(PAPER_UTILIZATIONS, n_ticks=n_ticks)
+            else:
+                run_sweep_parallel(
+                    PAPER_UTILIZATIONS, n_ticks=n_ticks, workers=workers
+                )
+
+    cache.set_enabled(False)
+    try:
+        seconds = _sample([partial(sweep, w) for w in counts], 1)[:, :, 0]
     finally:
         cache.set_enabled(None)
+    rows = []
+    for k, workers in enumerate(counts):
+        speedup = seconds[:, 0] / seconds[:, k]
+        rows.append(
+            {
+                "workers": int(workers),
+                "n_points": len(PAPER_UTILIZATIONS),
+                **_stat("seconds", seconds[:, k]),
+                **_stat("speedup", speedup),
+                **_stat("efficiency", speedup / workers),
+            }
+        )
     return rows
 
 
@@ -403,7 +439,7 @@ def _build_bench_federation(
         if workload == "steady":
             # Provisioned steady state: the fleet fits the supply, so
             # the tick is the smoothing/thermal/waterfall sweep the
-            # batched path vectorizes end to end.
+            # fused path vectorizes end to end.
             supply = constant_supply(
                 0.7 * servers_per_site * config.circuit_limit
             )
@@ -438,42 +474,19 @@ def _build_bench_federation(
     )
 
 
-def _time_federation(
-    n_sites: int,
-    servers_per_site: int,
-    ticks: int,
-    vectorized: bool,
-    *,
-    workload: str = "steady",
-    repeats: int = 1,
-) -> dict:
-    """Build, warm one tick, then time ``ticks`` steady-state ticks.
-
-    The first tick pays one-time costs (per-VM demand-stream init and
-    the 256-tick Poisson block prefetch) that real runs amortise over
-    the whole horizon, so it is reported separately from the
-    steady-state ms/tick.
-    """
-    best = {"tick_s": float("inf")}
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        coordinator = _build_bench_federation(
-            n_sites, servers_per_site, ticks, vectorized, workload=workload
-        )
-        build_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        coordinator.run(1)
-        first_tick_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        coordinator.run(ticks)
-        tick_s = time.perf_counter() - t0
-        if tick_s < best["tick_s"]:
-            best = {
-                "build_s": build_s,
-                "first_tick_s": first_tick_s,
-                "tick_s": tick_s,
-            }
-    return best
+def _federation(n_sites, servers_per_site, ticks, vectorized, workload, window):
+    """A federation side: its first window builds the federation, its
+    second runs the first tick, which pays one-time costs (per-VM
+    demand-stream init and the 256-tick Poisson block prefetch) that
+    real runs amortise over the whole horizon, and every later window
+    runs ``window`` steady-state ticks."""
+    yield
+    coordinator = _build_bench_federation(
+        n_sites, servers_per_site, ticks, vectorized, workload=workload
+    )
+    yield
+    coordinator.run(1)
+    yield from _repeat(coordinator.run, window)
 
 
 def bench_federation(quick: bool = False) -> dict:
@@ -481,9 +494,12 @@ def bench_federation(quick: bool = False) -> dict:
 
     Returns ``{"scaling": [...], "frontier": [...]}``.  Scaling rows
     compare scalar site controllers against fused array sites
-    (``vectorized=True``) at identical seeds/workloads; frontier rows
-    push the fused path to 10k servers (realtime check: tick wall vs. the
-    ``delta_d`` budget) and 100k servers (feasibility).
+    (``vectorized=True``) at identical seeds/workloads, with a churny
+    solar row (honest Amdahl: planner and FFDLR stay scalar).  Frontier
+    rows push the fused path to 10k servers (realtime check: mean tick
+    wall vs. the ``delta_d`` budget; the full run ticks past the
+    tick-256 demand block refill and reports the median and worst tick
+    beside it) and 100k servers (feasibility).
     """
     from repro.core.config import WillowConfig
 
@@ -492,15 +508,15 @@ def bench_federation(quick: bool = False) -> dict:
         scaling_points = [(2, 256), (4, 256)]
         churn_points = [(2, 256)]
         frontier_points = [("10k_realtime", 2, 1024, 3)]
-        ticks, repeats = 24, 1
+        ticks = 24
     else:
         scaling_points = [(2, 256), (4, 256), (8, 256)]
         churn_points = [(4, 256)]
         frontier_points = [
-            ("10k_realtime", 10, 1024, 20),
+            ("10k_realtime", 10, 1024, 260),
             ("100k_feasible", 25, 4096, 3),
         ]
-        ticks, repeats = 120, 2
+        ticks = 120
 
     scaling = []
     for workload, points in (
@@ -508,14 +524,17 @@ def bench_federation(quick: bool = False) -> dict:
         ("solar_churn", churn_points),
     ):
         for n_sites, per_site in points:
-            scalar = _time_federation(
-                n_sites, per_site, ticks, False,
-                workload=workload, repeats=repeats,
+            seconds = _sample(
+                [
+                    partial(
+                        _federation, n_sites, per_site, ticks, vectorized,
+                        workload, WINDOW_TICKS,
+                    )
+                    for vectorized in (False, True)
+                ],
+                2 + ticks // WINDOW_TICKS,
             )
-            batched = _time_federation(
-                n_sites, per_site, ticks, True,
-                workload=workload, repeats=repeats,
-            )
+            steady = seconds[:, :, 2:].sum(axis=2)
             scaling.append(
                 {
                     "workload": workload,
@@ -523,33 +542,35 @@ def bench_federation(quick: bool = False) -> dict:
                     "servers_per_site": int(per_site),
                     "n_servers": int(n_sites * per_site),
                     "ticks": int(ticks),
-                    "scalar_ms_per_tick": scalar["tick_s"] / ticks * 1e3,
-                    "batched_ms_per_tick": batched["tick_s"] / ticks * 1e3,
-                    "speedup": scalar["tick_s"] / batched["tick_s"],
-                    "batched_build_s": batched["build_s"],
+                    **_stat("scalar_ms_per_tick", steady[:, 0] / ticks * 1e3),
+                    **_stat("fused_ms_per_tick", steady[:, 1] / ticks * 1e3),
+                    **_stat("speedup", steady[:, 0] / steady[:, 1]),
+                    **_stat("fused_build_s", seconds[:, 1, 0]),
                 }
             )
 
     frontier = []
     for label, n_sites, per_site, n_ticks in frontier_points:
-        timing = _time_federation(
-            n_sites, per_site, n_ticks, True, workload="steady", repeats=1
-        )
-        ms_per_tick = timing["tick_s"] / n_ticks * 1e3
-        frontier.append(
-            {
-                "label": label,
-                "n_sites": int(n_sites),
-                "servers_per_site": int(per_site),
-                "n_servers": int(n_sites * per_site),
-                "ticks": int(n_ticks),
-                "build_s": timing["build_s"],
-                "first_tick_s": timing["first_tick_s"],
-                "ms_per_tick": ms_per_tick,
-                "realtime_budget_ms": delta_ms,
-                "realtime_ok": bool(ms_per_tick <= delta_ms),
-            }
-        )
+        seconds = _sample(
+            [partial(_federation, n_sites, per_site, n_ticks, True, "steady", 1)],
+            2 + n_ticks,
+        )[:, 0]
+        tick_ms = seconds[:, 2:] * 1e3
+        row = {
+            "label": label,
+            "n_sites": int(n_sites),
+            "servers_per_site": int(per_site),
+            "n_servers": int(n_sites * per_site),
+            "ticks": int(n_ticks),
+            **_stat("build_s", seconds[:, 0]),
+            **_stat("first_tick_s", seconds[:, 1]),
+            **_stat("ms_per_tick", tick_ms.mean(axis=1)),
+            **_stat("tick_ms_p50", np.median(tick_ms, axis=1)),
+            **_stat("worst_tick_ms", tick_ms.max(axis=1)),
+            "realtime_budget_ms": delta_ms,
+        }
+        row["realtime_ok"] = bool(row["ms_per_tick"] <= delta_ms)
+        frontier.append(row)
     return {"scaling": scaling, "frontier": frontier}
 
 
@@ -563,23 +584,14 @@ def bench_gym(quick: bool = False) -> dict:
     the proportional arm -- identical decisions and physics, so the
     difference is exactly the env's observation/reward plumbing
     (statuses, K-step forecasts, metric cursors).  Build and warm-up
-    are untimed on both paths.  Times are medians over 15 raw/env
-    pairs interleaved window by window, and the overhead is the median
-    of the per-pair ratios.  ``benchmarks/test_bench_gym.py`` guards
-    the overhead at <= 10%.
+    are untimed on both sides; a window is one supply window (one env
+    step).  ``benchmarks/test_bench_gym.py`` guards the overhead at
+    <= 10%.
     """
     from repro.federation.coordinator import build_federation
     from repro.gym.env import GymConfig, WillowFedEnv
 
-    # The overhead is a ratio of two wall-clock timings of 0.1-1 s on
-    # shared runners, where the host's speed moves a rollout by tens of
-    # percent within a second, so a ratio of two best-of-N times is
-    # noise.  Each pair advances a raw and an env rollout in lock step,
-    # one supply window (~10 ms) at a time, alternating which side runs
-    # first, so a speed shift hits both sides of a pair alike; the
-    # median of the per-pair ratios discards the pairs a shift split.
     windows = 23 if quick else 46
-    pairs = 15
     site_counts = (2,) if quick else (2, 4)
     rows = []
     for n_sites in site_counts:
@@ -587,40 +599,38 @@ def bench_gym(quick: bool = False) -> dict:
             n_sites=n_sites, windows=windows, action_mode="policy"
         )
         arm = config.policy_arms.index("proportional")
-        raw_s, env_s = [], []
-        for k in range(pairs):
-            env = WillowFedEnv(config)
-            env.reset(seed=17)
-            raw = build_federation(
-                env.episode_specs(),
-                n_ticks=env.n_ticks,
+
+        episode = WillowFedEnv(config)
+        episode.reset(seed=17)  # the scenario both sides roll
+
+        def raw():
+            coordinator = build_federation(
+                episode.episode_specs(),
+                n_ticks=episode.n_ticks,
                 policy="proportional",
                 margin=config.margin,
             )
-            raw.run(raw.eta1)  # warm-up parity with reset()
-            steps = (lambda: raw.run(raw.eta1), lambda: env.step(arm))
-            spent = [0.0, 0.0]  # raw, env
-            for w in range(windows):
-                first = (k + w) % 2
-                for side in (first, 1 - first):
-                    t0 = time.perf_counter()
-                    steps[side]()
-                    spent[side] += time.perf_counter() - t0
-            raw_s.append(spent[0])
-            env_s.append(spent[1])
-        ratio = float(np.median(np.array(env_s) / np.array(raw_s)))
-        raw_t = float(np.median(raw_s))
-        env_t = float(np.median(env_s))
+            coordinator.run(coordinator.eta1)  # warm-up parity with reset()
+            yield from _repeat(coordinator.run, coordinator.eta1)
+
+        def env_side():
+            env = WillowFedEnv(config)
+            env.reset(seed=17)
+            yield from _repeat(env.step, arm)
+
+        seconds = _sample([raw, env_side], windows).sum(axis=2)
         ticks = windows * 4
         rows.append(
             {
                 "n_sites": int(n_sites),
                 "windows": int(windows),
                 "ticks": int(ticks),
-                "raw_ms_per_tick": raw_t / ticks * 1e3,
-                "env_ms_per_tick": env_t / ticks * 1e3,
-                "env_ms_per_step": env_t / windows * 1e3,
-                "overhead_pct": (ratio - 1.0) * 100.0,
+                **_stat("raw_ms_per_tick", seconds[:, 0] / ticks * 1e3),
+                **_stat("env_ms_per_tick", seconds[:, 1] / ticks * 1e3),
+                **_stat("env_ms_per_step", seconds[:, 1] / windows * 1e3),
+                **_stat(
+                    "overhead_pct", (seconds[:, 1] / seconds[:, 0] - 1.0) * 100.0
+                ),
             }
         )
     return {"steps": rows}
@@ -720,8 +730,9 @@ def bench_service(quick: bool = False) -> dict:
 
 
 # ----------------------------------------------------------------- tracing
-def _guard_cost_ns(iters: int = 500_000) -> float:
-    """Measured cost of one disabled ``tracer.enabled`` guard check.
+def _guard_cost_ns() -> np.ndarray:
+    """Measured cost of one disabled ``tracer.enabled`` guard check, in
+    ns, per pair.
 
     Includes the bare loop overhead, so this *over*-estimates the real
     per-site cost (an attribute load and a branch) -- which is the safe
@@ -729,12 +740,17 @@ def _guard_cost_ns(iters: int = 500_000) -> float:
     """
     from repro.trace.tracer import NULL_TRACER
 
-    tracer = NULL_TRACER
-    t0 = time.perf_counter()
-    for _ in range(iters):
-        if tracer.enabled:  # pragma: no cover - never true
-            raise AssertionError("NULL_TRACER must stay disabled")
-    return (time.perf_counter() - t0) / iters * 1e9
+    def checks():
+        tracer = NULL_TRACER
+        while True:
+            yield
+            for _ in range(GUARD_CHECKS):
+                if tracer.enabled:  # pragma: no cover - never true
+                    raise AssertionError("NULL_TRACER must stay disabled")
+
+    windows = 10
+    seconds = _sample([checks], windows).sum(axis=2)[:, 0]
+    return seconds / (windows * GUARD_CHECKS) * 1e9
 
 
 def _frame_record_count(frame: dict) -> int:
@@ -750,93 +766,84 @@ def _frame_record_count(frame: dict) -> int:
     return count
 
 
-def bench_trace(
-    n_servers: int = 64,
-    ticks: int = 200,
-    repeats: int = 3,
-    vectorized: bool = True,
-) -> List[dict]:
-    """Tracing cost per tick: off vs. null sink vs. JSONL file.
+def bench_trace(ticks: int = 200) -> List[dict]:
+    """Tracing cost per tick on the vectorized tick at ``TRACE_SERVERS``
+    servers: off (the default) vs. a null sink (frame building alone)
+    vs. a JSONL file (full serialization).
 
     Emits one row per mode plus a ``disabled_guard_model`` row: the
     measured nanoseconds of one ``tracer.enabled`` check times the
     per-tick record count of an enabled run (itself an upper bound on
     guarded sites), as a percentage of the traced-off tick.  That model
-    is what CI bounds -- wall-clock deltas between two ~equal runs on a
-    noisy runner cannot resolve a sub-percent overhead, the model can.
+    is what CI bounds (``benchmarks/test_bench_trace.py``, <= 2%) --
+    wall-clock deltas between two ~equal runs on a noisy runner cannot
+    resolve a sub-percent overhead, the model can.
     """
     import tempfile
 
     from repro.trace.tracer import Tracer
-    from repro.trace.writer import (
-        JsonlTraceWriter,
-        MemoryTraceWriter,
-        NullTraceWriter,
-    )
+    from repro.trace.writer import JsonlTraceWriter, NullTraceWriter
 
-    off = _best_of(
-        lambda: _run_once(n_servers, ticks, vectorized), repeats
-    )
-    null_sink = _best_of(
-        lambda: _run_once(
-            n_servers, ticks, vectorized, tracer=Tracer(NullTraceWriter())
-        ),
-        repeats,
-    )
+    windows = ticks // WINDOW_TICKS
+    ticks = windows * WINDOW_TICKS
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "bench.jsonl"
+        tracers = []
 
-        def jsonl_run():
-            tracer = Tracer(JsonlTraceWriter(path, max_bytes=None))
-            _run_once(n_servers, ticks, vectorized, tracer=tracer)
-            tracer.close()
+        def jsonl():
+            path = Path(tmp) / f"{len(tracers)}.jsonl"
+            tracers.append(Tracer(JsonlTraceWriter(path, max_bytes=None)))
+            yield from _controller(TRACE_SERVERS, True, tracers[-1])
 
-        jsonl = _best_of(jsonl_run, repeats)
+        try:
+            seconds = _sample(
+                [
+                    partial(_controller, TRACE_SERVERS, True),
+                    lambda: _controller(
+                        TRACE_SERVERS, True, Tracer(NullTraceWriter())
+                    ),
+                    jsonl,
+                ],
+                windows,
+            ).sum(axis=2)
+        finally:
+            for tracer in tracers:
+                tracer.close()
+        path = tracers[-1].writer.path  # every pair writes the same trace
         trace_bytes = path.stat().st_size
-
-    memory = MemoryTraceWriter()
-    tracer = Tracer(memory)
-    _run_once(n_servers, ticks, vectorized, tracer=tracer)
-    tracer.flush()
-    tick_frames = [f for f in memory.frames if f.get("type") == "tick"]
+        frames = [json.loads(line) for line in path.read_text().splitlines()]
+    tick_frames = [f for f in frames if f.get("type") == "tick"]
     sites_per_tick = sum(
         _frame_record_count(f) for f in tick_frames
     ) / max(len(tick_frames), 1)
 
-    off_ms = off / ticks * 1e3
-    guard_ns = _guard_cost_ns()
     rows = [
         {
-            "mode": "off",
-            "n_servers": int(n_servers),
+            "mode": mode,
+            "n_servers": TRACE_SERVERS,
             "ticks": int(ticks),
-            "ms_per_tick": off_ms,
-            "overhead_pct": 0.0,
-        },
-        {
-            "mode": "null_sink",
-            "n_servers": int(n_servers),
-            "ticks": int(ticks),
-            "ms_per_tick": null_sink / ticks * 1e3,
-            "overhead_pct": (null_sink / off - 1.0) * 100.0,
-        },
-        {
-            "mode": "jsonl",
-            "n_servers": int(n_servers),
-            "ticks": int(ticks),
-            "ms_per_tick": jsonl / ticks * 1e3,
-            "overhead_pct": (jsonl / off - 1.0) * 100.0,
-            "bytes_per_tick": trace_bytes / ticks,
-        },
+            **_stat("ms_per_tick", seconds[:, k] / ticks * 1e3),
+            **_stat(
+                "overhead_pct", (seconds[:, k] / seconds[:, 0] - 1.0) * 100.0
+            ),
+        }
+        for k, mode in enumerate(("off", "null_sink", "jsonl"))
+    ]
+    rows[2]["bytes_per_tick"] = trace_bytes / ticks
+    guard = _stat("guard_ns_per_site", _guard_cost_ns())
+    model_pct = (
+        guard["guard_ns_per_site"] * sites_per_tick
+        / (rows[0]["ms_per_tick"] * 1e6) * 100.0
+    )
+    rows.append(
         {
             "mode": "disabled_guard_model",
-            "n_servers": int(n_servers),
+            "n_servers": TRACE_SERVERS,
             "ticks": int(ticks),
-            "guard_ns_per_site": guard_ns,
+            **guard,
             "sites_per_tick": sites_per_tick,
-            "overhead_pct": guard_ns * sites_per_tick / (off_ms * 1e6) * 100.0,
-        },
-    ]
+            "overhead_pct": model_pct,
+        }
+    )
     return rows
 
 
@@ -871,24 +878,18 @@ def run_benchmarks(
         # machines; record them so two BENCH files are comparable.
         "threads": {
             var: os.environ.get(var)
-            for var in (
-                "OMP_NUM_THREADS",
-                "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS",
-            )
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
         },
         "quick": bool(quick),
+        "pairs": PAIRS,
+        "window_ticks": WINDOW_TICKS,
     }
 
     tick_payload = {
         "meta": meta,
         "end_to_end": bench_tick(tick_sizes, ticks=ticks),
         "kernels": bench_kernels(kernel_sizes, iters=iters),
-        "trace": bench_trace(
-            n_servers=64,
-            ticks=60 if quick else 200,
-            repeats=2 if quick else 3,
-        ),
+        "trace": bench_trace(ticks=60 if quick else 200),
         "federation": bench_federation(quick=quick),
         "service": bench_service(quick=quick),
         "gym": bench_gym(quick=quick),
@@ -909,43 +910,34 @@ def run_benchmarks(
     return {"tick": tick_path, "sweep": sweep_path}
 
 
-def run_service_benchmark(
-    out_dir: str | Path = ".", *, quick: bool = False
-) -> Path:
-    """Run only the service suite; merge into ``BENCH_tick.json``.
-
-    Keeps every other suite's recorded numbers when the file already
-    exists (so ``bench service`` is cheap to iterate on); writes a
-    service-only file otherwise.
-    """
+def _merge_suite(out_dir, key: str, section) -> Path:
+    """Write ``section`` under ``key`` into ``BENCH_tick.json``, keeping
+    every other suite's recorded numbers when the file already exists."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tick_path = out_dir / "BENCH_tick.json"
     payload: dict = {}
     if tick_path.is_file():
         payload = json.loads(tick_path.read_text())
-    payload["service"] = bench_service(quick=quick)
+    payload[key] = section
     tick_path.write_text(json.dumps(payload, indent=2) + "\n")
     return tick_path
+
+
+def run_service_benchmark(
+    out_dir: str | Path = ".", *, quick: bool = False
+) -> Path:
+    """Run only the service suite; merge it into ``BENCH_tick.json`` (a
+    service-only file when there is none), so ``bench service`` is
+    cheap to iterate on."""
+    return _merge_suite(out_dir, "service", bench_service(quick=quick))
 
 
 def run_gym_benchmark(
     out_dir: str | Path = ".", *, quick: bool = False
 ) -> Path:
-    """Run only the gym suite; merge into ``BENCH_tick.json``.
-
-    Same merge behaviour as :func:`run_service_benchmark`: every other
-    suite's recorded numbers survive when the file already exists.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tick_path = out_dir / "BENCH_tick.json"
-    payload: dict = {}
-    if tick_path.is_file():
-        payload = json.loads(tick_path.read_text())
-    payload["gym"] = bench_gym(quick=quick)
-    tick_path.write_text(json.dumps(payload, indent=2) + "\n")
-    return tick_path
+    """Run only the gym suite; merge it into ``BENCH_tick.json``."""
+    return _merge_suite(out_dir, "gym", bench_gym(quick=quick))
 
 
 def format_gym_report(gym: dict) -> str:
@@ -957,6 +949,7 @@ def format_gym_report(gym: dict) -> str:
             f" ms/tick  env {row['env_ms_per_tick']:7.3f} ms/tick"
             f"  ({row['env_ms_per_step']:7.3f} ms/step)"
             f"  overhead {row['overhead_pct']:+6.2f}%"
+            f" (IQR {row['overhead_pct_iqr']:.2f})"
         )
     return "\n".join(lines)
 
@@ -982,7 +975,8 @@ def format_service_report(service: dict) -> str:
 
 
 def format_report(paths: Dict[str, Path]) -> str:
-    """Human-readable summary of freshly written benchmark JSON."""
+    """Human-readable summary of freshly written benchmark JSON: medians
+    over the pairs, with the IQR of each ratio."""
     tick = json.loads(paths["tick"].read_text())
     sweep = json.loads(paths["sweep"].read_text())
     lines = ["end-to-end controller tick:"]
@@ -990,7 +984,7 @@ def format_report(paths: Dict[str, Path]) -> str:
         lines.append(
             f"  n={row['n_servers']:4d}  scalar {row['scalar_ms_per_tick']:8.3f} ms"
             f"  vectorized {row['vectorized_ms_per_tick']:8.3f} ms"
-            f"  speedup {row['speedup']:5.2f}x"
+            f"  speedup {row['speedup']:5.2f}x (IQR {row['speedup_iqr']:.2f})"
         )
     lines.append("kernels (scalar loop vs array op):")
     for row in tick["kernels"]:
@@ -998,7 +992,7 @@ def format_report(paths: Dict[str, Path]) -> str:
             f"  {row['kernel']:<18s} n={row['n_servers']:4d}"
             f"  scalar {row['scalar_us_per_iter']:9.1f} us"
             f"  vectorized {row['vectorized_us_per_iter']:9.1f} us"
-            f"  speedup {row['speedup']:6.1f}x"
+            f"  speedup {row['speedup']:6.1f}x (IQR {row['speedup_iqr']:.1f})"
         )
     lines.append("tracing overhead per tick:")
     for row in tick.get("trace", []):
@@ -1016,7 +1010,8 @@ def format_report(paths: Dict[str, Path]) -> str:
             )
             lines.append(
                 f"  {row['mode']:<18s}  {row['ms_per_tick']:8.3f} ms/tick"
-                f"  overhead {row['overhead_pct']:6.2f}%{extra}"
+                f"  overhead {row['overhead_pct']:6.2f}%"
+                f" (IQR {row['overhead_pct_iqr']:5.2f}){extra}"
             )
     federation = tick.get("federation", {})
     if federation.get("scaling"):
@@ -1026,8 +1021,9 @@ def format_report(paths: Dict[str, Path]) -> str:
                 f"  {row['workload']:<12s} {row['n_sites']}x"
                 f"{row['servers_per_site']}={row['n_servers']:6d}"
                 f"  scalar {row['scalar_ms_per_tick']:8.2f} ms"
-                f"  batched {row['batched_ms_per_tick']:8.2f} ms"
+                f"  fused {row['fused_ms_per_tick']:8.2f} ms"
                 f"  speedup {row['speedup']:5.2f}x"
+                f" (IQR {row['speedup_iqr']:.2f})"
             )
     if federation.get("frontier"):
         lines.append("federation frontier (fused only):")
@@ -1037,7 +1033,9 @@ def format_report(paths: Dict[str, Path]) -> str:
                 f"  {row['label']:<14s} {row['n_sites']}x"
                 f"{row['servers_per_site']}={row['n_servers']:6d}"
                 f"  {row['ms_per_tick']:9.1f} ms/tick"
-                f" (budget {row['realtime_budget_ms']:.0f} ms, {verdict};"
+                f" (median {row['tick_ms_p50']:.1f}, worst"
+                f" {row['worst_tick_ms']:.0f} ms over {row['ticks']} ticks;"
+                f" budget {row['realtime_budget_ms']:.0f} ms, {verdict};"
                 f" build {row['build_s']:.1f} s"
                 f" + first tick {row['first_tick_s']:.1f} s)"
             )

@@ -7,10 +7,11 @@ immutable per-server parameters are captured once, and the mutable
 state is seeded from the objects once.  :meth:`FleetState.bind` then
 makes every server, its thermal integrator and its smoother a view onto
 its row, so the lanes are the only storage for what the array tick
-writes; a site's home VMs become views onto its demand lane the same
-way (:class:`VmDemandLane`).  What scalar code changes through methods
-(sleep states, pending migration costs) is re-read by the ``gather``
-calls, in full or only for the rows it changed.
+writes (the Eq. 4 state too: ``smoothed``, ``primed`` and ``alpha`` are
+lanes like any other); a site's home VMs become views onto its demand
+lane the same way (:class:`VmDemandLane`).  What scalar code changes
+through methods (sleep states, pending migration costs) is re-read by
+the ``gather`` calls, in full or only for the rows it changed.
 
 :class:`FederationFleet` concatenates one or more site fleets into one
 block and rebinds each site's lanes to views of it; the array tick in
@@ -20,14 +21,13 @@ for the layout and the equivalence contract.
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.config import WillowConfig
 from repro.core.state import ServerRuntime, SleepState
-from repro.power.smoothing import ExponentialSmoother, VectorSmoother
+from repro.power.smoothing import ExponentialSmoother
 from repro.thermal.model import TemperatureIntegrator, power_cap_arrays
 from repro.workload.vm import VM
 
@@ -128,12 +128,25 @@ class FleetState:
         self.thermal_window = np.array(
             [s.thermal_window for s in self.servers]
         )
-        # exp(-c2 * dt) for the tick-length integration step and for the
-        # Eq. 3 adjustment window; both are fixed for the whole run.
-        self.decay_tick = np.exp(-self.c2 * config.delta_d)
+        # exp(-c2 * dt) for the Eq. 3 adjustment window, fixed for the
+        # whole run.
         self.decay_window = np.exp(-self.c2 * self.thermal_window)
+        # The Eq. 2 step of the thermal mode, per lane, so sites of
+        # either mode step in one expression: ``window_reset`` starts
+        # each tick from the zone ambient and integrates over the
+        # adjustment window (paper Sec. V-B2), ``integrated`` advances
+        # the current temperature by one tick.  Each mode keeps the
+        # scalar integrator's violation tolerance.
+        window_reset = config.thermal_mode == "window_reset"
+        self.from_ambient = np.full(n, window_reset)
+        self.step_decay = (
+            self.decay_window
+            if window_reset
+            else np.exp(-self.c2 * config.delta_d)
+        )
+        self.violation_limit = self.t_limit + (1e-6 if window_reset else 1e-9)
         self.circuit_limit = float(config.circuit_limit)
-        if config.thermal_enabled and config.thermal_mode == "window_reset":
+        if config.thermal_enabled and window_reset:
             # Constant zone caps: Eq. 3 evaluated at each zone's ambient.
             zone_cap = power_cap_arrays(
                 self.t_ambient,
@@ -173,14 +186,14 @@ class FleetState:
         #: plan order, so a row may differ from the server's dict-order
         #: ``vm_demand`` in the last bits.
         self.vm_sums = np.zeros(n)
-        # ExponentialSmoother keeps None until primed; mirror that into
-        # the (value, primed) lane pair.
-        self.smoother = VectorSmoother(config.alpha, n)
-        for i, s in enumerate(servers):
-            value = s.smoother._value
-            if value is not None:
-                self.smoother.values[i] = value
-                self.smoother.primed[i] = True
+        # Eq. 4 state: ExponentialSmoother keeps None until primed,
+        # mirrored into the (smoothed, primed) lane pair.  ``alpha`` is
+        # a lane too, so fused sites with different weights advance in
+        # one elementwise update.
+        values = [s.smoother._value for s in servers]
+        self.smoothed = lane(0.0 if v is None else v for v in values)
+        self.primed = lane((v is not None for v in values), bool)
+        self.alpha = np.full(n, config.alpha)
         #: The demand lane of the site's home VMs, once they are bound
         #: (see :class:`VmDemandLane`).
         self.vm_lane: Optional[VmDemandLane] = None
@@ -258,8 +271,11 @@ _BLOCK_FIELDS = (
     "c1",
     "c2",
     "thermal_window",
-    "decay_tick",
     "decay_window",
+    "from_ambient",
+    "step_decay",
+    "violation_limit",
+    "alpha",
     "awake",
     "asleep",
     "waking",
@@ -273,6 +289,8 @@ _BLOCK_FIELDS = (
     "raw",
     "served",
     "vm_sums",
+    "smoothed",
+    "primed",
 )
 
 
@@ -280,9 +298,8 @@ class FederationFleet:
     """One struct-of-arrays block spanning one or more site fleets.
 
     Concatenates the member :class:`FleetState` arrays into shared
-    buffers and *rebinds* each site's arrays (and its
-    :class:`~repro.power.smoothing.VectorSmoother` lanes) to basic
-    slices of the block.  Basic slicing shares memory, so per-site code
+    buffers and *rebinds* each site's arrays to basic slices of the
+    block.  Basic slicing shares memory, so per-site code
     (gathers, and the bound runtime objects, which look their lane up
     on every access and so serve the rebalance's object walks) keeps
     working unchanged while the array tick's sweeps -- demand, Eq. 4
@@ -290,8 +307,8 @@ class FederationFleet:
     block.  A single-site block is how
     :class:`~repro.core.vectorized.VectorizedWillowController` ticks.
 
-    Sites may differ in ``alpha`` (per-lane array, bit-identical to the
-    per-site scalar broadcast) and in thermal mode.
+    Sites may differ in ``alpha`` and in thermal mode: both are per-lane
+    parameters.
     """
 
     def __init__(self, fleets: List[FleetState]):
@@ -314,36 +331,20 @@ class FederationFleet:
             for f, sl in zip(self.fleets, self.site_slices):
                 setattr(f, name, block[sl])
 
-        # Shared smoother lanes: per-lane alpha so sites with different
-        # Eq. 4 weights still advance in one elementwise update.
-        self.smoother_values = np.concatenate(
-            [f.smoother.values for f in self.fleets]
-        )
-        self.smoother_primed = np.concatenate(
-            [f.smoother.primed for f in self.fleets]
-        )
-        self.alpha = np.concatenate(
-            [np.full(f.n, f.smoother.alpha) for f in self.fleets]
-        )
-        for f, sl in zip(self.fleets, self.site_slices):
-            f.smoother.values = self.smoother_values[sl]
-            f.smoother.primed = self.smoother_primed[sl]
-
 
 # ------------------------------------------------------------------ views
 # A view looks its lane up on every access, so it follows
 # FederationFleet's rebinding.  Reads return Python floats and ints,
 # never NumPy scalars (whose reprs differ, and digests hash reprs).
 def _lane(name: str) -> property:
-    """The object's row of the fleet lane ``name`` (dotted for the
-    smoother's), as a read/write attribute."""
-    lane_of = operator.attrgetter(name)
+    """The object's row of the fleet lane ``name``, as a read/write
+    attribute."""
 
     def get(self):
-        return lane_of(self._fleet).item(self._row)
+        return getattr(self._fleet, name).item(self._row)
 
     def set(self, value):
-        lane_of(self._fleet)[self._row] = value
+        getattr(self._fleet, name)[self._row] = value
 
     return property(get, set)
 
@@ -371,7 +372,7 @@ class LaneServerRuntime(ServerRuntime):
         "budget_reduced",
     )
     raw_demand = _lane("raw")
-    smoothed_demand = _lane("smoother.values")
+    smoothed_demand = _lane("smoothed")
     served_power = _lane("served")
     budget = _lane("budget")
     previous_budget = _lane("previous_budget")
@@ -403,25 +404,25 @@ class LaneThermal(TemperatureIntegrator):
 
 
 class LaneSmoother(ExponentialSmoother):
-    """A server's Eq. 4 state on an array site: ``_value`` is the value
-    lane (shared with ``smoothed_demand``) while the primed lane is set,
-    else ``None``."""
+    """A server's Eq. 4 state on an array site: ``_value`` is the
+    ``smoothed`` lane (shared with ``smoothed_demand``) while the
+    ``primed`` lane is set, else ``None``."""
 
     _LANES = ("_value",)
 
     @property
     def _value(self) -> Optional[float]:
-        smoother = self._fleet.smoother
-        if smoother.primed.item(self._row):
-            return smoother.values.item(self._row)
+        fleet = self._fleet
+        if fleet.primed.item(self._row):
+            return fleet.smoothed.item(self._row)
         return None
 
     @_value.setter
     def _value(self, value: Optional[float]) -> None:
-        smoother = self._fleet.smoother
+        fleet = self._fleet
         if value is not None:
-            smoother.values[self._row] = value
-        smoother.primed[self._row] = value is not None
+            fleet.smoothed[self._row] = value
+        fleet.primed[self._row] = value is not None
 
 
 class VmDemandLane:

@@ -212,9 +212,6 @@ class _Segment:
         # code keeps seeing the same memory).
         for name in _BLOCK_FIELDS:
             setattr(self, name, getattr(block, name)[sl])
-        self.values = block.smoother_values[sl]
-        self.primed = block.smoother_primed[sl]
-        self.alpha = block.alpha[sl]
 
         # Segment-level node buffers: each site's node-id space maps
         # to [offset, offset + site._n_nodes).
@@ -257,8 +254,6 @@ class _Segment:
             for level in range(1, max_level + 1)
         ]
 
-        modes = {ctrl.config.thermal_mode for ctrl in self.controllers}
-        self.thermal_mode = modes.pop() if len(modes) == 1 else None
         caps = [ctrl.fleet.window_caps for ctrl in self.controllers]
         self._static_caps = (
             np.concatenate(caps) if all(c is not None for c in caps) else None
@@ -437,7 +432,7 @@ class _Segment:
         # servers keep reporting their wake forecast; everyone else
         # (awake or asleep) absorbs this tick's observation.
         smoothed = smooth_lanes(
-            self.values, self.primed, self.alpha, raw, ~self.waking
+            self.smoothed, self.primed, self.alpha, raw, ~self.waking
         )
         self.raw[...] = raw
         self._aggregate_demands(now)
@@ -535,7 +530,8 @@ class _Segment:
                 )
         self.served[...] = served
 
-        # 7. thermal update (Eq. 2/3) over the block, then samples.
+        # 7. thermal update (Eq. 2/3) over the block, each lane in its
+        # site's thermal mode, then samples.
         wall = np.where(
             self.asleep,
             self.standby_power,
@@ -545,54 +541,15 @@ class _Segment:
                 self.static_power + served,
             ),
         )
-        if self.thermal_mode == "window_reset":
-            # Each tick re-derives the temperature from the zone ambient
-            # at this tick's power (paper Sec. V-B2).
-            temps = temperature_step_arrays(
-                self.t_ambient,
-                wall,
-                t_ambient=self.t_ambient,
-                c1=self.c1,
-                c2=self.c2,
-                decay=self.decay_window,
-            )
-            violations = temps > self.t_limit + 1e-6
-        elif self.thermal_mode == "integrated":
-            temps = temperature_step_arrays(
-                self.temperature,
-                wall,
-                t_ambient=self.t_ambient,
-                c1=self.c1,
-                c2=self.c2,
-                decay=self.decay_tick,
-            )
-            violations = temps > self.t_limit + 1e-9
-        else:  # mixed thermal modes: per-site sub-sweeps
-            temps = np.empty(self.n)
-            violations = np.empty(self.n, dtype=bool)
-            for i, ctrl in enumerate(ctrls):
-                sl = self.local_slices[i]
-                fleet = ctrl.fleet
-                if ctrl.config.thermal_mode == "window_reset":
-                    temps[sl] = temperature_step_arrays(
-                        fleet.t_ambient,
-                        wall[sl],
-                        t_ambient=fleet.t_ambient,
-                        c1=fleet.c1,
-                        c2=fleet.c2,
-                        decay=fleet.decay_window,
-                    )
-                    violations[sl] = temps[sl] > fleet.t_limit + 1e-6
-                else:
-                    temps[sl] = temperature_step_arrays(
-                        fleet.temperature,
-                        wall[sl],
-                        t_ambient=fleet.t_ambient,
-                        c1=fleet.c1,
-                        c2=fleet.c2,
-                        decay=fleet.decay_tick,
-                    )
-                    violations[sl] = temps[sl] > fleet.t_limit + 1e-9
+        temps = temperature_step_arrays(
+            np.where(self.from_ambient, self.t_ambient, self.temperature),
+            wall,
+            t_ambient=self.t_ambient,
+            c1=self.c1,
+            c2=self.c2,
+            decay=self.step_decay,
+        )
+        violations = temps > self.violation_limit
         self.temperature[...] = temps
         utilization = np.where(
             self.awake, np.minimum(served / self.slope, 1.0), 0.0
@@ -644,7 +601,7 @@ class _Segment:
         segment sites at once (groups are independent, so concatenating
         sites preserves each per-node left-to-right fold)."""
         below = self._demand_buf
-        below[self.server_gidx] = self.values
+        below[self.server_gidx] = self.smoothed
         for level in self.levels:
             totals = fold_segment_sums(
                 below[level.child_gidx], level.pad_idx, level.valid

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "ExponentialSmoother",
-    "VectorSmoother",
     "smooth_lanes",
     "smooth_series",
 ]
@@ -158,28 +157,6 @@ def smooth_lanes(
         np.copyto(values, fresh, where=mask)
         primed |= mask
     return values
-
-
-class VectorSmoother:
-    """The Eq. 4 state of ``n`` signals sharing one ``alpha``, advanced
-    by :func:`smooth_lanes`.  ``values`` and ``primed`` may be rebound
-    to views of a shared block."""
-
-    def __init__(self, alpha: float, n: int):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        self.alpha = float(alpha)
-        self.values = np.zeros(n)
-        self.primed = np.zeros(n, dtype=bool)
-
-    def update(self, observations: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """Absorb one tick of observations; return the smoothed vector."""
-        observations = np.asarray(observations, dtype=float)
-        return smooth_lanes(
-            self.values, self.primed, self.alpha, observations, mask
-        )
 
 
 def smooth_series(values: Sequence[float], alpha: float) -> np.ndarray:

@@ -58,7 +58,7 @@ from repro.plant_faults.controller import (
     run_resilient,
 )
 from repro.power import Battery, renewable_supply
-from repro.power.smoothing import ExponentialSmoother
+from repro.power.smoothing import ExponentialSmoother, smooth_lanes
 from repro.power.supply import constant_supply, step_supply
 from repro.service.simulation import (
     LiveSimulation,
@@ -75,10 +75,11 @@ TICKS = 96
 UTIL = 0.55
 
 
-def make_specs(n_sites=3, fault_site=True, battery_site=True):
+def make_specs(n_sites=3, fault_site=True, battery_site=True, integrated=()):
     """Fresh specs per call: batteries, supply buffers and fault
     schedules are stateful, so scalar and fused runs must not share
-    them."""
+    them.  Sites whose index is in ``integrated`` run the integrated
+    thermal mode."""
     specs = []
     for i in range(n_sites):
         kwargs = dict(
@@ -92,6 +93,8 @@ def make_specs(n_sites=3, fault_site=True, battery_site=True):
                 phase=i / n_sites,
             ),
         )
+        if i in integrated:
+            kwargs["config"] = WillowConfig(thermal_mode="integrated")
         if battery_site and i == 0:
             kwargs["battery"] = Battery(1500.0, 1500.0 / 8.0, charge=0.0)
         if fault_site and i == 1 and n_sites > 2:
@@ -233,6 +236,18 @@ class TestBatchedFederationEquivalence:
         )
         assert len(batched.segments) == 1
         assert len(batched.segments[0].controllers) == 2
+        assert_federations_equal(scalar, batched)
+
+    def test_mixed_thermal_modes_in_one_segment(self):
+        """One fused segment whose sites step Eq. 2 in different modes
+        (window_reset and integrated) in the same array expression."""
+        scalar, batched = federation_pair(
+            "proportional", n_sites=2, fault_site=False, integrated=(1,)
+        )
+        (segment,) = batched.segments
+        assert [c.config.thermal_mode for c in segment.controllers] == [
+            "window_reset", "integrated",
+        ]
         assert_federations_equal(scalar, batched)
 
 
@@ -407,7 +422,7 @@ def assert_reads_lanes(ctrl, servers, vms):
     VM away from home is plain and holds the same sample value, which
     its home site wrote when it sampled."""
     fleet = ctrl.fleet
-    values = fleet.smoother.values
+    values = fleet.smoothed
     for attr, got, lane in (
         ("raw", [s.raw_demand for s in servers], fleet.raw),
         ("served", [s.served_power for s in servers], fleet.served),
@@ -449,14 +464,10 @@ def assert_objects_current(coordinator):
             for lane in (
                 "awake", "asleep", "waking", "mig_cost", "budget",
                 "temperature", "peak", "violations", "raw", "served",
+                "smoothed", "primed",
             ):
                 assert np.array_equal(
                     getattr(scratch, lane), getattr(segment, lane)[sl]
-                ), (name, lane)
-            for lane in ("values", "primed"):
-                assert np.array_equal(
-                    getattr(scratch.smoother, lane),
-                    getattr(ctrl.fleet.smoother, lane),
                 ), (name, lane)
 
 
@@ -535,7 +546,7 @@ class TestSyncContract:
             ] == samples.column("temperature")[-n:]
             assert [
                 s.smoothed_demand for s in servers
-            ] == fleet.smoother.values.tolist()
+            ] == fleet.smoothed.tolist()
             assert [s.served_power for s in servers] == fleet.served.tolist()
             sample = controller.fleet.vm_lane.sample.tolist()
             for r, vm in enumerate(controller.placement.vms):
@@ -574,7 +585,7 @@ class TestSyncContract:
             assert [s.raw_demand for s in servers] == fleet.raw.tolist()
             assert [
                 s.smoothed_demand for s in servers
-            ] == fleet.smoother.values.tolist()
+            ] == fleet.smoothed.tolist()
             assert [s.served_power for s in servers] == fleet.served.tolist()
             assert [
                 s.thermal.temperature for s in servers
@@ -863,7 +874,7 @@ class TestBudgetLanes:
                 )
                 planner, fleet = ctrl.migration_planner, ctrl.fleet
                 assert ctrl._squeezed_mask(
-                    fleet.smoother.values
+                    fleet.smoothed
                 ).tolist() == [
                     planner._squeezed(s, ctrl.internals)
                     for s in fleet.servers
@@ -937,11 +948,15 @@ class TestFederationFleetAliasing:
     def test_smoother_lanes_share_memory(self, fed):
         block, fleets = fed
         for fleet in fleets:
-            assert np.shares_memory(block.smoother_values, fleet.smoother.values)
-            assert np.shares_memory(block.smoother_primed, fleet.smoother.primed)
+            assert np.shares_memory(block.smoothed, fleet.smoothed)
+            assert np.shares_memory(block.primed, fleet.primed)
 
     def test_site_update_lands_in_block(self, fed):
         block, fleets = fed
         obs = np.full(fleets[0].n, 123.0)
-        fleets[0].smoother.update(obs, mask=np.ones(fleets[0].n, dtype=bool))
-        assert np.all(block.smoother_values[: fleets[0].n] == 123.0)
+        site = fleets[0]
+        smooth_lanes(
+            site.smoothed, site.primed, site.alpha, obs,
+            np.ones(site.n, dtype=bool),
+        )
+        assert np.all(block.smoothed[: site.n] == 123.0)

@@ -122,6 +122,18 @@ class TestFullRunEquivalence:
             )
 
 
+class TestIntegratedThermalEquivalence(TestFullRunEquivalence):
+    """The same contract with each tick advancing the temperature it
+    reached (``thermal_mode="integrated"``): the array tick's Eq. 2
+    step starts from the temperature lane over one tick instead of from
+    the zone ambient over the adjustment window."""
+
+    KW = dict(
+        TestFullRunEquivalence.KW,
+        config=WillowConfig(thermal_mode="integrated"),
+    )
+
+
 class TestCalmRunBitExact:
     """Without migrations nothing re-orders a sum: bit-for-bit equality."""
 
