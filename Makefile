@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-guard federation-bench-smoke perfbench-check trace-smoke examples-smoke federation-smoke mpc-smoke gym-smoke service-smoke resume-smoke cli-smoke experiments clean-cache
+.PHONY: test bench bench-smoke bench-guard federation-bench-smoke perfbench-check digest-check trace-smoke examples-smoke federation-smoke mpc-smoke gym-smoke service-smoke resume-smoke cli-smoke experiments clean-cache
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -91,6 +91,23 @@ perfbench-check:
 			"import json, sys; sys.exit(not json.loads(sys.stdin.read())['correct'])" \
 			|| { echo "$$out"; echo "perfbench $$w: checks failed"; exit 1; }; \
 		echo "perfbench $$w: checks OK"; \
+	done
+
+## Decision digests of the batch workloads, pinned: each runs once at
+## seed 7 for a one-second window and must print the digest below, so a
+## change that moves any fleet-steady or solar-churn decision fails.
+DIGEST_FLEET_STEADY := 3520e2617d930130cec9f1a6ab5662d599aef411f1af094c6e8dccf0181868c2
+DIGEST_SOLAR_CHURN := 47b10aa43f21ae0206daf69e975fb77f0203ecd02de938bf1e60ee794f86df4b
+
+digest-check:
+	@set -e; for pinned in fleet-steady=$(DIGEST_FLEET_STEADY) \
+		solar-churn=$(DIGEST_SOLAR_CHURN); do \
+		w=$${pinned%%=*}; want=$${pinned#*=}; \
+		got=$$(timeout 900 $(PYTHON) perfbench/run.py --workload $$w \
+			--seed 7 --seconds 1 | sed -n 's/.*decision digest //p'); \
+		[ "$$got" = "$$want" ] \
+			|| { echo "digest-check $$w: printed '$$got', pinned $$want"; exit 1; }; \
+		echo "digest-check $$w: $$got OK"; \
 	done
 
 ## Willow-as-a-service smoke: a short live run (TCP gateway + wall-clock

@@ -9,7 +9,7 @@ final repack-into-smallest-bins step naturally empties servers for
 consolidation.
 
 * :mod:`repro.binpack.items` -- :class:`Item` / :class:`Bin` /
-  :class:`PackResult` data model.
+  :class:`Receivers` / :class:`PackResult` data model.
 * :mod:`repro.binpack.ffdlr` -- the FFDLR packer.
 * :mod:`repro.binpack.baselines` -- first-fit, FFD, best-fit-decreasing
   and worst-fit comparators.
@@ -17,7 +17,7 @@ consolidation.
   (test oracle for the FFDLR bound).
 """
 
-from repro.binpack.items import Bin, Item, PackResult
+from repro.binpack.items import Bin, Item, PackResult, Receivers
 from repro.binpack.ffdlr import ffdlr_pack, ffd_bin_count
 from repro.binpack.baselines import (
     best_fit_decreasing,
@@ -31,6 +31,7 @@ __all__ = [
     "Bin",
     "Item",
     "PackResult",
+    "Receivers",
     "best_fit_decreasing",
     "feasible_exact",
     "ffd_bin_count",

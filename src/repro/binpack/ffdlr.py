@@ -19,15 +19,21 @@ virtual FFD phase each virtual-bin group is matched to the smallest
 unused real bin that fits; groups with no feasible bin are split and
 their items re-offered individually (best-fit) before being declared
 unpackable.
+
+Both searches bisect a stable ascending order of the receivers'
+capacities, so a call costs one sort of the receivers plus a
+logarithmic search per group and per leftover item.  A caller may pass
+its receivers as :class:`~repro.binpack.items.Receivers` (parallel
+key and capacity lists) instead of :class:`Bin` objects; then a
+:class:`Bin` is built only for a receiver that gets an item.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from bisect import bisect_left
+from typing import Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
-from repro.binpack.items import Bin, Item, PackResult
+from repro.binpack.items import Bin, Item, PackResult, Receivers
 
 __all__ = ["ffdlr_pack", "ffd_bin_count"]
 
@@ -73,31 +79,112 @@ def _ffd_groups(items: List[Item], capacity: float) -> List[List[Item]]:
     return groups
 
 
-def ffdlr_pack(items: Sequence[Item], bins: Sequence[Bin]) -> PackResult:
+def _fit_key(room: float) -> float:
+    # ``size <= room + _SLACK`` is the one fit test.  Rounding is
+    # monotone, so the test holds on a suffix of an ascending order.
+    return room + _SLACK
+
+
+class _Order:
+    """Caller indexes of ``values`` in stable ascending order.
+
+    Positions are searched by bisection over the sorted values; equal
+    values keep caller order, so the k-th position among equal values
+    is the k-th caller index holding that value.  A taken position is
+    skipped by later searches (a path-compressed next-free link).
+    """
+
+    def __init__(self, values: Sequence[float]):
+        self.values = values
+        self.sorted = sorted(values)
+        self._next: Dict[int, int] = {}
+
+    def first_fit(self, size: float) -> Optional[int]:
+        """Position of the smallest untaken value that holds ``size``,
+        first in caller order among equals; ``None`` if none does."""
+        pos = bisect_left(self.sorted, size, key=_fit_key)
+        root = pos
+        while root in self._next:
+            root = self._next[root]
+        while pos != root:
+            self._next[pos], pos = root, self._next[pos]
+        return root if root < len(self.sorted) else None
+
+    def index(self, pos: int) -> int:
+        """Caller index of the value at ``pos``."""
+        value = self.sorted[pos]
+        index = self.values.index(value)
+        for _ in range(pos - bisect_left(self.sorted, value)):
+            index = self.values.index(value, index + 1)
+        return index
+
+    def take(self, pos: int) -> None:
+        self._next[pos] = pos + 1
+
+
+def ffdlr_pack(
+    items: Sequence[Item], bins: Union[Sequence[Bin], Receivers]
+) -> PackResult:
     """Pack ``items`` into the finite set of variable-size ``bins``.
 
     Items larger than every bin, and overflow once all bins are at
-    capacity, come back in ``result.unpacked``.  Input ``bins`` objects
-    are mutated (contents appended) and also returned in the result.
+    capacity, come back in ``result.unpacked``.  Given :class:`Bin`
+    objects, they are mutated (contents appended) and all returned in
+    the result.  Given :class:`Receivers`, the result holds a new
+    :class:`Bin` for each receiver that got an item, in caller order.
     """
-    bins = list(bins)
-    result = PackResult(assignment={}, bins=bins, unpacked=[])
-    keys = [item.key for item in items]
-    if len(set(keys)) != len(keys):
+    if isinstance(bins, Receivers):
+        keys, caps = bins.keys, bins.capacities
+        if len(keys) != len(caps):
+            raise ValueError("receiver keys and capacities differ in length")
+        given: Optional[List[Bin]] = None
+        loads = None
+    else:
+        given = list(bins)
+        keys = [b.key for b in given]
+        caps = [b.capacity for b in given]
+        loads = [b.load for b in given]
+    by_cap = _Order(caps)
+    if given is None and by_cap.sorted and by_cap.sorted[0] < 0:
+        raise ValueError(f"bin capacity must be >= 0, got {by_cap.sorted[0]}")
+    # Bins that got an item in this call, by caller index.
+    used: Dict[int, Bin] = {}
+    result = PackResult(
+        assignment={}, bins=given if given is not None else [], unpacked=[]
+    )
+    item_keys = [item.key for item in items]
+    if len(set(item_keys)) != len(item_keys):
         raise ValueError("duplicate item keys")
     # Zero-size items trivially "fit" anywhere; drop them from packing
     # but keep them out of unpacked (they demand nothing).
     pending = [item for item in items if item.size > 0]
     if not pending:
         return result
-    if not bins:
+    if not caps:
         result.unpacked = list(pending)
         return result
 
-    largest = max(b.capacity for b in bins)
+    largest = by_cap.sorted[-1]
     if largest <= 0:
         result.unpacked = list(pending)
         return result
+
+    # Residual of each used bin, kept as items land.
+    rooms: Dict[int, float] = {}
+
+    def place(index: int, placed: List[Item]) -> None:
+        chosen = used.get(index)
+        if chosen is None:
+            chosen = (
+                given[index]
+                if given is not None
+                else Bin(key=keys[index], capacity=caps[index])
+            )
+            used[index] = chosen
+        for item in placed:
+            chosen.add(item)
+            result.assignment[item.key] = chosen.key
+        rooms[index] = chosen.residual
 
     # Phase 1: FFD into virtual bins of the largest real capacity.
     # Oversized items can never fit; set them aside immediately.
@@ -106,49 +193,49 @@ def ffdlr_pack(items: Sequence[Item], bins: Sequence[Bin]) -> PackResult:
     groups = _ffd_groups(packable, largest)
 
     # Phase 2 (the "LR" repack): match each group, heaviest first, to
-    # the smallest unused real bin that holds it.  The scans run over
-    # flat capacity/load arrays; the fit tests reuse the exact scalar
-    # expressions (``total <= cap + _SLACK``, first minimum wins) so
-    # decisions match the original bin-object loops bit for bit.
-    caps = np.array([b.capacity for b in bins], dtype=float)
-    loads = np.array([b.load for b in bins], dtype=float)
-    order = np.argsort(caps, kind="stable")
-    sorted_caps = caps[order]
-    avail = np.ones(len(bins), dtype=bool)
+    # the smallest unused real bin that holds it -- by capacity, as
+    # ``total <= cap + _SLACK``, the first in caller order among equal
+    # capacities.
     leftovers: List[Item] = list(oversized)
     for group in sorted(groups, key=lambda g: sum(i.size for i in g), reverse=True):
         total = sum(item.size for item in group)
-        feasible = avail & (total <= sorted_caps + _SLACK)
-        pos = int(np.argmax(feasible)) if feasible.any() else -1
-        if pos >= 0:
-            avail[pos] = False
-            bin_index = int(order[pos])
-            chosen = bins[bin_index]
-            for item in group:
-                chosen.add(item)
-                result.assignment[item.key] = chosen.key
-            loads[bin_index] = chosen.load
-        else:
+        pos = by_cap.first_fit(total)
+        if pos is None:
             leftovers.extend(group)
+            continue
+        by_cap.take(pos)
+        place(by_cap.index(pos), group)
 
     # Split infeasible groups: best-fit each leftover item individually
-    # into whatever residual capacity remains (used bins included).  A
-    # residual never exceeds its bin's capacity, so an oversized item
-    # goes straight to unpacked.
+    # into whatever residual capacity remains (used bins included): the
+    # smallest residual that holds it, the first in caller order among
+    # equals.  The bins no item has reached keep their starting
+    # residuals and are searched in that order; the used ones are few
+    # and scanned.  A residual never exceeds its bin's capacity, so an
+    # oversized item goes straight to unpacked.
+    if leftovers:
+        if loads is None or not any(loads):
+            by_room = by_cap
+        else:
+            by_room = _Order([c - l for c, l in zip(caps, loads)])
     for item in sorted(leftovers, key=lambda it: it.size, reverse=True):
         if item.size > largest + _SLACK:
             result.unpacked.append(item)
             continue
-        residual = caps - loads
-        feasible = np.flatnonzero(item.size <= residual + _SLACK)
-        if feasible.size:
-            best_index = int(feasible[np.argmin(residual[feasible])])
-            best = bins[best_index]
-            best.add(item)
-            result.assignment[item.key] = best.key
-            loads[best_index] = best.load
-        else:
+        pos = by_room.first_fit(item.size)
+        while pos is not None and by_room.index(pos) in used:
+            by_room.take(pos)
+            pos = by_room.first_fit(item.size)
+        best = None if pos is None else (by_room.sorted[pos], by_room.index(pos))
+        for index, room in rooms.items():
+            if item.size <= room + _SLACK and (best is None or (room, index) < best):
+                best = (room, index)
+        if best is None:
             result.unpacked.append(item)
+            continue
+        place(best[1], [item])
 
+    if given is None:
+        result.bins = [used[index] for index in sorted(used)]
     result.validate()
     return result

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, NamedTuple, Sequence
 
-__all__ = ["Item", "Bin", "PackResult"]
+__all__ = ["Item", "Bin", "Receivers", "PackResult"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,6 +79,18 @@ class Bin:
         self._load_len = len(self.contents)
 
 
+class Receivers(NamedTuple):
+    """Bins to fill, as parallel lists in the caller's order.
+
+    ``keys[i]`` offers ``capacities[i]`` (each ``>= 0``).  Unlike a
+    list of :class:`Bin`, nothing is built per receiver up front: the
+    packer builds a :class:`Bin` only for a receiver that gets an item.
+    """
+
+    keys: Sequence[Any]
+    capacities: Sequence[float]
+
+
 @dataclass
 class PackResult:
     """Outcome of a packing run.
@@ -88,7 +100,8 @@ class PackResult:
     assignment:
         Maps each packed item key to the key of the bin holding it.
     bins:
-        The bins, with their final contents.
+        The bins, with their final contents (given :class:`Receivers`,
+        only those that got an item).
     unpacked:
         Items that fit in no bin (Willow drops these demands).
     """

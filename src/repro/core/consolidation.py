@@ -26,20 +26,82 @@ server here; an array site answers them from its lanes, and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.binpack.ffdlr import ffdlr_pack
-from repro.binpack.items import Bin, Item
+from repro.binpack.items import Item, PackResult, Receivers
 from repro.core.config import WillowConfig
 from repro.core.migration import PlannedMove
 from repro.core.state import NodeRuntime, ServerRuntime, SleepState
 from repro.topology.tree import Tree
-from repro.workload.vm import VM
 
 __all__ = ["ConsolidationPlan", "ConsolidationPlanner"]
 
 _EPS = 1e-9
+
+
+def _items(candidate: ServerRuntime) -> List[Item]:
+    """A drain candidate's VMs as packing items (at least ``_EPS``)."""
+    return [
+        Item(key=vm.vm_id, size=max(vm.current_demand, _EPS), payload=vm)
+        for vm in candidate.vms.values()
+    ]
+
+
+def _plan_moves(
+    plan: ConsolidationPlan,
+    candidate: ServerRuntime,
+    result: PackResult,
+    servers: Dict[int, ServerRuntime],
+) -> None:
+    """Append ``result``'s placements as moves off ``candidate``."""
+    for bin_ in result.bins:
+        dst = servers[bin_.key].node
+        for item in bin_.contents:
+            plan.moves.append(
+                PlannedMove(vm=item.payload, src=candidate.node, dst=dst)
+            )
+
+
+def _receivers(capacity: Dict[int, float]) -> Receivers:
+    """The receivers with capacity left, node-ordered: one pair of
+    lists that a consolidation pass keeps up to date."""
+    keys = [node_id for node_id in sorted(capacity) if capacity[node_id] > _EPS]
+    return Receivers(keys, [capacity[node_id] for node_id in keys])
+
+
+def _remove(receivers: Receivers, node_id: int) -> Optional[float]:
+    """Take ``node_id`` out of ``receivers``; its capacity, if listed."""
+    keys, caps = receivers
+    i = bisect_left(keys, node_id)
+    if i == len(keys) or keys[i] != node_id:
+        return None
+    del keys[i]
+    return caps.pop(i)
+
+
+def _restore(receivers: Receivers, node_id: int, cap: float) -> None:
+    """Undo :func:`_remove`."""
+    i = bisect_left(receivers.keys, node_id)
+    receivers.keys.insert(i, node_id)
+    receivers.capacities.insert(i, cap)
+
+
+def _land(receivers: Receivers, result: PackResult) -> None:
+    """Subtract what ``result`` packed from each receiver's capacity,
+    item by item; a receiver left with none leaves the list."""
+    keys, caps = receivers
+    for bin_ in result.bins:
+        i = bisect_left(keys, bin_.key)
+        cap = caps[i]
+        for item in bin_.contents:
+            cap = max(cap - item.size, 0.0)
+        if cap > _EPS:
+            caps[i] = cap
+        else:
+            del keys[i], caps[i]
 
 
 @dataclass
@@ -130,37 +192,20 @@ class ConsolidationPlanner:
             starved = sorted(
                 self._starved(servers, floor), key=lambda s: s.vm_demand
             )
-            capacity = self._receive_capacity(servers, floor)
+            # Starved servers are budgeted below the floor, so none of
+            # them is a receiver.
+            receivers = _receivers(self._receive_capacity(servers, floor))
             for candidate in starved:
                 if not candidate.vms:
                     plan.to_sleep.append(candidate)
                     continue
-                items = [
-                    Item(key=vm.vm_id, size=max(vm.current_demand, _EPS), payload=vm)
-                    for vm in candidate.vms.values()
-                ]
-                bins = [
-                    Bin(key=node_id, capacity=residual)
-                    for node_id, residual in sorted(capacity.items())
-                    if residual > _EPS
-                ]
-                if not bins:
+                if not receivers.keys:
                     continue
-                result = ffdlr_pack(items, bins)
+                result = ffdlr_pack(_items(candidate), receivers)
                 if result.unpacked:
                     continue  # cannot strand VMs; stay awake
-                for bin_ in result.bins:
-                    for item in bin_.contents:
-                        plan.moves.append(
-                            PlannedMove(
-                                vm=item.payload,
-                                src=candidate.node,
-                                dst=servers[bin_.key].node,
-                            )
-                        )
-                        capacity[bin_.key] = max(
-                            capacity[bin_.key] - item.size, 0.0
-                        )
+                _plan_moves(plan, candidate, result, servers)
+                _land(receivers, result)
                 plan.to_sleep.append(candidate)
 
         if config.consolidation_enabled and not deficit_regime:
@@ -175,58 +220,45 @@ class ConsolidationPlanner:
                 self._drain_candidates(servers, threshold_power + _EPS),
                 key=lambda s: (-s.thermal_params.t_ambient, s.vm_demand),
             )
-            draining: set = set()
             # Residual receive-capacity per potential target; mutated as
-            # earlier drains land so later candidates see the truth.
-            capacity = self._receive_capacity(servers)
+            # earlier drains land so later candidates see the truth.  A
+            # drained server leaves it for good; a candidate leaves it
+            # while its own drain is tried.
+            receivers = _receivers(self._receive_capacity(servers))
             extra_load: Dict[int, float] = {}
             for candidate in candidates:
+                node_id = candidate.node.node_id
                 # A server that received load from an earlier drain this
                 # round stays up (its planned VMs are not in .vms yet,
                 # so it could not be drained consistently anyway).
-                if extra_load.get(candidate.node.node_id, 0.0) > _EPS:
+                if extra_load.get(node_id, 0.0) > _EPS:
                     continue
                 current_demand = candidate.vm_demand
                 if not candidate.vms and current_demand <= _EPS:
                     # Nothing hosted: deactivate immediately.
                     plan.to_sleep.append(candidate)
-                    draining.add(candidate.node.node_id)
+                    _remove(receivers, node_id)
                     continue
-                items = [
-                    Item(key=vm.vm_id, size=max(vm.current_demand, _EPS), payload=vm)
-                    for vm in candidate.vms.values()
-                ]
-                bins = [
-                    Bin(key=node_id, capacity=residual)
-                    for node_id, residual in sorted(capacity.items())
-                    if node_id != candidate.node.node_id
-                    and node_id not in draining
-                    and residual > _EPS
-                ]
-                if not bins:
+                own = _remove(receivers, node_id)
+                result = (
+                    ffdlr_pack(_items(candidate), receivers)
+                    if receivers.keys
+                    else None
+                )
+                if result is None or result.unpacked:
+                    # No receivers, or a partial drain, which saves
+                    # nothing: skip.
+                    if own is not None:
+                        _restore(receivers, node_id, own)
                     continue
-                result = ffdlr_pack(items, bins)
-                if result.unpacked:
-                    continue  # partial drains save nothing; skip
+                _plan_moves(plan, candidate, result, servers)
+                _land(receivers, result)
                 for bin_ in result.bins:
                     for item in bin_.contents:
-                        vm: VM = item.payload
-                        plan.moves.append(
-                            PlannedMove(
-                                vm=vm,
-                                src=candidate.node,
-                                dst=servers[bin_.key].node,
-                            )
-                        )
-                        capacity[bin_.key] = max(
-                            capacity[bin_.key] - item.size, 0.0
-                        )
                         extra_load[bin_.key] = (
                             extra_load.get(bin_.key, 0.0) + item.size
                         )
                 plan.to_sleep.append(candidate)
-                draining.add(candidate.node.node_id)
-                capacity.pop(candidate.node.node_id, None)
 
         # -- wake heuristic ---------------------------------------------------
         if deficit_regime:

@@ -31,7 +31,7 @@ from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from repro.binpack.ffdlr import _SLACK, ffdlr_pack
-from repro.binpack.items import Bin, Item
+from repro.binpack.items import Item, Receivers
 from repro.core.config import WillowConfig
 from repro.core.state import NodeRuntime, ServerRuntime
 from repro.topology.tree import Node, Tree
@@ -81,48 +81,57 @@ class MigrationPlanner:
         self.config = config
         self.ipc_graph = ipc_graph
         # The topology is immutable for the planner's lifetime, so the
-        # per-group leaf sets and per-leaf ancestor chains consulted on
+        # per-leaf ancestor chains and per-group leaves consulted on
         # every planning pass are computed once here.
-        self._group_leaf_ids: Dict[int, frozenset] = {}
-        for level in range(1, tree.root.level + 1):
-            for group in tree.nodes_at_level(level):
-                self._group_leaf_ids[group.node_id] = frozenset(
-                    leaf.node_id for leaf in tree.subtree_leaves(group)
-                )
         self._ancestor_ids: Dict[int, Tuple[int, ...]] = {
             leaf.node_id: tuple(a.node_id for a in leaf.ancestors())
             for leaf in tree.servers()
         }
-        # Sorted leaf ids per group, so per-group bin construction walks
+        # Sorted leaf ids per group, so per-group receiver lists walk
         # the subtree instead of filtering the whole fleet.
         self._group_sorted_leaves: Dict[int, Tuple[int, ...]] = {
-            group_id: tuple(sorted(leaf_ids))
-            for group_id, leaf_ids in self._group_leaf_ids.items()
+            group.node_id: tuple(
+                sorted(leaf.node_id for leaf in tree.subtree_leaves(group))
+            )
+            for level in range(1, tree.root.level + 1)
+            for group in tree.nodes_at_level(level)
         }
 
     # -- eligibility ---------------------------------------------------------
+    @staticmethod
+    def _sinking(runtime) -> bool:
+        """Unidirectional rule for one node: its budget was reduced by
+        the latest supply event and its smoothed demand exceeds it."""
+        return (
+            runtime.budget_reduced
+            and runtime.smoothed_demand > runtime.budget + _EPS
+        )
+
+    def _sinking_ids(self, internals: Dict[int, NodeRuntime]) -> frozenset:
+        """Ids of the sinking internal nodes: one pass per screen."""
+        return frozenset(
+            node_id
+            for node_id, runtime in internals.items()
+            if self._sinking(runtime)
+        )
+
+    def _squeezed_under(self, server: ServerRuntime, sinking: frozenset) -> bool:
+        """Is this target in a sinking subtree?  ``sinking`` is
+        :meth:`_sinking_ids` of the internals."""
+        if self._sinking(server):
+            return True
+        ancestor_ids = self._ancestor_ids.get(server.node.node_id)
+        if ancestor_ids is None:
+            ancestor_ids = tuple(a.node_id for a in server.node.ancestors())
+        return not sinking.isdisjoint(ancestor_ids)
+
     def _squeezed(
         self,
         server: ServerRuntime,
         internals: Dict[int, NodeRuntime],
     ) -> bool:
-        """Unidirectional-rule check: is this target in a sinking subtree?"""
-        if server.budget_reduced and server.smoothed_demand > server.budget + _EPS:
-            return True
-        ancestor_ids = self._ancestor_ids.get(
-            server.node.node_id,
-            tuple(a.node_id for a in server.node.ancestors()),
-        )
-        for ancestor_id in ancestor_ids:
-            runtime = internals.get(ancestor_id)
-            if runtime is None:
-                continue
-            if (
-                runtime.budget_reduced
-                and runtime.smoothed_demand > runtime.budget + _EPS
-            ):
-                return True
-        return False
+        """Unidirectional-rule check for one target."""
+        return self._squeezed_under(server, self._sinking_ids(internals))
 
     def _target_capacity(self, server: ServerRuntime) -> float:
         """Bin capacity a server offers: surplus minus margin and cost."""
@@ -178,12 +187,13 @@ class MigrationPlanner:
         # Residual capacity each eligible target still offers (mutates
         # as matching proceeds so later passes see earlier placements).
         capacity: Dict[int, float] = {}
+        sinking = self._sinking_ids(internals)
         for server in servers.values():
             if not server.is_awake:
                 continue
             if server.raw_demand > server.budget + _EPS:
                 continue  # deficient servers never receive
-            if self._squeezed(server, internals):
+            if self._squeezed_under(server, sinking):
                 continue
             cap = self._target_capacity(server)
             if cap > _EPS:
@@ -265,23 +275,31 @@ class MigrationPlanner:
         for level in levels:
             if not pending:
                 break
+            # Each source's items meet the receivers of one group per
+            # level, its ancestor there (levels step by one along a
+            # path); a group's matching changes only its own sources.
+            sources: Dict[int, List[int]] = {}
+            for src_id in pending:
+                ancestors = self._ancestor_ids[src_id]
+                k = level - servers[src_id].node.level - 1
+                if 0 <= k < len(ancestors):
+                    sources.setdefault(ancestors[k], []).append(src_id)
             for group in self.tree.nodes_at_level(level):
-                group_leaf_ids = self._group_leaf_ids[group.node_id]
+                group_sources = sources.get(group.node_id)
+                if not group_sources:
+                    continue
                 group_items: List[Tuple[int, Item]] = [
                     (src_id, item)
-                    for src_id, items in pending.items()
-                    if src_id in group_leaf_ids
-                    for item in items
+                    for src_id in group_sources
+                    for item in pending[src_id]
                 ]
-                if not group_items:
-                    continue
                 if len(group_items) == 1:
                     # Fast path: FFDLR with one item reduces to "the
                     # smallest eligible bin that holds it" (phase 2
-                    # scans bins by ascending capacity; the best-fit
-                    # fallback applies the same fit test to the same
-                    # empty bins).  Selecting directly skips building
-                    # a Bin object per eligible target.
+                    # takes the smallest capacity that holds it; the
+                    # best-fit fallback applies the same fit test to
+                    # the same empty bins).  Selecting directly skips
+                    # the receiver lists and their sort.
                     src_id, item = group_items[0]
                     best_id = None
                     best_cap = 0.0
@@ -308,17 +326,18 @@ class MigrationPlanner:
                         )
                         del pending[src_id]
                     continue
-                targets = [
-                    (node_id, capacity[node_id])
+                keys = [
+                    node_id
                     for node_id in self._group_sorted_leaves[group.node_id]
                     if node_id in capacity and node_id not in pending
                 ]
-                if not targets:
+                if not keys:
                     continue
+                caps = [capacity[node_id] for node_id in keys]
                 # FFDLR leaves an item larger than every bin unpacked
                 # and placing it changes nothing else, so such items
                 # stay pending without being offered.
-                largest = max(cap for _node_id, cap in targets)
+                largest = max(caps)
                 offered = [
                     item
                     for _src, item in group_items
@@ -326,30 +345,27 @@ class MigrationPlanner:
                 ]
                 if not offered:
                     continue
-                bins = [
-                    Bin(key=node_id, capacity=cap) for node_id, cap in targets
-                ]
-                result = ffdlr_pack(offered, bins)
+                result = ffdlr_pack(offered, Receivers(keys, caps))
                 src_of = {item.key: src_id for src_id, item in group_items}
                 for bin_ in result.bins:
+                    dst = servers[bin_.key].node
                     for item in bin_.contents:
-                        src_id = src_of[item.key]
                         vm: VM = item.payload
                         plan.moves.append(
                             PlannedMove(
-                                vm=vm,
-                                src=servers[src_id].node,
-                                dst=servers[bin_.key].node,
+                                vm=vm, src=servers[src_of[item.key]].node, dst=dst
                             )
                         )
                         capacity[bin_.key] = max(
                             capacity[bin_.key] - item.size, 0.0
                         )
-                        pending[src_id] = [
-                            it for it in pending[src_id] if it.key != item.key
-                        ]
-                        if not pending[src_id]:
-                            del pending[src_id]
+                placed = result.assignment
+                for src_id in group_sources:
+                    left = [it for it in pending[src_id] if it.key not in placed]
+                    if left:
+                        pending[src_id] = left
+                    else:
+                        del pending[src_id]
 
         # Anything still pending found no surplus anywhere: drop it.
         for src_id, items in pending.items():

@@ -15,9 +15,9 @@ in the paper's idiom:
   directives.
 * **FFDLR repack.**  Directives are realised as whole-VM moves: the
   deficit site sheds its largest over-budget VMs (the Sec. IV-E
-  shedding rule), the destination site's eligible servers become bins
-  (surplus minus the ``P_min`` margin and the WAN migration cost), and
-  :func:`repro.binpack.ffdlr.ffdlr_pack` matches them.  Unplaceable
+  shedding rule), the destination site's eligible servers become
+  receivers (surplus minus the ``P_min`` margin and the WAN migration
+  cost), and :func:`repro.binpack.ffdlr.ffdlr_pack` matches them.  Unplaceable
   items simply stay home -- cross-site shifting is opportunistic, never
   a new source of drops.
 * **WAN cost as temporary power demand.**  Exactly as Sec. IV-E charges
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.binpack.ffdlr import ffdlr_pack
-from repro.binpack.items import Bin, Item
+from repro.binpack.items import Item, Receivers
 from repro.core.fleet import FederationFleet
 from repro.core.vectorized import VectorizedWillowController, _Segment
 from repro.federation.forecasts import ForecastModel, resolve_forecast_model
@@ -641,19 +641,20 @@ class FederationCoordinator:
                 remaining_directive -= demand
         return out
 
-    def _destination_bins(self, site: Site, wan_power: float) -> List[Bin]:
-        """Eligible receivers at the destination site, as FFDLR bins.
+    def _destination_receivers(self, site: Site, wan_power: float) -> Receivers:
+        """Eligible receivers at the destination site, node-ordered.
 
         Same screening as the intra-site matcher: awake, not deficient,
-        not squeezed by the unidirectional rule; capacity is the
+        not squeezed by the unidirectional rule (the site's sinking
+        internal nodes are collected once per screen); capacity is the
         surplus minus ``P_min`` and the WAN cost the move will charge.
-        A server without capacity is skipped before the squeeze rule's
-        ancestor walk.
         """
         config = site.config
         controller = site.controller
         planner = controller.migration_planner
-        bins: List[Bin] = []
+        sinking = planner._sinking_ids(controller.internals)
+        keys: List[int] = []
+        caps: List[float] = []
         for node_id in sorted(controller.servers):
             server = controller.servers[node_id]
             if not server.is_awake:
@@ -664,10 +665,11 @@ class FederationCoordinator:
             capacity = budget - raw - config.p_min - wan_power
             if not capacity > _EPS:
                 continue
-            if planner._squeezed(server, controller.internals):
+            if planner._squeezed_under(server, sinking):
                 continue
-            bins.append(Bin(key=node_id, capacity=capacity))
-        return bins
+            keys.append(node_id)
+            caps.append(capacity)
+        return Receivers(keys, caps)
 
     def _execute_transfer(self, transfer: Transfer, now: float) -> None:
         src_site = self._by_name[transfer.src]
@@ -680,13 +682,15 @@ class FederationCoordinator:
         items = shed(src_site, transfer.watts)
         if not items:
             return
-        bins = self._destination_bins(dst_site, self._wan_cost(dst_site)[0])
-        if not bins:
+        receivers = self._destination_receivers(
+            dst_site, self._wan_cost(dst_site)[0]
+        )
+        if not receivers.keys:
             return
         src_of = {
             item.key: (node_id, deficit) for node_id, deficit, item in items
         }
-        result = ffdlr_pack([item for _node, _deficit, item in items], bins)
+        result = ffdlr_pack([item for _node, _deficit, item in items], receivers)
         for bin_ in result.bins:
             surplus = bin_.capacity
             for item in bin_.contents:

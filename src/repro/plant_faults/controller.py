@@ -40,7 +40,7 @@ import math
 from typing import Dict, FrozenSet, List, Mapping, Optional
 
 from repro.binpack.ffdlr import ffdlr_pack
-from repro.binpack.items import Bin, Item
+from repro.binpack.items import Item, Receivers
 from repro.cooling.model import CoolingModel
 from repro.core.config import WillowConfig
 from repro.core.controller import WillowController, build_willow
@@ -357,8 +357,8 @@ class FaultTolerantWillowController(WillowController):
                     Item(key=vm.vm_id, size=vm.current_demand, payload=vm)
                 )
                 src_of[vm.vm_id] = server
-        bins = [Bin(key=sid, capacity=capacity[sid]) for sid in sorted(capacity)]
-        result = ffdlr_pack(items, bins)
+        keys = sorted(capacity)
+        result = ffdlr_pack(items, Receivers(keys, [capacity[sid] for sid in keys]))
         moves: List[PlannedMove] = []
         for bin_ in result.bins:
             for item in bin_.contents:

@@ -2,16 +2,23 @@
 
 The headline check is FFDLR's published guarantee: no more than
 (3/2) OPT + 1 bins on equal-capacity instances (Friesen & Langston),
-verified against the exhaustive optimum on small instances.
+verified against the exhaustive optimum on small instances.  FFDLR's
+searches are also checked against a reference: the packer as it was
+written with NumPy scans over flat capacity and load arrays.
 """
 
+from typing import List, Sequence
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.binpack import (
     Bin,
     Item,
+    PackResult,
+    Receivers,
     best_fit_decreasing,
     feasible_exact,
     ffd_bin_count,
@@ -21,6 +28,7 @@ from repro.binpack import (
     optimal_bin_count,
     worst_fit,
 )
+from repro.binpack.ffdlr import _SLACK, _ffd_groups
 
 sizes_strategy = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=10)
 capacities_strategy = st.lists(st.floats(0.1, 2.0), min_size=1, max_size=8)
@@ -150,3 +158,172 @@ def test_ffdlr_oversized_items_change_only_unpacked(
     assert [it.key for it in more.unpacked[n:]] == [
         it.key for it in base.unpacked
     ]
+
+
+def reference_ffdlr_pack(items: Sequence[Item], bins: Sequence[Bin]) -> PackResult:
+    """FFDLR with NumPy scans over flat capacity/load arrays: phase 2
+    takes the first available entry of a stable capacity order that
+    holds a group, and the best fit the first minimum residual that
+    holds an item."""
+    bins = list(bins)
+    result = PackResult(assignment={}, bins=bins, unpacked=[])
+    keys = [item.key for item in items]
+    if len(set(keys)) != len(keys):
+        raise ValueError("duplicate item keys")
+    pending = [item for item in items if item.size > 0]
+    if not pending:
+        return result
+    if not bins:
+        result.unpacked = list(pending)
+        return result
+
+    largest = max(b.capacity for b in bins)
+    if largest <= 0:
+        result.unpacked = list(pending)
+        return result
+
+    oversized = [it for it in pending if it.size > largest + _SLACK]
+    packable = [it for it in pending if it.size <= largest + _SLACK]
+    groups = _ffd_groups(packable, largest)
+
+    caps = np.array([b.capacity for b in bins], dtype=float)
+    loads = np.array([b.load for b in bins], dtype=float)
+    order = np.argsort(caps, kind="stable")
+    sorted_caps = caps[order]
+    avail = np.ones(len(bins), dtype=bool)
+    leftovers: List[Item] = list(oversized)
+    for group in sorted(groups, key=lambda g: sum(i.size for i in g), reverse=True):
+        total = sum(item.size for item in group)
+        feasible = avail & (total <= sorted_caps + _SLACK)
+        pos = int(np.argmax(feasible)) if feasible.any() else -1
+        if pos >= 0:
+            avail[pos] = False
+            bin_index = int(order[pos])
+            chosen = bins[bin_index]
+            for item in group:
+                chosen.add(item)
+                result.assignment[item.key] = chosen.key
+            loads[bin_index] = chosen.load
+        else:
+            leftovers.extend(group)
+
+    for item in sorted(leftovers, key=lambda it: it.size, reverse=True):
+        if item.size > largest + _SLACK:
+            result.unpacked.append(item)
+            continue
+        residual = caps - loads
+        feasible = np.flatnonzero(item.size <= residual + _SLACK)
+        if feasible.size:
+            best_index = int(feasible[np.argmin(residual[feasible])])
+            best = bins[best_index]
+            best.add(item)
+            result.assignment[item.key] = best.key
+            loads[best_index] = best.load
+        else:
+            result.unpacked.append(item)
+
+    result.validate()
+    return result
+
+
+@st.composite
+def tied_instances(draw, prefill: bool):
+    """Items and bin capacities that tie: a few values repeated, sizes
+    within ``_SLACK`` of a capacity, zero-size and oversized items,
+    and (with ``prefill``) bins that already hold items."""
+    values = draw(
+        st.lists(
+            st.integers(0, 6).map(float)
+            | st.floats(0.0, 10.0, allow_nan=False, width=32),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    capacities = draw(st.lists(st.sampled_from(values), max_size=9))
+    near = [
+        max(v + k * _SLACK / 4, 0.0) for v in values for k in (-5, -4, -1, 1, 4, 5)
+    ]
+    pool = values + near + [0.0, max(values) + 1.0]
+    sizes = draw(
+        st.lists(
+            st.sampled_from(pool)
+            | st.floats(0.0, 12.0, allow_nan=False)
+            | st.builds(
+                lambda a, b: a + b, st.sampled_from(values), st.sampled_from(values)
+            ),
+            max_size=14,
+        )
+    )
+    fills = [
+        draw(st.lists(st.sampled_from(pool), max_size=2)) if prefill else []
+        for _ in capacities
+    ]
+    return sizes, capacities, fills
+
+
+def pack_outcome(case, packer, receivers=False, used_only=False):
+    """What ``packer`` did with fresh items and bins built from
+    ``case``: the assignment, each bin's contents (only the bins that
+    got an item, with ``used_only``) and the unpacked items, by key and
+    in order.  If it raised ValueError, the message and each bin's
+    contents so far (given receivers, or with ``used_only``, the
+    message alone).  A pre-filled item is in no assignment, so
+    ``validate()`` raises on every pre-filled bin, after the packing;
+    and ``Bin.add`` raises when a group that fits its bin within
+    ``_SLACK`` still holds an item smaller than what the slack let in."""
+    sizes, capacities, fills = case
+    items = [Item(i, s) for i, s in enumerate(sizes)]
+    if receivers:
+        bins = Receivers(list(range(len(capacities))), list(capacities))
+    else:
+        bins = [
+            Bin(j, c, contents=[Item(("fill", j, k), f) for k, f in enumerate(fill)])
+            for j, (c, fill) in enumerate(zip(capacities, fills))
+        ]
+    try:
+        result = packer(items, bins)
+    except ValueError as exc:
+        if receivers or used_only:
+            return str(exc)
+        return str(exc), [(b.key, [it.key for it in b.contents]) for b in bins]
+    return (
+        list(result.assignment.items()),
+        [
+            (b.key, [it.key for it in b.contents])
+            for b in result.bins
+            if b.contents or not used_only
+        ],
+        [it.key for it in result.unpacked],
+    )
+
+
+# Leftover items that two used bins, or a used and an unused bin, hold
+# with equal residuals.
+TIED_RESIDUALS = [
+    ([1.0, 2.0, 3.0, 1.0, 3.0, 5.0], [1.0, 4.0, 5.0], [[], [], []]),
+    ([2.0, 1.0, 2.0, 4.0, 2.0], [3.0, 6.0, 3.0, 1.0], [[], [], [], []]),
+]
+
+
+@given(case=tied_instances(prefill=True))
+@example(case=TIED_RESIDUALS[0])
+@example(case=TIED_RESIDUALS[1])
+@settings(max_examples=400, deadline=None)
+def test_ffdlr_matches_numpy_reference_on_bins(case):
+    """On ``Bin`` lists (pre-filled ones included) the bisect searches
+    place every item where the NumPy scans did, in the same order, and
+    raise where they raised."""
+    expected = pack_outcome(case, reference_ffdlr_pack)
+    assert pack_outcome(case, ffdlr_pack) == expected
+
+
+@given(case=tied_instances(prefill=False))
+@example(case=TIED_RESIDUALS[0])
+@example(case=TIED_RESIDUALS[1])
+@settings(max_examples=400, deadline=None)
+def test_ffdlr_matches_numpy_reference_on_receivers(case):
+    """On key/capacity lists the result holds a ``Bin`` for exactly the
+    receivers that got an item, in caller order, each with the
+    reference's contents; the assignment and unpacked order match."""
+    expected = pack_outcome(case, reference_ffdlr_pack, used_only=True)
+    assert pack_outcome(case, ffdlr_pack, receivers=True) == expected

@@ -222,3 +222,61 @@ def test_chained_drains_do_not_target_draining_servers(config):
     for move in plan.moves:
         assert move.dst.node_id not in slept_ids
     assert plan.to_sleep  # something consolidated
+
+
+class TestBinsPerPass:
+    """A pass builds a ``Bin`` only for a receiver that gets a VM.
+
+    Building one per receiver for every drain candidate (C x R in a
+    pass) is what stalled the first passes of a large fleet."""
+
+    RECEIVERS, CANDIDATES = 20, 30
+
+    @pytest.fixture
+    def bins_built(self, monkeypatch):
+        from repro.binpack.items import Bin
+
+        built = []
+        real = Bin.__post_init__
+
+        def counting(bin_):
+            built.append(bin_.key)
+            real(bin_)
+
+        monkeypatch.setattr(Bin, "__post_init__", counting)
+        return built
+
+    def fleet(self, config, candidate_budget):
+        n = self.RECEIVERS + self.CANDIDATES
+        tree, servers, internals = build_cluster(config, n=n)
+        s = [servers[leaf.node_id] for leaf in tree.servers()]
+        for i, server in enumerate(s[: self.RECEIVERS]):
+            load(server, [200.0], start_id=10 * i, budget=450.0)
+        candidates = s[self.RECEIVERS :]
+        for i, server in enumerate(candidates, start=self.RECEIVERS):
+            load(server, [10.0 + i / 100], start_id=10 * i, budget=candidate_budget)
+        return tree, servers, internals, candidates
+
+    def check(self, plan, candidates, built):
+        assert plan.to_sleep == sorted(candidates, key=lambda s: s.vm_demand)
+        assert len(plan.moves) == self.CANDIDATES
+        pairs = {(m.src.node_id, m.dst.node_id) for m in plan.moves}
+        assert 0 < len(built) <= len(pairs)
+
+    def test_normal_pass(self, config, bins_built):
+        tree, servers, internals, candidates = self.fleet(config, 450.0)
+        plan = ConsolidationPlanner(tree, config).plan(servers, internals)
+        self.check(plan, candidates, bins_built)
+
+    def test_deficit_regime_pass(self, config, bins_built):
+        # Budgeted under the 30 W static floor: drained even while
+        # drops persist.
+        tree, servers, internals, candidates = self.fleet(config, 20.0)
+        plan = ConsolidationPlanner(tree, config).plan(
+            servers,
+            internals,
+            recent_dropped_power=500.0,
+            root_budget=10_000.0,
+            total_demand=9_990.0,
+        )
+        self.check(plan, candidates, bins_built)
