@@ -93,11 +93,15 @@ perfbench-check:
 		echo "perfbench $$w: checks OK"; \
 	done
 
-## Decision digests of the batch workloads, pinned: each runs once at
-## seed 7 for a one-second window and must print the digest below, so a
-## change that moves any fleet-steady or solar-churn decision fails.
+## Decision digests, pinned: the batch workloads each run once at seed
+## 7 for a one-second window, and the single-site paper simulation runs
+## 30 checkpointed ticks at seed 7 on the scalar and the array
+## controller; each must print the digest below, so a change that moves
+## any of their decisions fails.
 DIGEST_FLEET_STEADY := 3520e2617d930130cec9f1a6ab5662d599aef411f1af094c6e8dccf0181868c2
 DIGEST_SOLAR_CHURN := 47b10aa43f21ae0206daf69e975fb77f0203ecd02de938bf1e60ee794f86df4b
+DIGEST_SINGLE_SITE := 9e83fca0d0da7cec0a2787a8d716b27b0b69ee035669e981f38dd59823fdd7c9
+DIGEST_SINGLE_SITE_VECTORIZED := 3dfef83da8b35b7287302e662827240956fec167b741fdd29dca8cc93d98b379
 
 digest-check:
 	@set -e; for pinned in fleet-steady=$(DIGEST_FLEET_STEADY) \
@@ -108,7 +112,19 @@ digest-check:
 		[ "$$got" = "$$want" ] \
 			|| { echo "digest-check $$w: printed '$$got', pinned $$want"; exit 1; }; \
 		echo "digest-check $$w: $$got OK"; \
-	done
+	done; \
+	dir=$$(mktemp -d); \
+	for pinned in single-site=$(DIGEST_SINGLE_SITE) \
+		single-site-vectorized=$(DIGEST_SINGLE_SITE_VECTORIZED); do \
+		w=$${pinned%%=*}; want=$${pinned#*=}; \
+		case $$w in *-vectorized) flag=--vectorized;; *) flag=;; esac; \
+		got=$$(timeout 300 $(PYTHON) -m repro.cli checkpoint $$dir/$$w \
+			--ticks 30 --seed 7 $$flag | sed -n 's/^decision digest: //p'); \
+		[ "$$got" = "$$want" ] \
+			|| { echo "digest-check $$w: printed '$$got', pinned $$want"; rm -rf $$dir; exit 1; }; \
+		echo "digest-check $$w: $$got OK"; \
+	done; \
+	rm -rf $$dir
 
 ## Willow-as-a-service smoke: a short live run (TCP gateway + wall-clock
 ## ticks + self-generated load) whose audit log is then replayed offline

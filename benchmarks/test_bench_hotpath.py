@@ -153,7 +153,10 @@ def test_array_site_budgets_and_screens_stay_on_lanes(monkeypatch):
     from repro.core.controller import build_willow
     from repro.core.fleet import LaneServerRuntime
     from repro.core.state import NodeRuntime, ServerRuntime
-    from repro.core.vectorized import VectorizedWillowController
+    from repro.core.vectorized import (
+        VectorizedWillowController,
+        _LaneMigrationPlanner,
+    )
     from repro.power.supply import constant_supply
     from repro.topology import build_balanced
 
@@ -190,15 +193,14 @@ def test_array_site_budgets_and_screens_stay_on_lanes(monkeypatch):
         LaneServerRuntime, "budget_reduced", property(read_flag, flag.fset)
     )
     deficient = []
-    plan = VectorizedWillowController._plan_demand_migrations
+    screen = _LaneMigrationPlanner._deficient
 
-    def planning(self, raw, smoothed, mask):
-        deficient.append(int(mask.sum()))
-        return plan(self, raw, smoothed, mask)
+    def planning(self, servers):
+        rows = screen(self, servers)
+        deficient.append(len(rows))
+        return rows
 
-    monkeypatch.setattr(
-        VectorizedWillowController, "_plan_demand_migrations", planning
-    )
+    monkeypatch.setattr(_LaneMigrationPlanner, "_deficient", planning)
 
     allocation_ticks = small_planning_ticks = 0
     for tick in range(12):

@@ -172,7 +172,8 @@ def ffdlr_pack(
     # Residual of each used bin, kept as items land.
     rooms: Dict[int, float] = {}
 
-    def place(index: int, placed: List[Item]) -> None:
+    def bin_at(index: int) -> Bin:
+        """Bin ``index``; given receivers, built when it gets an item."""
         chosen = used.get(index)
         if chosen is None:
             chosen = (
@@ -181,8 +182,12 @@ def ffdlr_pack(
                 else Bin(key=keys[index], capacity=caps[index])
             )
             used[index] = chosen
+        return chosen
+
+    def landed(index: int, placed: List[Item]) -> None:
+        """Record ``placed``, just put into bin ``index``."""
+        chosen = used[index]
         for item in placed:
-            chosen.add(item)
             result.assignment[item.key] = chosen.key
         rooms[index] = chosen.residual
 
@@ -204,7 +209,12 @@ def ffdlr_pack(
             leftovers.extend(group)
             continue
         by_cap.take(pos)
-        place(by_cap.index(pos), group)
+        index = by_cap.index(pos)
+        # The group lands with the one fit test phase 2 chose by, on its
+        # total: one by one, an item smaller than the slack that let
+        # the group in could fail to fit after the others.
+        bin_at(index).extend(group)
+        landed(index, group)
 
     # Split infeasible groups: best-fit each leftover item individually
     # into whatever residual capacity remains (used bins included): the
@@ -233,7 +243,8 @@ def ffdlr_pack(
         if best is None:
             result.unpacked.append(item)
             continue
-        place(best[1], [item])
+        bin_at(best[1]).add(item)
+        landed(best[1], [item])
 
     if given is None:
         result.bins = [used[index] for index in sorted(used)]

@@ -78,6 +78,27 @@ class Bin:
         self._load = load + item.size
         self._load_len = len(self.contents)
 
+    def extend(self, items: Sequence[Item]) -> None:
+        """Add ``items`` as one group, with :meth:`fits`'s test on their
+        total.
+
+        A group that fits only within the slack may leave the bin over
+        capacity before its last items land, so testing them one by one
+        could reject a group that fits as a whole.
+        """
+        total = sum(item.size for item in items)
+        if not total <= self.residual + 1e-9:
+            raise ValueError(
+                f"items {[item.key for item in items]!r} ({total}) do not "
+                f"fit in bin {self.key!r} (residual {self.residual})"
+            )
+        load = self.load  # sync the cache before appending
+        for item in items:
+            self.contents.append(item)
+            load += item.size
+        self._load = load
+        self._load_len = len(self.contents)
+
 
 class Receivers(NamedTuple):
     """Bins to fill, as parallel lists in the caller's order.

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 from repro.binpack.ffdlr import ffdlr_pack
 from repro.binpack.items import Item, PackResult, Receivers
 from repro.core.config import WillowConfig
-from repro.core.migration import PlannedMove
+from repro.core.migration import PlannedMove, _target_capacity
 from repro.core.state import NodeRuntime, ServerRuntime, SleepState
 from repro.topology.tree import Tree
 
@@ -120,11 +120,6 @@ class ConsolidationPlanner:
         self.tree = tree
         self.config = config
 
-    def _target_capacity(self, server: ServerRuntime) -> float:
-        surplus = server.budget - server.raw_demand
-        overhead = self.config.p_min + self.config.migration_cost_power
-        return max(surplus - overhead, 0.0)
-
     # -- screens ---------------------------------------------------------
     def _starved(
         self, servers: Dict[int, ServerRuntime], floor: float
@@ -155,7 +150,7 @@ class ConsolidationPlanner:
         """Receive capacity by node id of every awake server (budgeted
         at ``floor`` or more, when given), in fleet order."""
         return {
-            s.node.node_id: self._target_capacity(s)
+            s.node.node_id: _target_capacity(s, self.config)
             for s in servers.values()
             if s.is_awake and (floor is None or s.budget >= floor)
         }

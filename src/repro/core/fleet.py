@@ -9,9 +9,11 @@ makes every server, its thermal integrator and its smoother a view onto
 its row, so the lanes are the only storage for what the array tick
 writes (the Eq. 4 state too: ``smoothed``, ``primed`` and ``alpha`` are
 lanes like any other); a site's home VMs become views onto its demand
-lane the same way (:class:`VmDemandLane`).  What scalar code changes
-through methods (sleep states, pending migration costs) is re-read by
-the ``gather`` calls, in full or only for the rows it changed.
+lane the same way (:class:`VmDemandLane`).  A bound server writes the
+total of its pending migration costs to the ``mig_cost`` lane whenever
+that schedule changes.  What scalar code changes through methods (sleep
+states) is re-read by :meth:`FleetState.gather`, in full or only for
+the rows it changed.
 
 :class:`FederationFleet` concatenates one or more site fleets into one
 block and rebinds each site's lanes to views of it; the array tick in
@@ -161,7 +163,7 @@ class FleetState:
             self.window_caps = None
 
         # -- mutable state, seeded from the objects ----------------------
-        # Sleep masks and cost lanes are filled by :meth:`gather`.
+        # The sleep masks are filled by :meth:`gather`.
         servers = self.servers
 
         def lane(values, dtype=float):
@@ -170,7 +172,7 @@ class FleetState:
         self.awake = np.zeros(n, dtype=bool)
         self.asleep = np.zeros(n, dtype=bool)
         self.waking = np.zeros(n, dtype=bool)
-        self.mig_cost = np.zeros(n)
+        self.mig_cost = lane(s.migration_cost_demand for s in servers)
         self.budget = lane(s.budget for s in servers)
         self.previous_budget = lane(s.previous_budget for s in servers)
         self.budget_reduced = lane((s.budget_reduced for s in servers), bool)
@@ -209,17 +211,12 @@ class FleetState:
 
     # -------------------------------------------------------------- gather
     def gather(self, rows=None) -> None:
-        """Re-read the sleep masks and pending migration-cost lanes of
-        ``rows`` (row indices; every row by default) from the objects:
-        the state that scalar code (consolidation, wake-ups, migrations,
-        restores) changes through methods, not views."""
+        """Re-read the sleep masks of ``rows`` (row indices; every row by
+        default) from the objects: the state that scalar code
+        (consolidation, wake-ups, restores) changes through methods,
+        not views."""
         if rows is None:
             rows = range(self.n)
-        self.gather_sleep_rows(rows)
-        self.gather_cost_rows(rows)
-
-    def gather_sleep_rows(self, rows) -> None:
-        """Refresh the sleep-state masks of ``rows`` (row indices)."""
         servers = self.servers
         states = [servers[r].sleep_state for r in rows]
         awake = [state is SleepState.AWAKE for state in states]
@@ -228,16 +225,6 @@ class FleetState:
         self.waking[rows] = waking
         self.asleep[rows] = [
             not (a or w) for a, w in zip(awake, waking)
-        ]
-
-    def gather_cost_rows(self, rows) -> None:
-        """Refresh the pending migration-cost lanes of ``rows``."""
-        servers = self.servers
-        self.mig_cost[rows] = [
-            servers[r].migration_cost_demand
-            if servers[r]._pending_costs
-            else 0.0
-            for r in rows
         ]
 
     # ---------------------------------------------------------------- caps
@@ -361,7 +348,9 @@ def _bind(obj, cls, fleet: FleetState, row: int) -> None:
 
 class LaneServerRuntime(ServerRuntime):
     """A server of an array site: demands, served power and budgets are
-    views (``set_budget`` works through them unchanged)."""
+    views (``set_budget`` works through them unchanged), and its pending
+    migration costs write their total to the ``mig_cost`` lane on every
+    change: a charge, an expiry, ``fail`` or a restore."""
 
     _LANES = (
         "raw_demand",
@@ -377,6 +366,21 @@ class LaneServerRuntime(ServerRuntime):
     budget = _lane("budget")
     previous_budget = _lane("previous_budget")
     budget_reduced = _lane("budget_reduced")
+
+    # The schedule itself stays in the instance dict (it is no lane);
+    # the property adds the row write to every assignment.
+    @property
+    def _pending_costs(self) -> Dict[int, float]:
+        return self.__dict__["_pending_costs"]
+
+    @_pending_costs.setter
+    def _pending_costs(self, costs: Dict[int, float]) -> None:
+        self.__dict__["_pending_costs"] = costs
+        self._fleet.mig_cost[self._row] = sum(costs.values())
+
+    def charge_migration_cost(self, watts: float, ticks: int) -> None:
+        super().charge_migration_cost(watts, ticks)
+        self._fleet.mig_cost[self._row] = sum(self._pending_costs.values())
 
     @property
     def vm_demand(self) -> float:

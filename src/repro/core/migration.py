@@ -42,6 +42,13 @@ __all__ = ["PlannedMove", "MigrationPlan", "MigrationPlanner"]
 _EPS = 1e-9
 
 
+def _target_capacity(server: ServerRuntime, config: WillowConfig) -> float:
+    """Bin capacity a server offers: surplus minus margin and cost."""
+    surplus = server.budget - server.raw_demand
+    overhead = config.p_min + config.migration_cost_power
+    return max(surplus - overhead, 0.0)
+
+
 @dataclass(frozen=True)
 class PlannedMove:
     """One VM move the planner decided on."""
@@ -99,45 +106,61 @@ class MigrationPlanner:
 
     # -- eligibility ---------------------------------------------------------
     @staticmethod
-    def _sinking(runtime) -> bool:
-        """Unidirectional rule for one node: its budget was reduced by
-        the latest supply event and its smoothed demand exceeds it."""
-        return (
-            runtime.budget_reduced
-            and runtime.smoothed_demand > runtime.budget + _EPS
-        )
+    def _sinking(reduced, smoothed, budget):
+        """Unidirectional rule: the budget was reduced by the latest
+        supply event and the smoothed demand exceeds it.  Takes one
+        node's values, or a site's lanes (``&`` works on both)."""
+        return reduced & (smoothed > budget + _EPS)
 
     def _sinking_ids(self, internals: Dict[int, NodeRuntime]) -> frozenset:
         """Ids of the sinking internal nodes: one pass per screen."""
         return frozenset(
             node_id
-            for node_id, runtime in internals.items()
-            if self._sinking(runtime)
+            for node_id, r in internals.items()
+            if self._sinking(r.budget_reduced, r.smoothed_demand, r.budget)
         )
 
     def _squeezed_under(self, server: ServerRuntime, sinking: frozenset) -> bool:
         """Is this target in a sinking subtree?  ``sinking`` is
         :meth:`_sinking_ids` of the internals."""
-        if self._sinking(server):
+        if self._sinking(
+            server.budget_reduced, server.smoothed_demand, server.budget
+        ):
             return True
         ancestor_ids = self._ancestor_ids.get(server.node.node_id)
         if ancestor_ids is None:
             ancestor_ids = tuple(a.node_id for a in server.node.ancestors())
         return not sinking.isdisjoint(ancestor_ids)
 
-    def _squeezed(
-        self,
-        server: ServerRuntime,
-        internals: Dict[int, NodeRuntime],
-    ) -> bool:
-        """Unidirectional-rule check for one target."""
-        return self._squeezed_under(server, self._sinking_ids(internals))
+    # -- screens -------------------------------------------------------------
+    def _deficient(self, servers: Dict[int, ServerRuntime]) -> List[ServerRuntime]:
+        """Awake servers over budget, in fleet order."""
+        return [
+            s
+            for s in servers.values()
+            if s.is_awake and s.raw_demand > s.budget + _EPS
+        ]
 
-    def _target_capacity(self, server: ServerRuntime) -> float:
-        """Bin capacity a server offers: surplus minus margin and cost."""
-        surplus = server.budget - server.raw_demand
-        overhead = self.config.p_min + self.config.migration_cost_power
-        return max(surplus - overhead, 0.0)
+    def _receive_capacity(
+        self,
+        servers: Dict[int, ServerRuntime],
+        internals: Dict[int, NodeRuntime],
+    ) -> Dict[int, float]:
+        """Spare watts by node id of every eligible target, in fleet
+        order: awake, not deficient, not squeezed, with capacity left."""
+        capacity: Dict[int, float] = {}
+        sinking = self._sinking_ids(internals)
+        for server in servers.values():
+            if not server.is_awake:
+                continue
+            if server.raw_demand > server.budget + _EPS:
+                continue  # deficient servers never receive
+            if self._squeezed_under(server, sinking):
+                continue
+            cap = _target_capacity(server, self.config)
+            if cap > _EPS:
+                capacity[server.node.node_id] = cap
+        return capacity
 
     # -- shedding --------------------------------------------------------------
     def _shed_items(self, server: ServerRuntime) -> List[Item]:
@@ -176,28 +199,12 @@ class MigrationPlanner:
         ``servers`` maps leaf node ids to runtimes; ``internals`` maps
         internal node ids to runtimes (for the unidirectional rule).
         """
-        deficient = [
-            s
-            for s in servers.values()
-            if s.is_awake and s.raw_demand > s.budget + _EPS
-        ]
+        deficient = self._deficient(servers)
         if not deficient:
             return MigrationPlan()
-
         # Residual capacity each eligible target still offers (mutates
         # as matching proceeds so later passes see earlier placements).
-        capacity: Dict[int, float] = {}
-        sinking = self._sinking_ids(internals)
-        for server in servers.values():
-            if not server.is_awake:
-                continue
-            if server.raw_demand > server.budget + _EPS:
-                continue  # deficient servers never receive
-            if self._squeezed_under(server, sinking):
-                continue
-            cap = self._target_capacity(server)
-            if cap > _EPS:
-                capacity[server.node.node_id] = cap
+        capacity = self._receive_capacity(servers, internals)
         return self.plan_prescreened(servers, deficient, capacity)
 
     def plan_prescreened(
@@ -211,8 +218,8 @@ class MigrationPlanner:
 
         ``deficient`` must hold the over-budget awake servers in fleet
         order and ``capacity`` the eligible targets' spare watts (also
-        in fleet order), exactly as :meth:`plan` computes them; the
-        vectorized controller produces both from its arrays.
+        in fleet order), as :meth:`_deficient` and
+        :meth:`_receive_capacity` screen them.
         """
         plan = MigrationPlan()
         if not deficient:

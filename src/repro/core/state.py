@@ -141,16 +141,16 @@ class ServerRuntime:
         """Add a temporary power demand for ``ticks`` future ticks."""
         if watts <= 0 or ticks <= 0:
             return
-        self._pending_costs[ticks] = self._pending_costs.get(ticks, 0.0) + watts
+        costs = self._pending_costs
+        costs[ticks] = costs.get(ticks, 0.0) + watts
 
     def expire_costs(self) -> None:
         """Advance migration-cost bookkeeping by one tick."""
-        if not self._pending_costs:
+        costs = self._pending_costs
+        if not costs:
             return
         self._pending_costs = {
-            ticks - 1: watts
-            for ticks, watts in self._pending_costs.items()
-            if ticks - 1 > 0
+            ticks - 1: watts for ticks, watts in costs.items() if ticks - 1 > 0
         }
 
     # -- budgets -----------------------------------------------------------

@@ -27,9 +27,14 @@ Everything decision-shaped stays on the runtime objects -- planners,
 consolidation, migration cost bookkeeping, metric hooks and the
 collector see exactly the scalar controller's interfaces, and
 ``Tracer`` frames carry the scalar controller's records in its order.
-The planners' per-server screens (deficient and squeezed rows, receive
-capacities, consolidation candidates) read the lanes instead, so a
-planning pass reads the objects of only the rows it picks.
+Both planners run their scalar ``plan``; only their per-server screens
+read the lanes (:class:`_LaneMigrationPlanner`: deficient rows, and the
+receive capacities of the targets the unidirectional rule allows;
+:class:`_LaneConsolidationPlanner`: starved rows, drain candidates and
+receive capacities), so a planning pass reads the objects of only the
+rows it picks.  A server's pending migration costs write their total
+to the ``mig_cost`` lane on every change, so the lane is current
+wherever a charge lands: in a tick, in a hook or in a rebalance.
 Numerical results match the scalar path bit-for-bit until the first
 migration re-orders a per-host demand sum, and to ``rtol=1e-12`` after
 that (see docs/performance.md for the precise contract and
@@ -58,7 +63,7 @@ from repro.core.fleet import (
     build_fold_index,
     fold_segment_sums,
 )
-from repro.core.migration import PlannedMove
+from repro.core.migration import MigrationPlanner, PlannedMove
 from repro.power.budget import LevelIndex, allocate_level
 from repro.power.smoothing import smooth_lanes
 from repro.thermal.model import temperature_step_arrays
@@ -371,33 +376,26 @@ class _Segment:
         ctrls = self.controllers
 
         # 0. housekeeping, row by row: costs expire on the rows that
-        # hold some (every path that charges one records its row), and
-        # wake latency advances on the non-awake rows, of which only
-        # the waking ones can change state.
+        # hold some (the cost lane writes itself), and wake latency
+        # advances on the non-awake rows, of which only the waking ones
+        # can change state.
         for i, ctrl in enumerate(ctrls):
             if ctrl.tracer.enabled:
                 # Open the frame before the plant hook, as the scalar
                 # controller does.
                 ctrl.tracer.begin_tick(ctrl._tick_index, now)
             ctrl._tick_migration_traffic = {}
-            fleet = ctrl.fleet
-            servers = fleet.servers
-            if ctrl._cost_rows:
-                rows = sorted(ctrl._cost_rows)
-                for r in rows:
-                    servers[r].expire_costs()
-                fleet.gather_cost_rows(rows)
-                ctrl._cost_rows = {
-                    r for r in rows if servers[r]._pending_costs
-                }
+            servers = ctrl.fleet.servers
             sl = self.local_slices[i]
+            for r in np.flatnonzero(self.mig_cost[sl]).tolist():
+                servers[r].expire_costs()
             resting = np.flatnonzero(~self.awake[sl])
             if len(resting):
                 for r in resting.tolist():
                     servers[r].tick_wake()
-                fleet.gather_sleep_rows(
-                    resting[self.waking[sl][resting]].tolist()
-                )
+                waking = resting[self.waking[sl][resting]].tolist()
+                if waking:
+                    ctrl.fleet.gather(waking)
             ctrl._begin_tick(now)
 
         # 1. sample every site's demand in site order.  Home VMs read
@@ -462,9 +460,7 @@ class _Segment:
             sl = self.local_slices[i]
             if not bool(deficient[sl].any()):
                 continue
-            plan = ctrl._plan_demand_migrations(
-                raw[sl], smoothed[sl], deficient[sl]
-            )
+            plan = ctrl.migration_planner.plan(ctrl.servers, ctrl.internals)
             ctrl._execute_moves(plan.moves, MigrationCause.DEMAND, now)
             moved[i] = bool(plan.moves)
             if not plan.dropped:
@@ -495,8 +491,7 @@ class _Segment:
                 # Consolidation reads and writes the objects: a woken
                 # server's smoother reset lands in its lanes through
                 # the views, and gather() re-reads the rows whose sleep
-                # state it changed through methods.  Its moves charged
-                # costs on rows in _cost_rows, re-read below.
+                # state it changed through methods.
                 n_migrations = len(ctrl.collector.migrations)
                 changed = ctrl._consolidate(now)
                 if len(ctrl.collector.migrations) > n_migrations:
@@ -504,10 +499,6 @@ class _Segment:
                     moved[i] = True
                 index = ctrl.fleet.index
                 ctrl.fleet.gather([index[s.node.node_id] for s in changed])
-            if moved[i]:
-                # Migrations charged costs mid-tick: re-read the charged
-                # rows' cost lanes before serving.
-                ctrl.fleet.gather_cost_rows(sorted(ctrl._cost_rows))
 
         # 6. serve power within budget across the whole block; throttle
         # any residual excess per VM in priority order.
@@ -818,6 +809,45 @@ class _LaneConsolidationPlanner(ConsolidationPlanner):
         return dict(zip(fleet.node_ids[rows].tolist(), capacity.tolist()))
 
 
+class _LaneMigrationPlanner(MigrationPlanner):
+    """The demand planner of an array site: its two screens read the
+    site's lanes, so a pass reads the objects of the deficient rows and
+    of the targets that matching picks only.
+    :meth:`MigrationPlanner.plan` does the rest unchanged."""
+
+    def __init__(self, tree, config, fleet: FleetState, ipc_graph=None):
+        super().__init__(tree, config, ipc_graph=ipc_graph)
+        self.fleet = fleet
+        index = fleet.index
+        #: The rows under each internal node, which a sinking node
+        #: squeezes.
+        self._rows_under = {
+            node_id: np.array([index[leaf] for leaf in leaves], dtype=np.intp)
+            for node_id, leaves in self._group_sorted_leaves.items()
+        }
+
+    def _deficient(self, servers):
+        fleet = self.fleet
+        rows = np.flatnonzero(fleet.awake & (fleet.raw > fleet.budget + _EPS))
+        return [fleet.servers[r] for r in rows.tolist()]
+
+    def _receive_capacity(self, servers, internals):
+        fleet = self.fleet
+        squeezed = self._sinking(
+            fleet.budget_reduced, fleet.smoothed, fleet.budget
+        )
+        for node_id in self._sinking_ids(internals):
+            squeezed[self._rows_under[node_id]] = True
+        cap = _target_capacities(fleet.budget, fleet.raw, self.config)
+        rows = (
+            fleet.awake
+            & (fleet.raw <= fleet.budget + _EPS)
+            & ~squeezed
+            & (cap > _EPS)
+        )
+        return dict(zip(fleet.node_ids[rows].tolist(), cap[rows].tolist()))
+
+
 class VectorizedWillowController(WillowController):
     """Drop-in replacement for :class:`WillowController` whose tick is
     a one-site :class:`_Segment`.  Same constructor, same metrics, same
@@ -832,12 +862,15 @@ class VectorizedWillowController(WillowController):
             )
         ordered = [self.servers[leaf.node_id] for leaf in self.tree.servers()]
         self.fleet = FleetState(ordered, self.config)
-        # The seeding gather fills the sleep masks and cost lanes; after
-        # it the tick only re-reads what scalar code changes through
-        # methods (sleep states and migration costs).  Everything the
-        # tick writes lives in the lanes alone: the servers become views.
+        # The seeding gather fills the sleep masks; after it the tick
+        # only re-reads what scalar code changes through methods (sleep
+        # states).  Everything else lives in the lanes alone: the
+        # servers become views.
         self.fleet.gather()
         self.fleet.bind()
+        self.migration_planner = _LaneMigrationPlanner(
+            self.tree, self.config, self.fleet, ipc_graph=self.ipc_graph
+        )
         self.consolidation_planner = _LaneConsolidationPlanner(
             self.tree, self.config, self.fleet
         )
@@ -862,32 +895,6 @@ class VectorizedWillowController(WillowController):
         self._n_nodes = max(node.node_id for node in self.tree) + 1
         self._levels_up = self._build_level_specs()
 
-        # Ancestor chains as an index matrix into a per-internal-node
-        # flag vector, for the vectorized unidirectional-rule check.
-        # Ragged chains pad with a sentinel slot that is always False.
-        self._internal_list = list(self.internals.values())
-        internal_index = {
-            runtime.node.node_id: j
-            for j, runtime in enumerate(self._internal_list)
-        }
-        chains = [
-            [internal_index[a.node_id] for a in s.node.ancestors()]
-            for s in self.fleet.servers
-        ]
-        depth = max((len(c) for c in chains), default=0)
-        sentinel = len(self._internal_list)
-        self._anc_matrix = np.full(
-            (self.fleet.n, max(depth, 1)), sentinel, dtype=np.intp
-        )
-        for i, chain in enumerate(chains):
-            self._anc_matrix[i, : len(chain)] = chain
-        self._int_flags = np.zeros(sentinel + 1, dtype=bool)
-
-        #: Rows whose server may hold pending migration costs: every
-        #: path that charges a cost on this site records its row (local
-        #: moves, cross-site hosting hooks), and the tick start drops
-        #: the rows left with nothing pending.
-        self._cost_rows = self._pending_cost_rows()
         #: The one-site segment :meth:`_tick` runs, built on first use.
         #: A federation coordinator ticks this site in one of its own
         #: segments instead and never calls :meth:`_tick`.
@@ -953,48 +960,6 @@ class VectorizedWillowController(WillowController):
                 [(self, 0, slice(0, self.fleet.n))],
             )
         self._segment.tick(self.env.now)
-
-    # ---------------------------------------------------------- migrations
-    def _plan_demand_migrations(self, raw, smoothed, deficient_mask):
-        """Array pre-screen + the planner's matching stage.
-
-        Replicates :meth:`MigrationPlanner.plan`'s per-server loops
-        (the unidirectional squeeze rule, target capacity computation)
-        as array expressions over the lanes, then hands the results to
-        :meth:`MigrationPlanner.plan_prescreened`.  ``deficient_mask``
-        marks the awake over-budget rows (the tick computed it); only
-        those rows' objects are read.
-        """
-        fleet = self.fleet
-        squeezed = self._squeezed_mask(smoothed)
-        cap = _target_capacities(fleet.budget, raw, self.config)
-        eligible = (
-            fleet.awake & ~deficient_mask & ~squeezed & (cap > _EPS)
-        )
-        capacity = dict(
-            zip(fleet.node_ids[eligible].tolist(), cap[eligible].tolist())
-        )
-        servers = fleet.servers
-        deficient = [
-            servers[i] for i in np.flatnonzero(deficient_mask).tolist()
-        ]
-        return self.migration_planner.plan_prescreened(
-            self.servers, deficient, capacity
-        )
-
-    def _squeezed_mask(self, smoothed: np.ndarray) -> np.ndarray:
-        """Fleet-wide :meth:`MigrationPlanner._squeezed`: a server is
-        squeezed when it (or any ancestor) had its budget reduced while
-        its smoothed demand still exceeds that budget."""
-        fleet = self.fleet
-        flags = self._int_flags
-        for j, runtime in enumerate(self._internal_list):
-            flags[j] = (
-                runtime.budget_reduced
-                and runtime.smoothed_demand > runtime.budget + _EPS
-            )
-        own = fleet.budget_reduced & (smoothed > fleet.budget + _EPS)
-        return own | flags[self._anc_matrix].any(axis=1)
 
     def _total_demand(self) -> float:
         # The raw lane is in fleet order, which is the servers dict's.
@@ -1062,14 +1027,9 @@ class VectorizedWillowController(WillowController):
         return sums
 
     # ------------------------------------------------- federation hosting
-    # A coordinator charges WAN migration costs on both endpoints right
-    # after these hooks, so each one records its endpoint's cost row.
     # A home VM leaving home becomes a plain object holding its value
     # (its host site reads it as a guest), and a view again back home.
     def vm_departed(self, vm) -> None:
-        host_row = self.fleet.index.get(vm.host_id)
-        if host_row is not None:
-            self._cost_rows.add(host_row)
         row = self._vm_row.get(vm.vm_id)
         if row is not None:
             if not self._vm_away[row]:
@@ -1082,7 +1042,6 @@ class VectorizedWillowController(WillowController):
             self._foreign_rows.pop(vm.vm_id, None)
 
     def vm_arrived(self, vm, dst_node_id: int) -> None:
-        self._cost_rows.add(self.fleet.index[dst_node_id])
         row = self._vm_row.get(vm.vm_id)
         if row is not None:  # a home VM returning from another site
             if self._vm_away[row]:
@@ -1120,21 +1079,14 @@ class VectorizedWillowController(WillowController):
         self._away_count = int(batched["away_count"])
         self._foreign_vms = dict(batched["foreign_vms"])
         self._foreign_rows = dict(batched["foreign_rows"])
-        # The base restore wrote the view fields into the lanes; re-read
-        # what it set on plain attributes (sleep states, costs) and bind
-        # the restored VMs, which are new objects.  The next tick builds
-        # a fresh segment (the switch powers are new too).
+        # The base restore wrote the view fields (costs included) into
+        # the lanes; re-read what it set on plain attributes (sleep
+        # states) and bind the restored VMs, which are new objects.  The
+        # next tick builds a fresh segment (the switch powers are new
+        # too).
         self.fleet.gather()
         self._bind_vms()
-        self._cost_rows = self._pending_cost_rows()
         self._segment = None
-
-    def _pending_cost_rows(self) -> set:
-        """Rows whose server holds pending migration costs, read off
-        the objects (at construction and on restore)."""
-        return {
-            r for r, s in enumerate(self.fleet.servers) if s._pending_costs
-        }
 
     # ------------------------------------------------------ migrations
     def _execute_moves(
@@ -1146,9 +1098,6 @@ class VectorizedWillowController(WillowController):
         for move in moves:
             vm_id = move.vm.vm_id
             dst_row = index[move.dst.node_id]
-            # Both endpoints were charged a migration cost.
-            self._cost_rows.add(index[move.src.node_id])
-            self._cost_rows.add(dst_row)
             row = self._vm_row.get(vm_id)
             if row is not None:
                 self._vm_host_rows[row] = dst_row

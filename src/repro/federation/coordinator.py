@@ -561,15 +561,13 @@ class FederationCoordinator:
         remaining demand fits under ``budget - P_min``), capped globally
         at the transfer directive -- a VM bigger than the remaining
         directive is skipped, never overshooting what the policy asked.
+        The servers are those the site planner's deficient screen
+        picks, most deficient first.
         """
         config = site.config
         controller = site.controller
         deficient = sorted(
-            (
-                s
-                for s in controller.servers.values()
-                if s.is_awake and s.raw_demand > s.budget + _EPS
-            ),
+            controller.migration_planner._deficient(controller.servers),
             key=lambda s: (s.budget - s.raw_demand, s.node.node_id),
         )
         remaining_directive = watts

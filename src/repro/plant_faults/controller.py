@@ -45,7 +45,7 @@ from repro.cooling.model import CoolingModel
 from repro.core.config import WillowConfig
 from repro.core.controller import WillowController, build_willow
 from repro.core.events import MigrationCause, PlantEvent
-from repro.core.migration import PlannedMove
+from repro.core.migration import PlannedMove, _target_capacity
 from repro.core.state import ServerRuntime, SleepState
 from repro.metrics.collector import MetricsCollector
 from repro.plant_faults.schedule import PlantFaultSchedule
@@ -344,7 +344,7 @@ class FaultTolerantWillowController(WillowController):
                 continue
             if server.raw_demand > server.budget + _EPS:
                 continue  # deficient servers never receive
-            cap = self.migration_planner._target_capacity(server)
+            cap = _target_capacity(server, self.config)
             if cap > _EPS:
                 capacity[sid] = cap
         if not capacity:

@@ -163,8 +163,9 @@ def test_ffdlr_oversized_items_change_only_unpacked(
 def reference_ffdlr_pack(items: Sequence[Item], bins: Sequence[Bin]) -> PackResult:
     """FFDLR with NumPy scans over flat capacity/load arrays: phase 2
     takes the first available entry of a stable capacity order that
-    holds a group, and the best fit the first minimum residual that
-    holds an item."""
+    holds a group (and puts the group in with one fit test on its
+    total), and the best fit the first minimum residual that holds an
+    item."""
     bins = list(bins)
     result = PackResult(assignment={}, bins=bins, unpacked=[])
     keys = [item.key for item in items]
@@ -200,8 +201,8 @@ def reference_ffdlr_pack(items: Sequence[Item], bins: Sequence[Bin]) -> PackResu
             avail[pos] = False
             bin_index = int(order[pos])
             chosen = bins[bin_index]
+            chosen.extend(group)
             for item in group:
-                chosen.add(item)
                 result.assignment[item.key] = chosen.key
             loads[bin_index] = chosen.load
         else:
@@ -269,8 +270,8 @@ def pack_outcome(case, packer, receivers=False, used_only=False):
     contents so far (given receivers, or with ``used_only``, the
     message alone).  A pre-filled item is in no assignment, so
     ``validate()`` raises on every pre-filled bin, after the packing;
-    and ``Bin.add`` raises when a group that fits its bin within
-    ``_SLACK`` still holds an item smaller than what the slack let in."""
+    and ``Bin.extend`` raises when phase 2 picks, by capacity, a
+    pre-filled bin whose residual cannot hold the group."""
     sizes, capacities, fills = case
     items = [Item(i, s) for i, s in enumerate(sizes)]
     if receivers:
@@ -303,11 +304,29 @@ TIED_RESIDUALS = [
     ([1.0, 2.0, 3.0, 1.0, 3.0, 5.0], [1.0, 4.0, 5.0], [[], [], []]),
     ([2.0, 1.0, 2.0, 4.0, 2.0], [3.0, 6.0, 3.0, 1.0], [[], [], [], []]),
 ]
+# One group that fits its bin only within ``_SLACK``: after the first
+# two items the bin is over capacity by nearly ``_SLACK``, which the
+# third, tiny item does not fit on its own.
+SLACK_GROUP = ([1.0, 1e-9, 1.457965355023767e-131], [1.0], [[]])
+
+
+def test_ffdlr_packs_a_group_that_fits_within_slack():
+    sizes, capacities, _fills = SLACK_GROUP
+    items = [Item(i, s) for i, s in enumerate(sizes)]
+    for bins in (
+        [Bin(0, capacities[0])],
+        Receivers([0], list(capacities)),
+    ):
+        result = ffdlr_pack(items, bins)
+        result.validate()
+        assert result.assignment == {0: 0, 1: 0, 2: 0}
+        assert not result.unpacked
 
 
 @given(case=tied_instances(prefill=True))
 @example(case=TIED_RESIDUALS[0])
 @example(case=TIED_RESIDUALS[1])
+@example(case=SLACK_GROUP)
 @settings(max_examples=400, deadline=None)
 def test_ffdlr_matches_numpy_reference_on_bins(case):
     """On ``Bin`` lists (pre-filled ones included) the bisect searches
@@ -320,6 +339,7 @@ def test_ffdlr_matches_numpy_reference_on_bins(case):
 @given(case=tied_instances(prefill=False))
 @example(case=TIED_RESIDUALS[0])
 @example(case=TIED_RESIDUALS[1])
+@example(case=SLACK_GROUP)
 @settings(max_examples=400, deadline=None)
 def test_ffdlr_matches_numpy_reference_on_receivers(case):
     """On key/capacity lists the result holds a ``Bin`` for exactly the

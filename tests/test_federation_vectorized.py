@@ -6,14 +6,14 @@ unmatched deficits, control messages, sleep states) and floats within
 ``rtol=1e-12`` of the same federation over scalar site controllers,
 for N >= 2 sites under every policy, with batteries and a plant-fault
 site in the mix.  Consecutive vectorized sites tick fused in one array
-segment, and cross-site WAN costs must reach the segment's cost rows
-through the hosting hooks.  A single-site neutral federation is
+segment, and cross-site WAN costs land in the segment's cost lane when
+they are charged.  A single-site neutral federation is
 additionally bit-exact with the per-site vectorized controller (nothing
 reorders a sum across sites).  Also covered here: the views contract
 (every runtime object of an array site reads its lanes -- after every
-``run``, across runs and inside hooks -- a tick that no scalar reader
-needs touches no view, and whole-site gathers run only where a reader
-may change every object), and the
+``run``, across runs and inside hooks, the cost lane included -- a tick
+that no scalar reader needs touches no view, and whole-site gathers run
+only where a reader may change every object), and the
 :class:`~repro.core.fleet.FederationFleet` view-aliasing invariants the
 fused tick relies on.  The rebalance's shed and receiver screens are the
 coordinator's object walks on every site, so the equivalence contract
@@ -24,7 +24,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.control_plane import run_distributed
@@ -39,7 +39,8 @@ from repro.core.fleet import (
     LaneThermal,
     LaneVM,
 )
-from repro.core.state import ServerRuntime
+from repro.core.migration import MigrationPlanner
+from repro.core.state import ServerRuntime, SleepState
 from repro.core.vectorized import (
     VectorizedWillowController,
     _LaneConsolidationPlanner,
@@ -471,6 +472,15 @@ def assert_objects_current(coordinator):
                 ), (name, lane)
 
 
+def assert_cost_lane(ctrl):
+    """Each server's pending migration costs are its row of the
+    ``mig_cost`` lane."""
+    fleet = ctrl.fleet
+    assert [
+        s.migration_cost_demand for s in fleet.servers
+    ] == fleet.mig_cost.tolist()
+
+
 def count_view_accesses(monkeypatch, counter):
     """Count every read and write of a lane-backed attribute."""
     for cls, names in (
@@ -590,6 +600,7 @@ class TestSyncContract:
             assert [
                 s.thermal.temperature for s in servers
             ] == fleet.temperature.tolist()
+            assert_cost_lane(controller)
             causes.append(record.cause)
 
         for site in coordinator.sites:
@@ -623,6 +634,10 @@ class TestSyncContract:
         assert isinstance(vm, LaneVM)
         move(home, src_node, host, dst_node)
         assert type(vm) is VM
+        # Both endpoints carry the WAN cost in their cost lanes at once.
+        for site, node in ((home, src_node), (host, dst_node)):
+            assert site.controller.servers[node].migration_cost_demand > 0
+            assert_cost_lane(site.controller)
         for _ in range(3):
             coordinator.run(1)
             assert type(vm) is VM
@@ -637,14 +652,14 @@ class TestSyncContract:
     def test_whole_site_syncs_only_where_every_object_is_read(
         self, monkeypatch
     ):
-        """No hooks, no tracer: a tick never re-reads the sleep and cost
-        lanes in full, only on the rows some actor changed (after
-        consolidation, the servers it slept or woke); and a tick with no
-        deficient or slow row, and no consolidation pass that screens in
-        a row or wakes a server, reads or writes no lane-backed
-        attribute."""
+        """No hooks, no tracer: a tick never re-reads the sleep masks in
+        full, only on the rows some actor changed (at the tick start,
+        the waking servers; after consolidation, the servers it slept
+        or woke); and a tick with no deficient or slow row, and no
+        consolidation pass that screens in a row or wakes a server,
+        reads or writes no lane-backed attribute."""
         context = []
-        rows_read = {"sleep": 0, "costs": 0, "consolidated": 0}
+        rows_read = {"waking": 0, "consolidated": 0}
 
         def within(owner, name, label):
             original = getattr(owner, name)
@@ -658,64 +673,53 @@ class TestSyncContract:
 
             monkeypatch.setattr(owner, name, wrapper)
 
+        def stale(fleet, r):
+            state = fleet.servers[r].sleep_state
+            return (fleet.awake[r], fleet.waking[r]) != (
+                state is SleepState.AWAKE,
+                state is SleepState.WAKING,
+            )
+
         gather = FleetState.gather
 
         def gather_rows(self, rows=None):
             if "tick" in context:
                 assert rows is not None, "whole-site gather in a tick"
-                rows_read["consolidated"] += len(rows)
+                if all(self.waking[r] for r in rows):
+                    # Only a waking server changes state between
+                    # consolidations.
+                    rows_read["waking"] += len(rows)
+                else:
+                    assert all(stale(self, r) for r in rows)
+                    rows_read["consolidated"] += len(rows)
             return gather(self, rows)
 
         monkeypatch.setattr(FleetState, "gather", gather_rows)
         within(_Segment, "tick", "tick")
         within(FederationCoordinator, "_rebalance", "rebalance")
-        within(FleetState, "gather", "gather")
-        sleep_rows = FleetState.gather_sleep_rows
-        cost_rows = FleetState.gather_cost_rows
-
-        def read_sleep(self, rows):
-            if context[-1] != "gather":
-                # Only a waking server changes state between
-                # consolidations.
-                assert all(self.waking[r] for r in rows)
-                rows_read["sleep"] += len(rows)
-            return sleep_rows(self, rows)
-
-        def read_costs(self, rows):
-            if context[-1] != "gather":
-                # Only rows holding costs, or clearing their last one.
-                assert all(
-                    self.servers[r]._pending_costs or self.mig_cost[r]
-                    for r in rows
-                )
-                rows_read["costs"] += len(rows)
-            return cost_rows(self, rows)
-
-        monkeypatch.setattr(FleetState, "gather_sleep_rows", read_sleep)
-        monkeypatch.setattr(FleetState, "gather_cost_rows", read_costs)
 
         coordinator = sync_federation()
         for _ in range(SYNC_TICKS // 3):
             coordinator.run(3)
-        # The federation exercises every per-row path: wakes, charged
-        # costs and consolidation's sleeps, plus cross-site moves.
+        # The federation exercises every per-row path: wakes and
+        # consolidation's sleeps, plus cross-site moves.
         assert all(rows_read.values()), rows_read
         assert coordinator.cross_migrations
 
         # The views guard, on a provisioned federation.
         readers = set()
 
-        def reader(name):
-            original = getattr(VectorizedWillowController, name)
+        def reader(owner, name):
+            original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 readers.add(name)
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(VectorizedWillowController, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        reader("_plan_demand_migrations")  # some row is deficient
-        reader("_serve_vms")  # some row is served slowly
+        reader(MigrationPlanner, "plan")  # some row is deficient
+        reader(VectorizedWillowController, "_serve_vms")  # a slow row
         # A consolidation pass reads the objects of the rows its lane
         # screens pass, and of a server it wakes; a pass with neither
         # leaves its tick clean.
@@ -836,21 +840,25 @@ class TestBudgetLanes:
             st.integers(1, STEP_TICKS - 1),  # snapshot tick
         )
     )
+    # Internal nodes sink here, so the capacity screens exclude whole
+    # subtrees.
+    @example(case=(0, 0.5, 0.5, 4, 15, 5))
     def test_budget_lanes_match_scalar_twins(self, case):
         """Against two twins, after every tick and across a snapshot
         and restore: the same fused federation giving its servers their
         budgets one ``set_budget`` call at a time, bit for bit; and the
         federation on scalar site controllers, bit for bit until the
         first migration (after which sums may add in another order;
-        see the module docstring).  The lane squeeze screen equals the
-        planner's per-server rule throughout."""
+        see the module docstring).  The lane planner's two screens pick
+        what a scalar planner's pick on the same objects, in the same
+        order, throughout."""
         snapshot = case[-1]
         fused = step_federation(case, vectorized=True)
         twin = step_federation(case, vectorized=True)
         set_budgets_one_by_one(twin)
         scalar = step_federation(case, vectorized=False)
         assert fused.segments and not scalar.segments
-        reduced = 0
+        reduced = deficient = 0
         for tick in range(STEP_TICKS):
             if tick == snapshot:
                 before = self.budgets(fused)
@@ -872,17 +880,23 @@ class TestBudgetLanes:
                     isinstance(s, LaneServerRuntime)
                     for s in ctrl.servers.values()
                 )
-                planner, fleet = ctrl.migration_planner, ctrl.fleet
-                assert ctrl._squeezed_mask(
-                    fleet.smoothed
-                ).tolist() == [
-                    planner._squeezed(s, ctrl.internals)
-                    for s in fleet.servers
-                ]
+                lanes = ctrl.migration_planner
+                scalar_planner = MigrationPlanner(ctrl.tree, ctrl.config)
+                servers, internals = ctrl.servers, ctrl.internals
+                rows = lanes._deficient(servers)
+                assert rows == scalar_planner._deficient(servers), tick
+                assert list(
+                    lanes._receive_capacity(servers, internals).items()
+                ) == list(
+                    scalar_planner._receive_capacity(
+                        servers, internals
+                    ).items()
+                ), tick
+                deficient += len(rows)
             reduced += sum(
                 flag for site in budgets for _b, _p, flag in site.values()
             )
-        assert reduced
+        assert reduced and deficient
 
 
 class TestScalarObjectsStayPlain:
